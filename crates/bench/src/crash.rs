@@ -25,6 +25,7 @@ use iris_service::{recover, ControlMachine, StateSnapshot};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::chaos::Distribution;
 
@@ -178,10 +179,15 @@ fn script(seed: u64, batches: usize, n_pairs: usize) -> Vec<ScriptedBatch> {
 }
 
 /// A unique, throwaway WAL directory. Never serialized into the report.
+/// The counter keeps concurrent sweeps in one process (parallel tests)
+/// out of each other's directories.
 fn scratch_dir(label: &str, scenario: usize) -> PathBuf {
-    let dir = std::env::temp_dir()
-        .join("iris-crash-sweep")
-        .join(format!("{}-{label}-s{scenario}", std::process::id()));
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let unique = NEXT.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join("iris-crash-sweep").join(format!(
+        "{}-{unique}-{label}-s{scenario}",
+        std::process::id()
+    ));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }

@@ -1,5 +1,5 @@
-//! Shared helpers for the Iris figure-regeneration binaries and
-//! Criterion benches.
+//! Shared helpers for the Iris figure-regeneration binaries and the
+//! `perf` benchmark harness.
 //!
 //! Every binary in `src/bin/` regenerates one table or figure of the
 //! paper: it prints the same rows/series the paper reports and writes a

@@ -14,8 +14,7 @@
 //!   health checks;
 //! * [`wavelength`] — packing a DC's tunable transceivers into outgoing
 //!   fibers (the per-DC "basic wavelength management" of §5.2);
-//! * [`messages`] — a compact binary wire format for controller-to-site
-//!   commands;
+//! * [`messages`] — controller-to-site commands and their wire layout;
 //! * [`controller`] — the reconfiguration state machine (plan → drain →
 //!   actuate → verify → undrain, with retry, rollback and quarantine)
 //!   plus the fiber-cut recovery path;

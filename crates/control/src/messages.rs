@@ -1,21 +1,15 @@
-//! Controller-to-site command framing.
+//! Controller-to-site commands.
 //!
 //! The testbed controller speaks serial, HTTPS and NetConf to its
 //! devices; a production Iris would use one compact binary protocol.
-//! This module defines that wire format: a fixed header (magic, version,
-//! opcode, length) followed by a little-endian payload. Framing is
-//! explicit-length so commands can be streamed over any reliable byte
-//! transport and parsed incrementally.
+//! [`Command`] is that protocol's message type. It speaks the
+//! workspace's one wire discipline: the [`iris_wire::bin::Wire`] layout
+//! declared below (or JSON) inside ordinary length-prefixed
+//! [`iris_wire::frame`] frames, so commands stream over any reliable
+//! byte transport and parse incrementally like every other Iris message.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use iris_errors::IrisError;
+use iris_wire::wire_enum;
 use serde::{Deserialize, Serialize};
-
-/// Protocol magic: "IRIS".
-pub const MAGIC: u32 = 0x4952_4953;
-
-/// Protocol version.
-pub const VERSION: u8 = 1;
 
 /// A control-plane command.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -66,230 +60,34 @@ pub enum Command {
     },
 }
 
-impl Command {
-    fn opcode(&self) -> u8 {
-        match self {
-            Command::SetCross { .. } => 1,
-            Command::Tune { .. } => 2,
-            Command::SetEmulation { .. } => 3,
-            Command::Drain { .. } => 4,
-            Command::Undrain { .. } => 5,
-            Command::HealthCheck { .. } => 6,
-        }
-    }
-
-    /// Encode into a framed byte buffer.
-    #[must_use]
-    pub fn encode(&self) -> Bytes {
-        let mut payload = BytesMut::new();
-        match *self {
-            Command::SetCross {
-                switch,
-                input,
-                output,
-            } => {
-                payload.put_u32_le(switch);
-                payload.put_u32_le(input);
-                payload.put_u32_le(output);
-            }
-            Command::Tune {
-                transceiver,
-                channel,
-            } => {
-                payload.put_u32_le(transceiver);
-                payload.put_u32_le(channel);
-            }
-            Command::SetEmulation {
-                emulator,
-                channel,
-                live,
-            } => {
-                payload.put_u32_le(emulator);
-                payload.put_u32_le(channel);
-                payload.put_u8(u8::from(live));
-            }
-            Command::Drain { a, b } | Command::Undrain { a, b } => {
-                payload.put_u32_le(a);
-                payload.put_u32_le(b);
-            }
-            Command::HealthCheck { site } => payload.put_u32_le(site),
-        }
-        let mut frame = BytesMut::with_capacity(10 + payload.len());
-        frame.put_u32(MAGIC);
-        frame.put_u8(VERSION);
-        frame.put_u8(self.opcode());
-        frame.put_u32_le(payload.len() as u32);
-        frame.extend_from_slice(&payload);
-        frame.freeze()
-    }
-
-    /// Decode one framed command from the front of `buf`, consuming it.
-    /// Returns `Ok(None)` when the buffer holds an incomplete frame.
-    ///
-    /// # Errors
-    ///
-    /// Fails on bad magic, unknown version/opcode, or malformed payload.
-    pub fn decode(buf: &mut Bytes) -> Result<Option<Command>, IrisError> {
-        if buf.len() < 10 {
-            return Ok(None);
-        }
-        let mut peek = buf.clone();
-        let magic = peek.get_u32();
-        if magic != MAGIC {
-            return Err(IrisError::Decode {
-                detail: format!("bad magic {magic:#x}"),
-            });
-        }
-        let version = peek.get_u8();
-        if version != VERSION {
-            return Err(IrisError::Decode {
-                detail: format!("unsupported version {version}"),
-            });
-        }
-        let opcode = peek.get_u8();
-        let len = peek.get_u32_le() as usize;
-        if peek.len() < len {
-            return Ok(None);
-        }
-        let mut payload = peek.copy_to_bytes(len);
-        let need = |payload: &Bytes, n: usize| -> Result<(), IrisError> {
-            if payload.len() < n {
-                Err(IrisError::Decode {
-                    detail: format!("truncated payload for opcode {opcode}"),
-                })
-            } else {
-                Ok(())
-            }
-        };
-        let cmd = match opcode {
-            1 => {
-                need(&payload, 12)?;
-                Command::SetCross {
-                    switch: payload.get_u32_le(),
-                    input: payload.get_u32_le(),
-                    output: payload.get_u32_le(),
-                }
-            }
-            2 => {
-                need(&payload, 8)?;
-                Command::Tune {
-                    transceiver: payload.get_u32_le(),
-                    channel: payload.get_u32_le(),
-                }
-            }
-            3 => {
-                need(&payload, 9)?;
-                Command::SetEmulation {
-                    emulator: payload.get_u32_le(),
-                    channel: payload.get_u32_le(),
-                    live: payload.get_u8() != 0,
-                }
-            }
-            4 => {
-                need(&payload, 8)?;
-                Command::Drain {
-                    a: payload.get_u32_le(),
-                    b: payload.get_u32_le(),
-                }
-            }
-            5 => {
-                need(&payload, 8)?;
-                Command::Undrain {
-                    a: payload.get_u32_le(),
-                    b: payload.get_u32_le(),
-                }
-            }
-            6 => {
-                need(&payload, 4)?;
-                Command::HealthCheck {
-                    site: payload.get_u32_le(),
-                }
-            }
-            other => {
-                return Err(IrisError::Decode {
-                    detail: format!("unknown opcode {other}"),
-                })
-            }
-        };
-        buf.advance(10 + len);
-        Ok(Some(cmd))
-    }
-}
+wire_enum!(Command: "command" {
+    1 => SetCross { switch: u32, input: u32, output: u32 },
+    2 => Tune { transceiver: u32, channel: u32 },
+    3 => SetEmulation { emulator: u32, channel: u32, live: bool },
+    4 => Drain { a: u32, b: u32 },
+    5 => Undrain { a: u32, b: u32 },
+    6 => HealthCheck { site: u32 },
+});
 
 #[cfg(test)]
 mod tests {
+    //! Every variant's round trip in frames and under hostile bytes is
+    //! checked in `iris-wire`'s `tests/hostile_bytes.rs` and the root
+    //! `command_codec_round_trips` property.
+
     use super::*;
-
-    fn all_commands() -> Vec<Command> {
-        vec![
-            Command::SetCross {
-                switch: 3,
-                input: 7,
-                output: 12,
-            },
-            Command::Tune {
-                transceiver: 42,
-                channel: 13,
-            },
-            Command::SetEmulation {
-                emulator: 1,
-                channel: 39,
-                live: true,
-            },
-            Command::Drain { a: 0, b: 5 },
-            Command::Undrain { a: 0, b: 5 },
-            Command::HealthCheck { site: 9 },
-        ]
-    }
+    use iris_wire::Codec;
 
     #[test]
-    fn round_trip_every_command() {
-        for cmd in all_commands() {
-            let mut buf = cmd.encode();
-            let decoded = Command::decode(&mut buf).unwrap().unwrap();
-            assert_eq!(decoded, cmd);
-            assert!(buf.is_empty(), "frame fully consumed");
-        }
-    }
-
-    #[test]
-    fn stream_of_commands_decodes_in_order() {
-        let cmds = all_commands();
-        let mut stream = BytesMut::new();
-        for c in &cmds {
-            stream.extend_from_slice(&c.encode());
-        }
-        let mut buf = stream.freeze();
-        for expected in &cmds {
-            let got = Command::decode(&mut buf).unwrap().unwrap();
-            assert_eq!(&got, expected);
-        }
-        assert!(Command::decode(&mut buf).unwrap().is_none());
-    }
-
-    #[test]
-    fn partial_frame_returns_none_and_keeps_buffer() {
-        let full = Command::HealthCheck { site: 1 }.encode();
-        let mut partial = full.slice(0..full.len() - 1);
-        let before = partial.len();
-        assert!(Command::decode(&mut partial).unwrap().is_none());
-        assert_eq!(partial.len(), before, "incomplete frames are not consumed");
-    }
-
-    #[test]
-    fn bad_magic_is_rejected() {
-        let mut bad = Bytes::from_static(&[0, 0, 0, 0, 1, 1, 0, 0, 0, 0]);
-        assert!(Command::decode(&mut bad).is_err());
-    }
-
-    #[test]
-    fn unknown_opcode_is_rejected() {
-        let mut frame = BytesMut::new();
-        frame.put_u32(MAGIC);
-        frame.put_u8(VERSION);
-        frame.put_u8(99);
-        frame.put_u32_le(0);
-        let mut buf = frame.freeze();
-        assert!(Command::decode(&mut buf).is_err());
+    fn opcodes_are_stable_and_unknown_ones_are_rejected() {
+        let mut buf = Vec::new();
+        Codec::Binary
+            .encode_into(&Command::HealthCheck { site: 9 }, &mut buf)
+            .unwrap();
+        assert_eq!(buf, [6, 9, 0, 0, 0]);
+        let err = Codec::Binary
+            .decode::<Command>(&[99, 0, 0, 0, 0], "command")
+            .unwrap_err();
+        assert_eq!(err.code(), "decode");
     }
 }

@@ -5,8 +5,8 @@
 //! `Hello { codec: "binary" }` negotiation the control-plane service
 //! uses — the ack travels in the old codec, then the connection
 //! switches. Binary matters here: a link result is a dense `f64`
-//! vector, and [`iris_wire::bin::w_vec_f64`] ships it at 8 bytes per
-//! flow instead of ~20 of JSON text.
+//! vector, which [`iris_wire::bin`] ships at 8 bytes per flow instead
+//! of ~20 of JSON text.
 //!
 //! The job unit is deliberately *tiny on the wire*: the coordinator
 //! ships the [`WorkSpec`] recipe (topology + matrix + config) **once
@@ -14,24 +14,24 @@
 //! decomposition locally (both are deterministic functions of the
 //! spec), and each subsequent job names a link by id alone. Results
 //! stream back as [`WorkerResponse::LinkChunk`] frames so a
-//! million-flow link never exceeds [`iris_wire::MAX_FRAME_LEN`].
+//! million-flow link never exceeds [`iris_wire::frame::MAX_FRAME_LEN`].
 
 use iris_errors::{IrisError, IrisResult};
 use iris_simnet::engine::SimConfig;
 use iris_simnet::trace::FlowTrace;
 use iris_simnet::{SimTopology, Simulator, TrafficMatrix};
-use iris_wire::bin::{w_bool, w_str, w_u64, w_u8, w_vec_f64, Reader};
-use iris_wire::Codec;
+use iris_wire::bin::{Layout, Reader, Wire};
+use iris_wire::{wire_enum, Codec};
 use serde::{Deserialize, Serialize};
 
 /// Finish-time entries per [`WorkerResponse::LinkChunk`]. Binary:
 /// `16384 * 8 B = 128 KiB` per frame; JSON stays comfortably under
-/// [`iris_wire::MAX_FRAME_LEN`] too.
+/// [`iris_wire::frame::MAX_FRAME_LEN`] too.
 pub const CHUNK_FLOWS: usize = 16_384;
 
 /// The recipe of a simulation run: everything a worker needs to
 /// regenerate the trace and decomposition deterministically.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WorkSpec {
     /// The simulated topology.
     pub topo: SimTopology,
@@ -68,7 +68,7 @@ impl WorkSpec {
 }
 
 /// Coordinator → worker.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum WorkerRequest {
     /// Switch codec (ack travels in the current codec).
     Hello {
@@ -121,13 +121,39 @@ pub enum WorkerResponse {
     },
 }
 
-const REQ_HELLO: u8 = 1;
-const REQ_LOAD_SPEC: u8 = 2;
-const REQ_RUN_LINK: u8 = 3;
-const RESP_HELLO_OK: u8 = 1;
-const RESP_SPEC_LOADED: u8 = 2;
-const RESP_LINK_CHUNK: u8 = 3;
-const RESP_ERROR: u8 = 4;
+/// JSON text nested in a binary string: the layout of the two fields
+/// that carry structural rather than bulk data, so the binary codec need
+/// not hand-code every simnet (or error) type.
+struct JsonText;
+
+impl<T: Serialize + Deserialize> Layout<T> for JsonText {
+    const MIN: usize = String::MIN_LEN;
+
+    fn encode(value: &T, buf: &mut Vec<u8>) {
+        serde_json::to_string(value)
+            .expect("message fields serialize")
+            .put(buf);
+    }
+
+    fn decode(rd: &mut Reader<'_>, what: &str) -> IrisResult<T> {
+        serde_json::from_str(&String::get(rd, what)?).map_err(|e| IrisError::Decode {
+            detail: format!("flowsim message: {what}: {e}"),
+        })
+    }
+}
+
+wire_enum!(WorkerRequest: "flowsim request" {
+    1 => Hello { codec: String },
+    2 => LoadSpec { spec: Box<WorkSpec> as JsonText },
+    3 => RunLink { link: usize },
+});
+
+wire_enum!(WorkerResponse: "flowsim response" {
+    1 => HelloOk { codec: String },
+    2 => SpecLoaded { flows: usize, links: usize },
+    3 => LinkChunk { link: usize, offset: usize, finish_s: Vec<f64>, done: bool },
+    4 => Error { error: IrisError as JsonText },
+});
 
 /// Encode a request in `codec`.
 ///
@@ -136,30 +162,9 @@ const RESP_ERROR: u8 = 4;
 /// Returns [`IrisError::Decode`] if JSON serialization fails (never for
 /// well-formed specs).
 pub fn encode_request(codec: Codec, req: &WorkerRequest) -> IrisResult<Vec<u8>> {
-    match codec {
-        Codec::Json => to_json(req),
-        Codec::Binary => {
-            let mut buf = Vec::new();
-            match req {
-                WorkerRequest::Hello { codec } => {
-                    w_u8(&mut buf, REQ_HELLO);
-                    w_str(&mut buf, codec);
-                }
-                WorkerRequest::LoadSpec { spec } => {
-                    // The spec is structural data, not bulk data: nest
-                    // its JSON encoding rather than hand-coding every
-                    // simnet type.
-                    w_u8(&mut buf, REQ_LOAD_SPEC);
-                    w_str(&mut buf, &serde_json::to_string(spec).map_err(json_err)?);
-                }
-                WorkerRequest::RunLink { link } => {
-                    w_u8(&mut buf, REQ_RUN_LINK);
-                    w_u64(&mut buf, *link as u64);
-                }
-            }
-            Ok(buf)
-        }
-    }
+    let mut buf = Vec::new();
+    codec.encode_into(req, &mut buf)?;
+    Ok(buf)
 }
 
 /// Decode a request in `codec`.
@@ -168,32 +173,7 @@ pub fn encode_request(codec: Codec, req: &WorkerRequest) -> IrisResult<Vec<u8>> 
 ///
 /// Returns [`IrisError::Decode`] on malformed payloads.
 pub fn decode_request(codec: Codec, payload: &[u8]) -> IrisResult<WorkerRequest> {
-    match codec {
-        Codec::Json => from_json(payload),
-        Codec::Binary => {
-            let mut r = Reader::new(payload);
-            let req = match r.u8("request tag")? {
-                REQ_HELLO => WorkerRequest::Hello {
-                    codec: r.string("codec name")?,
-                },
-                REQ_LOAD_SPEC => WorkerRequest::LoadSpec {
-                    spec: Box::new(
-                        serde_json::from_str(&r.string("spec json")?).map_err(json_err)?,
-                    ),
-                },
-                REQ_RUN_LINK => WorkerRequest::RunLink {
-                    link: r.u64("link id")? as usize,
-                },
-                tag => {
-                    return Err(IrisError::Decode {
-                        detail: format!("unknown flowsim request tag {tag}"),
-                    })
-                }
-            };
-            r.finish("flowsim request")?;
-            Ok(req)
-        }
-    }
+    codec.decode(payload, "flowsim request")
 }
 
 /// Encode a response in `codec`.
@@ -202,40 +182,9 @@ pub fn decode_request(codec: Codec, payload: &[u8]) -> IrisResult<WorkerRequest>
 ///
 /// Returns [`IrisError::Decode`] if JSON serialization fails.
 pub fn encode_response(codec: Codec, resp: &WorkerResponse) -> IrisResult<Vec<u8>> {
-    match codec {
-        Codec::Json => to_json(resp),
-        Codec::Binary => {
-            let mut buf = Vec::new();
-            match resp {
-                WorkerResponse::HelloOk { codec } => {
-                    w_u8(&mut buf, RESP_HELLO_OK);
-                    w_str(&mut buf, codec);
-                }
-                WorkerResponse::SpecLoaded { flows, links } => {
-                    w_u8(&mut buf, RESP_SPEC_LOADED);
-                    w_u64(&mut buf, *flows as u64);
-                    w_u64(&mut buf, *links as u64);
-                }
-                WorkerResponse::LinkChunk {
-                    link,
-                    offset,
-                    finish_s,
-                    done,
-                } => {
-                    w_u8(&mut buf, RESP_LINK_CHUNK);
-                    w_u64(&mut buf, *link as u64);
-                    w_u64(&mut buf, *offset as u64);
-                    w_vec_f64(&mut buf, finish_s);
-                    w_bool(&mut buf, *done);
-                }
-                WorkerResponse::Error { error } => {
-                    w_u8(&mut buf, RESP_ERROR);
-                    w_str(&mut buf, &serde_json::to_string(error).map_err(json_err)?);
-                }
-            }
-            Ok(buf)
-        }
-    }
+    let mut buf = Vec::new();
+    codec.encode_into(resp, &mut buf)?;
+    Ok(buf)
 }
 
 /// Decode a response in `codec`.
@@ -244,56 +193,7 @@ pub fn encode_response(codec: Codec, resp: &WorkerResponse) -> IrisResult<Vec<u8
 ///
 /// Returns [`IrisError::Decode`] on malformed payloads.
 pub fn decode_response(codec: Codec, payload: &[u8]) -> IrisResult<WorkerResponse> {
-    match codec {
-        Codec::Json => from_json(payload),
-        Codec::Binary => {
-            let mut r = Reader::new(payload);
-            let resp = match r.u8("response tag")? {
-                RESP_HELLO_OK => WorkerResponse::HelloOk {
-                    codec: r.string("codec name")?,
-                },
-                RESP_SPEC_LOADED => WorkerResponse::SpecLoaded {
-                    flows: r.u64("flow count")? as usize,
-                    links: r.u64("link count")? as usize,
-                },
-                RESP_LINK_CHUNK => WorkerResponse::LinkChunk {
-                    link: r.u64("link id")? as usize,
-                    offset: r.u64("chunk offset")? as usize,
-                    finish_s: r.vec_f64("finish times")?,
-                    done: r.bool("done flag")?,
-                },
-                RESP_ERROR => WorkerResponse::Error {
-                    error: serde_json::from_str(&r.string("error json")?).map_err(json_err)?,
-                },
-                tag => {
-                    return Err(IrisError::Decode {
-                        detail: format!("unknown flowsim response tag {tag}"),
-                    })
-                }
-            };
-            r.finish("flowsim response")?;
-            Ok(resp)
-        }
-    }
-}
-
-fn to_json<T: Serialize>(v: &T) -> IrisResult<Vec<u8>> {
-    serde_json::to_string(v)
-        .map(String::into_bytes)
-        .map_err(json_err)
-}
-
-fn from_json<T: Deserialize>(payload: &[u8]) -> IrisResult<T> {
-    let text = std::str::from_utf8(payload).map_err(|e| IrisError::Decode {
-        detail: format!("flowsim message: invalid utf-8: {e}"),
-    })?;
-    serde_json::from_str(text).map_err(json_err)
-}
-
-fn json_err(e: serde_json::Error) -> IrisError {
-    IrisError::Decode {
-        detail: format!("flowsim message: {e}"),
-    }
+    codec.decode(payload, "flowsim response")
 }
 
 #[cfg(test)]
@@ -321,78 +221,11 @@ mod tests {
     }
 
     #[test]
-    fn requests_round_trip_in_both_codecs() {
-        let reqs = [
-            WorkerRequest::Hello {
-                codec: "binary".into(),
-            },
-            WorkerRequest::LoadSpec {
-                spec: Box::new(spec()),
-            },
-            WorkerRequest::RunLink { link: 7 },
-        ];
-        for codec in [Codec::Json, Codec::Binary] {
-            for req in &reqs {
-                let bytes = encode_request(codec, req).expect("encode");
-                let back = decode_request(codec, &bytes).expect("decode");
-                // WorkSpec has no PartialEq (SimConfig holds closures'
-                // worth of state? no — just keep it structural): compare
-                // through JSON.
-                assert_eq!(
-                    serde_json::to_string(req).unwrap(),
-                    serde_json::to_string(&back).unwrap(),
-                    "{codec:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn responses_round_trip_in_both_codecs() {
-        let resps = [
-            WorkerResponse::HelloOk {
-                codec: "json".into(),
-            },
-            WorkerResponse::SpecLoaded {
-                flows: 1_000_000,
-                links: 17,
-            },
-            WorkerResponse::LinkChunk {
-                link: 3,
-                offset: 16_384,
-                finish_s: vec![0.25, -1.0, 39.99],
-                done: true,
-            },
-            WorkerResponse::Error {
-                error: IrisError::Decode {
-                    detail: "boom".into(),
-                },
-            },
-        ];
-        for codec in [Codec::Json, Codec::Binary] {
-            for resp in &resps {
-                let bytes = encode_response(codec, resp).expect("encode");
-                assert_eq!(
-                    &decode_response(codec, &bytes).expect("decode"),
-                    resp,
-                    "{codec:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn fingerprint_tracks_spec_content() {
         let a = spec();
         let mut b = spec();
         assert_eq!(a.fingerprint(), a.fingerprint());
         b.config.seed = 7;
         assert_ne!(a.fingerprint(), b.fingerprint());
-    }
-
-    #[test]
-    fn binary_garbage_is_a_typed_decode_error() {
-        let err = decode_response(Codec::Binary, &[99, 1, 2]).unwrap_err();
-        assert!(matches!(err, IrisError::Decode { .. }));
     }
 }

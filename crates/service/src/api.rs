@@ -1,7 +1,8 @@
 //! The service's typed request/response surface.
 //!
-//! Requests and responses travel as externally-tagged JSON inside the
-//! length-prefixed frames of [`crate::frame`]. Every type here is a
+//! Requests and responses travel inside the length-prefixed frames of
+//! [`crate::frame`], as externally-tagged JSON or in the binary layout
+//! [`crate::codec`] declares. Every type here is a
 //! concrete struct or enum (the workspace's offline serde derive does
 //! not handle generics), and pair-keyed maps are flattened into
 //! `Vec<AllocEntry>` so the wire shape is plain JSON objects.
@@ -424,180 +425,10 @@ impl Response {
     }
 }
 
-/// Serialize a request for the wire.
-///
-/// # Errors
-///
-/// [`IrisError::Decode`] if serialization fails (malformed floats).
-pub fn encode_request(req: &Request) -> IrisResult<Vec<u8>> {
-    serde_json::to_string(req)
-        .map(String::into_bytes)
-        .map_err(|e| IrisError::Decode {
-            detail: format!("cannot encode request: {e}"),
-        })
-}
-
-/// Parse a request frame.
-///
-/// # Errors
-///
-/// [`IrisError::Decode`] for invalid UTF-8 or JSON that is not a
-/// [`Request`].
-pub fn decode_request(payload: &[u8]) -> IrisResult<Request> {
-    let text = std::str::from_utf8(payload).map_err(|e| IrisError::Decode {
-        detail: format!("request frame is not UTF-8: {e}"),
-    })?;
-    serde_json::from_str(text).map_err(|e| IrisError::Decode {
-        detail: format!("invalid request: {e}"),
-    })
-}
-
-/// Serialize a response for the wire.
-///
-/// # Errors
-///
-/// [`IrisError::Decode`] if serialization fails.
-pub fn encode_response(resp: &Response) -> IrisResult<Vec<u8>> {
-    serde_json::to_string(resp)
-        .map(String::into_bytes)
-        .map_err(|e| IrisError::Decode {
-            detail: format!("cannot encode response: {e}"),
-        })
-}
-
-/// Parse a response frame.
-///
-/// # Errors
-///
-/// [`IrisError::Decode`] for invalid UTF-8 or JSON that is not a
-/// [`Response`].
-pub fn decode_response(payload: &[u8]) -> IrisResult<Response> {
-    let text = std::str::from_utf8(payload).map_err(|e| IrisError::Decode {
-        detail: format!("response frame is not UTF-8: {e}"),
-    })?;
-    serde_json::from_str(text).map_err(|e| IrisError::Decode {
-        detail: format!("invalid response: {e}"),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn requests_round_trip() {
-        let reqs = [
-            Request::GetPlan,
-            Request::GetPlanAt {
-                min_epoch: 9,
-                wait_ms: 250,
-            },
-            Request::GetTopology,
-            Request::QueryPath { a: 0, b: 3 },
-            Request::UpdateDemand {
-                a: 1,
-                b: 2,
-                circuits: 4,
-            },
-            Request::ReportFiberCut { cuts: vec![5, 9] },
-            Request::Health,
-            Request::MetricsSnapshot,
-            Request::TraceDump { max_events: 500 },
-            Request::Replicate {
-                source_region: 0,
-                batch: "{\"epoch\":3}".into(),
-            },
-            Request::SyncState {
-                source_region: 0,
-                state: "{\"epoch\":3}".into(),
-            },
-            Request::Promote,
-        ];
-        for req in &reqs {
-            let bytes = encode_request(req).unwrap();
-            let back = decode_request(&bytes).unwrap();
-            assert_eq!(&back, req);
-        }
-    }
-
-    #[test]
-    fn responses_round_trip() {
-        let resps = [
-            Response::DemandAccepted {
-                queue_depth: 3,
-                epoch: 11,
-            },
-            Response::CutAlreadyActive {
-                active_cuts: vec![2, 4],
-            },
-            Response::ReplicateAck {
-                epoch: 11,
-                state_crc: 0xDEAD_BEEF,
-            },
-            Response::Error(IrisError::Overloaded { retry_after_ms: 25 }),
-            Response::Metrics {
-                prometheus: "# TYPE x counter\nx 1\n".into(),
-            },
-            Response::Health(HealthInfo {
-                region: 1,
-                role: "primary".into(),
-                peers: vec![PeerInfo {
-                    region: 2,
-                    addr: "127.0.0.1:4041".into(),
-                    connected: true,
-                    acked_epoch: 6,
-                    lag_epochs: 1,
-                    lag_ms: 3.0,
-                    reconnects: 2,
-                }],
-                epoch: 7,
-                queue_depth: 0,
-                writes_applied: 12,
-                coalesced: 3,
-                overloaded: 1,
-                active_cuts: vec![4],
-                quarantined: 0,
-                last_recovery: Some(RecoverySummary {
-                    cuts: vec![4],
-                    within_tolerance: true,
-                    fully_recovered: true,
-                    shed_pairs: 0,
-                    detection_ms: 10.0,
-                    replan_ms: 5.0,
-                    reconfig_ms: 52.0,
-                    recovery_ms: 67.0,
-                }),
-                uptime_ms: 81_000,
-                wal_records: 42,
-                wal_bytes: 13_337,
-                last_fsync_ms: 0.42,
-            }),
-            Response::Trace(TraceDumpInfo {
-                enabled: true,
-                dropped: 3,
-                events: vec![TraceEventInfo {
-                    trace_id: 0xAB,
-                    span_id: 2,
-                    parent_id: 1,
-                    stage: "wal_fsync".into(),
-                    start_us: 1_000,
-                    dur_us: 420,
-                    modeled: false,
-                }],
-                slow: vec![SlowRequestInfo {
-                    trace_id: 0xAB,
-                    op: "report_fiber_cut".into(),
-                    total_ms: 61.5,
-                    at_us: 2_000,
-                }],
-            }),
-        ];
-        for resp in &resps {
-            let bytes = encode_response(resp).unwrap();
-            let back = decode_response(&bytes).unwrap();
-            assert_eq!(&back, resp);
-        }
-    }
+    use crate::codec::{decode_request, decode_response, Codec};
 
     #[test]
     fn op_names_are_stable_snake_case() {
@@ -629,11 +460,19 @@ mod tests {
 
     #[test]
     fn garbage_frames_are_decode_errors() {
-        assert_eq!(decode_request(b"\xff\xfe").unwrap_err().code(), "decode");
         assert_eq!(
-            decode_request(b"{\"Nope\":1}").unwrap_err().code(),
+            decode_request(Codec::Json, b"\xff\xfe").unwrap_err().code(),
             "decode"
         );
-        assert_eq!(decode_response(b"[1,2").unwrap_err().code(), "decode");
+        assert_eq!(
+            decode_request(Codec::Json, b"{\"Nope\":1}")
+                .unwrap_err()
+                .code(),
+            "decode"
+        );
+        assert_eq!(
+            decode_response(Codec::Json, b"[1,2").unwrap_err().code(),
+            "decode"
+        );
     }
 }

@@ -34,7 +34,7 @@ use crate::api::{
 };
 use crate::client::{Backoff, ServiceClient};
 use crate::codec::{self, Codec};
-use crate::frame::{parse_frame, MAX_FRAME_LEN};
+use crate::frame::{append_frame_with, parse_frame};
 use crate::recovery::{self, ControlMachine, CutReply, ReplayStats};
 use crate::state::{SnapshotCell, StateSnapshot};
 use crate::wal::{DurableState, PersistedSnapshot, Wal, WalBatch, WalStats, WalSyncHandle};
@@ -283,10 +283,7 @@ struct PeerState {
 
 /// Codec-indexed slot (`[Json, Binary]`) for pre-serialized buffers.
 fn cidx(codec: Codec) -> usize {
-    match codec {
-        Codec::Json => 0,
-        Codec::Binary => 1,
-    }
+    codec as usize
 }
 
 /// The per-epoch read-path publication: the snapshot itself plus the
@@ -301,22 +298,7 @@ struct Published {
 /// Frame `resp` (length prefix + payload) in `codec`, appending to
 /// `out`. `out` is untouched on error.
 fn frame_response(codec: Codec, resp: &Response, out: &mut Vec<u8>) -> IrisResult<()> {
-    let start = out.len();
-    out.extend_from_slice(&[0u8; 4]);
-    if let Err(e) = codec::encode_response_into(codec, resp, out) {
-        out.truncate(start);
-        return Err(e);
-    }
-    let len = out.len() - start - 4;
-    if len > MAX_FRAME_LEN {
-        out.truncate(start);
-        return Err(IrisError::Io {
-            detail: format!("{len} byte response exceeds the {MAX_FRAME_LEN} byte frame limit"),
-        });
-    }
-    let prefix = u32::try_from(len).unwrap_or(u32::MAX).to_be_bytes();
-    out[start..start + 4].copy_from_slice(&prefix);
-    Ok(())
+    append_frame_with(out, |buf| codec.encode_into(resp, buf))
 }
 
 /// Build the [`Published`] buffers for `snap`.

@@ -3,9 +3,10 @@
 
 use iris_errors::IrisError;
 use iris_fibermap::{synth, MetroParams, PlacementParams, Region};
-use iris_service::api::{decode_request, encode_request, Request, Response};
+use iris_service::api::{Request, Response};
+use iris_service::codec::{decode_request, encode_request};
 use iris_service::frame::{read_frame, write_frame, FrameEvent};
-use iris_service::{serve, ServiceClient, ServiceConfig};
+use iris_service::{serve, Codec, ServiceClient, ServiceConfig};
 use proptest::prelude::*;
 use std::time::{Duration, Instant};
 
@@ -492,7 +493,7 @@ proptest! {
         };
         // Encode to JSON, frame it, read the frame back, decode: the
         // whole wire path a real request takes.
-        let payload = encode_request(&request).expect("encode");
+        let payload = encode_request(Codec::Json, &request).expect("encode");
         let mut wire = Vec::new();
         write_frame(&mut wire, &payload).expect("frame");
         let mut cursor = std::io::Cursor::new(wire);
@@ -501,7 +502,7 @@ proptest! {
             FrameEvent::Frame(bytes) => bytes,
             other => panic!("expected a frame, got {other:?}"),
         };
-        prop_assert_eq!(decode_request(&bytes).expect("decode"), request);
+        prop_assert_eq!(decode_request(Codec::Json, &bytes).expect("decode"), request);
         prop_assert_eq!(read_frame(&mut cursor).expect("eof"), FrameEvent::Eof);
     }
 }

@@ -82,7 +82,7 @@ pub struct CapacityEvent {
 /// Full simulation configuration. Serializable so a distributed
 /// flow-simulation job can ship the *recipe* for a run (topology +
 /// matrix + config) instead of the run's flows.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimConfig {
     /// Simulated seconds.
     pub duration_s: f64,

@@ -69,15 +69,7 @@ pub fn write_frame_traced<W: Write>(
     payload: &[u8],
     trace_id: Option<u64>,
 ) -> IrisResult<()> {
-    if payload.len() > MAX_FRAME_LEN {
-        return Err(IrisError::InvalidInput {
-            detail: format!(
-                "frame payload of {} bytes exceeds the {MAX_FRAME_LEN}-byte maximum",
-                payload.len()
-            ),
-        });
-    }
-    let mut len = u32::try_from(payload.len()).expect("bounded by MAX_FRAME_LEN");
+    let mut len = checked_len(payload.len())?;
     if trace_id.is_some() {
         len |= TRACE_FLAG;
     }
@@ -218,18 +210,50 @@ pub fn parse_frame(buf: &[u8]) -> IrisResult<Option<ParsedFrame>> {
 /// [`IrisError::InvalidInput`] if the payload exceeds [`MAX_FRAME_LEN`]
 /// (nothing is appended).
 pub fn append_frame(out: &mut Vec<u8>, payload: &[u8]) -> IrisResult<()> {
-    if payload.len() > MAX_FRAME_LEN {
-        return Err(IrisError::InvalidInput {
-            detail: format!(
-                "frame payload of {} bytes exceeds the {MAX_FRAME_LEN}-byte maximum",
-                payload.len()
-            ),
-        });
-    }
-    let len = u32::try_from(payload.len()).expect("bounded by MAX_FRAME_LEN");
+    let len = checked_len(payload.len())?;
     out.extend_from_slice(&len.to_be_bytes());
     out.extend_from_slice(payload);
     Ok(())
+}
+
+/// Append one frame (no trace header) whose payload `fill` writes
+/// straight into `out` — [`append_frame`] without the intermediate
+/// payload buffer. The length prefix is reserved first and patched once
+/// the payload's size is known.
+///
+/// # Errors
+///
+/// Whatever `fill` returns, or [`IrisError::InvalidInput`] if the
+/// payload it wrote exceeds [`MAX_FRAME_LEN`]. Either way `out` is
+/// truncated back to its length on entry.
+pub fn append_frame_with(
+    out: &mut Vec<u8>,
+    fill: impl FnOnce(&mut Vec<u8>) -> IrisResult<()>,
+) -> IrisResult<()> {
+    let start = out.len();
+    out.extend_from_slice(&[0u8; 4]);
+    match fill(out).and_then(|()| checked_len(out.len() - start - 4)) {
+        Ok(len) => {
+            out[start..start + 4].copy_from_slice(&len.to_be_bytes());
+            Ok(())
+        }
+        Err(e) => {
+            out.truncate(start);
+            Err(e)
+        }
+    }
+}
+
+/// The length-prefix value for a payload of `len` bytes.
+fn checked_len(len: usize) -> IrisResult<u32> {
+    if len > MAX_FRAME_LEN {
+        return Err(IrisError::InvalidInput {
+            detail: format!(
+                "frame payload of {len} bytes exceeds the {MAX_FRAME_LEN}-byte maximum"
+            ),
+        });
+    }
+    Ok(u32::try_from(len).expect("bounded by MAX_FRAME_LEN"))
 }
 
 enum Fill {
@@ -485,6 +509,38 @@ mod tests {
             oversized.is_empty(),
             "nothing appended for a rejected frame"
         );
+    }
+
+    #[test]
+    fn append_frame_with_matches_append_frame_and_truncates_on_error() {
+        let mut direct = vec![0xAA];
+        append_frame(&mut direct, b"abc").unwrap();
+        let mut filled = vec![0xAA];
+        append_frame_with(&mut filled, |buf| {
+            buf.extend_from_slice(b"abc");
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(filled, direct);
+
+        // A failing fill and an oversized payload both leave `out` as
+        // it was on entry.
+        let err = append_frame_with(&mut filled, |buf| {
+            buf.extend_from_slice(b"partial");
+            Err(IrisError::Decode {
+                detail: "nope".into(),
+            })
+        })
+        .unwrap_err();
+        assert_eq!(err.code(), "decode");
+        assert_eq!(filled, direct);
+        let err = append_frame_with(&mut filled, |buf| {
+            buf.resize(buf.len() + MAX_FRAME_LEN + 1, 0);
+            Ok(())
+        })
+        .unwrap_err();
+        assert_eq!(err.code(), "invalid-input");
+        assert_eq!(filled, direct);
     }
 
     #[test]

@@ -4,10 +4,11 @@
 //! generator, and the flow-simulation worker fleet all speak the same
 //! wire discipline: length-prefixed frames ([`frame`]) whose payloads
 //! are encoded in one of two negotiated codecs ([`Codec`]) — JSON for
-//! debuggability, or a compact tag-prefixed binary format built from
-//! the primitives in [`bin`]. This crate holds exactly the pieces that
-//! are protocol- but not API-specific; each peer defines its own
-//! request/response enums on top.
+//! debuggability, or a compact tag-prefixed binary format whose value
+//! encodings, [`bin::Wire`] trait and layout-declaration macros live
+//! in [`bin`]. This crate holds exactly the pieces that are protocol-
+//! but not API-specific; each peer defines its own request/response
+//! enums on top and declares their layout once.
 //!
 //! [`iris-service`]: ../iris_service/index.html
 
@@ -17,6 +18,10 @@
 pub mod bin;
 pub mod frame;
 
+use bin::{Reader, Wire};
+use iris_errors::{IrisError, IrisResult};
+use serde::{Deserialize, Serialize};
+
 /// A negotiated wire encoding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Codec {
@@ -24,9 +29,9 @@ pub enum Codec {
     /// connection.
     #[default]
     Json,
-    /// A compact little-endian binary encoding built from the
-    /// primitives in [`bin`]; see the using crate's codec module for
-    /// the concrete message layout.
+    /// The compact little-endian binary encoding of [`bin`]; each
+    /// message type's `wire_enum!`/`wire_struct!` declaration is its
+    /// layout.
     Binary,
 }
 
@@ -50,6 +55,55 @@ impl Codec {
             _ => None,
         }
     }
+
+    /// Serialize `value` in this codec, appending to `buf` (an event
+    /// loop's per-connection write buffer, say) without an
+    /// intermediate allocation on the binary path.
+    ///
+    /// # Errors
+    ///
+    /// [`IrisError::Decode`] if JSON serialization fails. `buf` may
+    /// hold a partial encoding after an error; callers truncate back
+    /// to the length they recorded before the call.
+    pub fn encode_into<T: Wire + Serialize>(self, value: &T, buf: &mut Vec<u8>) -> IrisResult<()> {
+        match self {
+            Codec::Json => {
+                let text = serde_json::to_string(value).map_err(|e| IrisError::Decode {
+                    detail: format!("cannot encode message: {e}"),
+                })?;
+                buf.extend_from_slice(text.as_bytes());
+            }
+            Codec::Binary => value.put(buf),
+        }
+        Ok(())
+    }
+
+    /// Parse a whole payload in this codec; `what` names the message
+    /// kind in error text.
+    ///
+    /// # Errors
+    ///
+    /// [`IrisError::Decode`] for malformed payloads: invalid UTF-8 or
+    /// JSON of the wrong shape; a bad tag, truncated field, over-long
+    /// length header or trailing bytes in binary.
+    pub fn decode<T: Wire + Deserialize>(self, payload: &[u8], what: &str) -> IrisResult<T> {
+        match self {
+            Codec::Json => {
+                let text = std::str::from_utf8(payload).map_err(|e| IrisError::Decode {
+                    detail: format!("{what} frame is not UTF-8: {e}"),
+                })?;
+                serde_json::from_str(text).map_err(|e| IrisError::Decode {
+                    detail: format!("invalid {what}: {e}"),
+                })
+            }
+            Codec::Binary => {
+                let mut rd = Reader::new(payload);
+                let value = T::get(&mut rd, what)?;
+                rd.finish(what)?;
+                Ok(value)
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -63,5 +117,25 @@ mod tests {
         }
         assert_eq!(Codec::from_name("msgpack"), None);
         assert_eq!(Codec::default(), Codec::Json);
+    }
+
+    #[test]
+    fn both_codecs_append_and_round_trip() {
+        let value = IrisError::Overloaded { retry_after_ms: 25 };
+        for codec in [Codec::Json, Codec::Binary] {
+            let mut buf = vec![0xAA, 0xBB];
+            codec.encode_into(&value, &mut buf).unwrap();
+            assert_eq!(&buf[..2], &[0xAA, 0xBB], "appends without clobbering");
+            let back: IrisError = codec.decode(&buf[2..], "error").unwrap();
+            assert_eq!(back, value);
+            // The whole payload must be one value, in either codec.
+            buf.push(b'}');
+            let err = codec.decode::<IrisError>(&buf[2..], "error").unwrap_err();
+            assert_eq!(err.code(), "decode", "{codec:?}");
+        }
+        let err = Codec::Json
+            .decode::<IrisError>(b"\xff\xfe", "error")
+            .unwrap_err();
+        assert!(err.to_string().contains("UTF-8"), "{err}");
     }
 }

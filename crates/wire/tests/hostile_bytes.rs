@@ -1,0 +1,195 @@
+//! One hostile-bytes property, run over every message type that
+//! declares a binary layout (service API, flowsim protocol, controller
+//! commands, `IrisError`) and over the primitive layouts themselves.
+//!
+//! For each sample value: the round trip is the identity; every
+//! truncation is a typed decode error naming the field it stopped at;
+//! every single-byte mutation, trailing byte and 4-byte window
+//! overwritten with `u32::MAX` decodes to a value or a typed decode
+//! error, never a panic — and never an allocation out of proportion to
+//! the payload, which a counting allocator checks rather than assumes.
+
+// The sample values are the golden-frame suites' own: one per variant.
+#[path = "../../flowsim/tests/golden/mod.rs"]
+mod flowsim_golden;
+#[path = "../../service/tests/golden/mod.rs"]
+mod service_golden;
+
+use iris_control::messages::Command;
+use iris_errors::IrisResult;
+use iris_service::Response;
+use iris_wire::bin::{Reader, Wire};
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::fmt::Debug;
+
+thread_local! {
+    /// Largest single allocation this thread has requested since the
+    /// last reset.
+    static LARGEST_ALLOC: Cell<usize> = const { Cell::new(0) };
+}
+
+/// The system allocator, recording each thread's largest request.
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the bookkeeping touches only a
+// const-initialised thread-local `Cell` (no allocation, no unwinding).
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // `try_with`: the thread-local is gone while a thread tears down.
+        let _ = LARGEST_ALLOC.try_with(|max| max.set(max.get().max(layout.size())));
+        // SAFETY: the caller's obligations for `alloc` are passed on as-is.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let _ = LARGEST_ALLOC.try_with(|max| max.set(max.get().max(new_size)));
+        // SAFETY: the caller's obligations for `realloc` are passed on as-is.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+fn decode<T: Wire>(bytes: &[u8]) -> IrisResult<T> {
+    let mut rd = Reader::new(bytes);
+    let value = T::get(&mut rd, "fuzzed")?;
+    rd.finish("fuzzed")?;
+    Ok(value)
+}
+
+/// Decode hostile `bytes`: a value or a typed decode error, and no
+/// allocation beyond a small multiple of the payload (an element's
+/// in-memory size can exceed its `MIN_LEN`, hence the factor).
+fn decode_hostile<T: Wire + Debug>(bytes: &[u8], case: &str) {
+    LARGEST_ALLOC.with(|max| max.set(0));
+    if let Err(e) = decode::<T>(bytes) {
+        assert_eq!(e.code(), "decode", "{case}: {e}");
+    }
+    let largest = LARGEST_ALLOC.with(Cell::get);
+    assert!(
+        largest <= 16 * bytes.len() + 1024,
+        "{case}: a {}-byte payload drove a {largest}-byte allocation",
+        bytes.len()
+    );
+}
+
+fn fuzz<T: Wire + PartialEq + Debug>(value: &T) {
+    let mut bytes = Vec::new();
+    value.put(&mut bytes);
+    assert!(bytes.len() >= T::MIN_LEN, "{value:?} under MIN_LEN");
+    assert_eq!(&decode::<T>(&bytes).expect("round trip"), value);
+
+    for cut in 0..bytes.len() {
+        let err = decode::<T>(&bytes[..cut]).expect_err("truncated payload");
+        assert_eq!(err.code(), "decode", "{value:?} cut at {cut}");
+        // "... reading <field>: need ..." or "binary <field>: n elements
+        // cannot fit ..." — either way the field is `Type.field`, a tag,
+        // or (for a bare primitive) the caller's label.
+        let msg = err.to_string();
+        let field = msg
+            .split_once("reading ")
+            .or_else(|| msg.split_once("binary "))
+            .and_then(|(_, rest)| rest.split_once(": "))
+            .map(|(field, _)| field)
+            .unwrap_or_else(|| panic!("{value:?} cut at {cut}: no field in {msg:?}"));
+        assert!(
+            field.contains('.') || field.ends_with(" tag") || field == "fuzzed",
+            "{value:?} cut at {cut}: {msg:?} names no field"
+        );
+    }
+
+    let mut longer = bytes.clone();
+    longer.push(0);
+    let err = decode::<T>(&longer).expect_err("trailing byte");
+    assert!(err.to_string().contains("trailing"), "{err}");
+
+    for at in 0..bytes.len() {
+        for mask in [0x01, 0x80, 0xFF] {
+            let mut mutated = bytes.clone();
+            mutated[at] ^= mask;
+            decode_hostile::<T>(&mutated, &format!("{value:?} byte {at} ^ {mask:#04x}"));
+        }
+    }
+
+    // Wherever a count or length header sits, it now reads u32::MAX.
+    for at in 0..bytes.len().saturating_sub(3) {
+        let mut mutated = bytes.clone();
+        mutated[at..at + 4].fill(0xFF);
+        decode_hostile::<T>(&mutated, &format!("{value:?} u32::MAX at {at}"));
+    }
+}
+
+#[test]
+fn primitive_layouts_survive_hostile_bytes() {
+    fuzz(&7u8);
+    fuzz(&0xDEAD_BEEFu32);
+    fuzz(&(u64::MAX - 1));
+    fuzz(&42usize);
+    fuzz(&-0.125f64);
+    fuzz(&true);
+    fuzz(&"héllo".to_owned());
+    fuzz(&vec![1usize, 2, 3]);
+    fuzz(&vec![0.5, f64::INFINITY]);
+    fuzz(&Vec::<u32>::new());
+    fuzz(&Some(9u32));
+    fuzz(&None::<u32>);
+    fuzz(&vec![Some("a".to_owned()), None]);
+}
+
+#[test]
+fn every_service_message_survives_hostile_bytes() {
+    for (request, _) in service_golden::golden_requests() {
+        fuzz(&request);
+    }
+    for (response, _) in service_golden::golden_responses() {
+        fuzz(&response);
+    }
+    for (error, _) in service_golden::golden_errors() {
+        fuzz(&error);
+        fuzz(&Response::Error(error));
+    }
+}
+
+#[test]
+fn every_flowsim_message_survives_hostile_bytes() {
+    for (request, _) in flowsim_golden::golden_requests() {
+        fuzz(&request);
+    }
+    for (response, _) in flowsim_golden::golden_responses() {
+        fuzz(&response);
+    }
+}
+
+#[test]
+fn every_controller_command_survives_hostile_bytes() {
+    for command in [
+        Command::SetCross {
+            switch: 3,
+            input: 7,
+            output: 12,
+        },
+        Command::Tune {
+            transceiver: 42,
+            channel: 13,
+        },
+        Command::SetEmulation {
+            emulator: 1,
+            channel: 39,
+            live: true,
+        },
+        Command::Drain { a: 0, b: 5 },
+        Command::Undrain { a: 0, b: 5 },
+        Command::HealthCheck { site: 9 },
+    ] {
+        fuzz(&command);
+    }
+}

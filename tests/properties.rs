@@ -309,10 +309,17 @@ proptest! {
         switch in any::<u32>(), input in any::<u32>(), output in any::<u32>(),
     ) {
         use iris_control::messages::Command;
+        use iris_wire::frame::{append_frame_with, parse_frame};
+        use iris_wire::Codec;
         let cmd = Command::SetCross { switch, input, output };
-        let mut buf = cmd.encode();
-        let decoded = Command::decode(&mut buf).unwrap().unwrap();
-        prop_assert_eq!(decoded, cmd);
+        for codec in [Codec::Json, Codec::Binary] {
+            let mut wire = Vec::new();
+            append_frame_with(&mut wire, |buf| codec.encode_into(&cmd, buf)).unwrap();
+            let frame = parse_frame(&wire).unwrap().unwrap();
+            prop_assert_eq!(frame.consumed, wire.len());
+            let decoded: Command = codec.decode(&frame.payload, "command").unwrap();
+            prop_assert_eq!(&decoded, &cmd);
+        }
     }
 }
 
