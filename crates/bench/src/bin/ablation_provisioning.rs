@@ -8,7 +8,7 @@
 //! resulting fiber-lease cost, naive / exact.
 
 use iris_planner::topology::{provision, provision_naive};
-use iris_planner::DesignGoals;
+use iris_planner::{par_map, thread_count, DesignGoals};
 
 fn main() {
     let points: Vec<_> = iris_bench::sweep_points()
@@ -18,7 +18,7 @@ fn main() {
     let goals = DesignGoals::with_cuts(1);
 
     println!("# map  n_dcs  exact_wl_spans  naive_wl_spans  overprovision");
-    let results = iris_bench::par_map(&points, |_, p| {
+    let results = par_map(thread_count(), &points, |_, p| {
         let region = iris_bench::build_region(p);
         let exact = provision(&region, &goals);
         let naive = provision_naive(&region, &goals);

@@ -7,7 +7,7 @@
 //! by consolidating partially-filled fibers onto shared ducts.
 
 use iris_planner::relaxed::route_relaxed;
-use iris_planner::DesignGoals;
+use iris_planner::{par_map, thread_count, DesignGoals};
 
 fn main() {
     let goals = DesignGoals::with_cuts(0);
@@ -22,7 +22,7 @@ fn main() {
             }
         }
     }
-    let results = iris_bench::par_map(&cases, |_, &(seed, n_dcs, cap)| {
+    let results = par_map(thread_count(), &cases, |_, &(seed, n_dcs, cap)| {
         let region = iris_bench::simple_region(seed, n_dcs);
         route_relaxed(&region, &goals, 5, cap)
     });

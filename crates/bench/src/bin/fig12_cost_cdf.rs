@@ -17,7 +17,7 @@
 
 use iris_core::DesignStudy;
 use iris_cost::{eps_cost, PriceBook};
-use iris_planner::{plan_eps, DesignGoals};
+use iris_planner::{par_map, plan_eps, thread_count, DesignGoals};
 
 fn main() {
     let points = iris_bench::sweep_points();
@@ -38,9 +38,9 @@ fn main() {
     eprintln!(
         "# sweeping {} scenarios (cut tolerance {cuts}, {} threads)...",
         points.len(),
-        iris_planner::thread_count()
+        thread_count()
     );
-    let rows = iris_bench::par_map(&points, |i, p| {
+    let rows = par_map(thread_count(), &points, |i, p| {
         let region = iris_bench::build_region(p);
         let study = DesignStudy::run(&region, &goals);
         let (pe, pi) = study.in_network_port_ratios();

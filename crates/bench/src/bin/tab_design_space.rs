@@ -13,7 +13,7 @@ use iris_fibermap::reliability::hub_tradeoff;
 use iris_fibermap::siting::{centralized_service_area, distributed_service_area, region_grid};
 use iris_fibermap::synth::pick_hub_pair;
 use iris_planner::centralized::{plan_centralized, HubHoming};
-use iris_planner::{topology::nominal_paths, DesignGoals};
+use iris_planner::{par_map, thread_count, topology::nominal_paths, DesignGoals};
 
 fn main() {
     let n_regions = if iris_bench::quick_mode() { 2 } else { 6 };
@@ -23,7 +23,7 @@ fn main() {
         "# region | latency: worst DC-DC km (central/direct) | area x | P(both hubs lost, 10 km disaster) | cost: central / EPS / Iris (normalized to central)"
     );
     let seeds: Vec<u64> = (0..n_regions).collect();
-    let rows: Vec<serde_json::Value> = iris_bench::par_map(&seeds, |_, &seed| {
+    let rows: Vec<serde_json::Value> = par_map(thread_count(), &seeds, |_, &seed| {
         let region = iris_bench::simple_region(seed + 60, 6 + seed as usize % 4);
         let goals = DesignGoals::with_cuts(0);
         let hubs = pick_hub_pair(&region.map, 4.0, 7.0);

@@ -15,7 +15,6 @@ use iris_fibermap::synth::{generate_metro, place_dcs};
 use iris_fibermap::{MetroParams, PlacementParams, Region};
 use std::io::Write;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Whether the binaries should run reduced sweeps.
 #[must_use]
@@ -103,83 +102,6 @@ pub fn simple_region(seed: u64, n_dcs: usize) -> Region {
     })
 }
 
-/// Order-preserving parallel map over sweep items using scoped threads.
-///
-/// Worker count is [`iris_planner::thread_count`] (the `IRIS_THREADS`
-/// environment variable when set, else available parallelism), clamped to
-/// the item count. Workers pull items off a shared index — no static
-/// partitioning, so uneven per-item cost doesn't idle threads — and
-/// results are reassembled in input order, making the output identical to
-/// a sequential map for any worker count. Per-item planner calls run with
-/// nested parallelism disabled, so the thread budget is spent on exactly
-/// one fan-out level.
-///
-/// Records the sweep wall time in the `iris_planner_sweep_wall_ms`
-/// histogram and per-worker item counts in
-/// `iris_bench_sweep_worker_items_total{worker="i"}`.
-///
-/// # Panics
-///
-/// Panics if a worker thread panics.
-pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let telemetry = iris_telemetry::global();
-    let wall = iris_telemetry::Span::enter_ms(telemetry.histogram("iris_planner_sweep_wall_ms"));
-    let workers = iris_planner::thread_count().clamp(1, items.len().max(1));
-    let mut out: Vec<Option<R>> = Vec::with_capacity(items.len());
-    out.resize_with(items.len(), || None);
-    if workers <= 1 {
-        for (i, item) in items.iter().enumerate() {
-            out[i] = Some(f(i, item));
-        }
-    } else {
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            let (tx, rx) = std::sync::mpsc::channel::<(usize, R)>();
-            for w in 0..workers {
-                let tx = tx.clone();
-                let next = &next;
-                let f = &f;
-                s.spawn(move || {
-                    iris_planner::with_nested_parallelism_disabled(|| {
-                        let mut done = 0u64;
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= items.len() {
-                                break;
-                            }
-                            let r = f(i, &items[i]);
-                            done += 1;
-                            if tx.send((i, r)).is_err() {
-                                break;
-                            }
-                        }
-                        iris_telemetry::global()
-                            .counter(&iris_telemetry::labeled(
-                                "iris_bench_sweep_worker_items_total",
-                                "worker",
-                                &w.to_string(),
-                            ))
-                            .add(done);
-                    });
-                });
-            }
-            drop(tx);
-            for (i, r) in rx {
-                out[i] = Some(r);
-            }
-        });
-    }
-    wall.finish();
-    out.into_iter()
-        .map(|r| r.expect("every index is produced exactly once"))
-        .collect()
-}
-
 /// The `q`-quantile (0-1, nearest-rank) of `values`.
 ///
 /// # Panics
@@ -260,23 +182,6 @@ mod tests {
         if !quick_mode() {
             assert_eq!(sweep_points().len(), 240);
         }
-    }
-
-    #[test]
-    fn par_map_matches_sequential_map_in_order() {
-        let items: Vec<usize> = (0..37).collect();
-        let seq: Vec<usize> = items.iter().map(|&x| x * x + 1).collect();
-        let par = par_map(&items, |i, &x| {
-            assert_eq!(i, x);
-            x * x + 1
-        });
-        assert_eq!(par, seq);
-    }
-
-    #[test]
-    fn par_map_empty_input() {
-        let out: Vec<u32> = par_map(&[] as &[u32], |_, &x| x);
-        assert!(out.is_empty());
     }
 
     #[test]

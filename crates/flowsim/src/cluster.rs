@@ -64,7 +64,7 @@ pub fn link_features(topo: &SimTopology, dec: &Decomposition, link: usize) -> Li
 }
 
 /// Distance between two links' features: |Δload| plus the mean
-/// log10-decile gap, weighted by [`ECDF_WEIGHT`].
+/// log10-decile gap, weighted by `ECDF_WEIGHT`.
 #[must_use]
 pub fn feature_distance(a: &LinkFeatures, b: &LinkFeatures) -> f64 {
     let decile_gap: f64 = a

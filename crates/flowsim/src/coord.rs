@@ -4,15 +4,18 @@
 //! Two backends share one job shape (simulate link *l* of the spec's
 //! decomposition):
 //!
-//! * [`Backend::InProcess`] — a scoped thread pool sized by
-//!   `iris_planner::thread_count()` (so `IRIS_THREADS` governs it like
-//!   every other sweep in the workspace). Zero configuration, no
-//!   sockets; the default.
+//! * [`Backend::InProcess`] — link jobs mapped through
+//!   `iris_planner::par_map`, the workspace's one order-preserving
+//!   compute fan-out, with `iris_planner::thread_count()` workers (so
+//!   `IRIS_THREADS` governs it like every other sweep in the
+//!   workspace). Zero configuration, no sockets; the default.
 //! * [`Backend::Fleet`] — socket workers. One dispatcher thread per
 //!   endpoint pulls jobs from a shared queue, so a slow or dead worker
 //!   merely contributes less; a job interrupted by a worker death is
 //!   requeued (bounded by [`FleetConfig::max_job_attempts`]) and the
-//!   dispatcher reconnects with seeded decorrelated-jitter backoff. A
+//!   dispatcher reconnects with seeded decorrelated-jitter backoff
+//!   ([`iris_wire::Backoff`]). These threads block on socket I/O; they
+//!   are not a compute fan-out and `IRIS_THREADS` does not size them. A
 //!   permanently unreachable endpoint retires its dispatcher; the run
 //!   fails only if *every* dispatcher retires with jobs outstanding.
 //!
@@ -29,9 +32,7 @@ use iris_errors::{IrisError, IrisResult};
 use iris_simnet::trace::FlowTrace;
 use iris_simnet::FlowRecord;
 use iris_wire::frame::{read_frame, write_frame, FrameEvent};
-use iris_wire::Codec;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use iris_wire::{Backoff, Codec};
 use std::collections::VecDeque;
 use std::net::TcpStream;
 use std::sync::Mutex;
@@ -192,62 +193,11 @@ pub fn estimate_with_trace(
     })
 }
 
-/// Simulate `reps` on a scoped thread pool; results align with `reps`.
+/// Simulate `reps` through the shared fan-out; results align with `reps`.
 fn run_in_process(spec: &WorkSpec, dec: &Decomposition, reps: &[usize]) -> Vec<Vec<f64>> {
-    let workers = iris_planner::thread_count().clamp(1, reps.len().max(1));
-    if workers <= 1 {
-        return reps.iter().map(|&l| dec.simulate(&spec.topo, l)).collect();
-    }
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Vec<f64>>>> = reps.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| {
-                iris_planner::with_nested_parallelism_disabled(|| loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    let Some(&link) = reps.get(i) else { break };
-                    let finishes = dec.simulate(&spec.topo, link);
-                    *slots[i].lock().expect("slot lock") = Some(finishes);
-                });
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("slot lock").expect("job ran"))
-        .collect()
-}
-
-/// Decorrelated-jitter backoff (the service client's retry idiom):
-/// each delay is uniform in `base..=prev * 3`, clamped to `cap`.
-struct Jitter {
-    base_ms: u64,
-    cap_ms: u64,
-    prev_ms: u64,
-    rng: StdRng,
-}
-
-impl Jitter {
-    fn new(base_ms: u64, cap_ms: u64, seed: u64) -> Self {
-        let base_ms = base_ms.max(1);
-        Self {
-            base_ms,
-            cap_ms: cap_ms.max(base_ms),
-            prev_ms: base_ms,
-            rng: StdRng::seed_from_u64(seed),
-        }
-    }
-
-    fn sleep(&mut self) {
-        let hi = (self.prev_ms.saturating_mul(3)).max(self.base_ms + 1);
-        let delay = self.rng.random_range(self.base_ms..=hi).min(self.cap_ms);
-        self.prev_ms = delay;
-        std::thread::sleep(std::time::Duration::from_millis(delay));
-    }
-
-    fn reset(&mut self) {
-        self.prev_ms = self.base_ms;
-    }
+    iris_planner::par_map(iris_planner::thread_count(), reps, |_, &link| {
+        dec.simulate(&spec.topo, link)
+    })
 }
 
 /// One dispatcher's live connection.
@@ -289,7 +239,7 @@ fn run_fleet(
             let remaining = &remaining;
             s.spawn(move || {
                 use std::sync::atomic::Ordering;
-                let mut jitter = Jitter::new(
+                let mut backoff = Backoff::new(
                     fleet.backoff_base_ms,
                     fleet.backoff_cap_ms,
                     fleet.seed.wrapping_add(worker_idx as u64),
@@ -319,10 +269,10 @@ fn run_fleet(
                     }
                     // Ensure a connection with the spec installed.
                     if conn.is_none() {
-                        match connect(endpoint, spec, fleet, &mut jitter) {
+                        match connect(endpoint, spec, fleet, &mut backoff) {
                             Ok(c) => {
                                 conn = Some(c);
-                                jitter.reset();
+                                backoff.reset();
                             }
                             Err(_) => {
                                 // Endpoint unreachable: requeue and
@@ -352,7 +302,7 @@ fn run_fleet(
                                 .lock()
                                 .expect("queue lock")
                                 .push_back((job, attempts + 1));
-                            jitter.sleep();
+                            nap(&mut backoff);
                         }
                     }
                 }
@@ -380,6 +330,11 @@ fn run_fleet(
     Ok(out)
 }
 
+/// Sleep for the schedule's next delay.
+fn nap(backoff: &mut Backoff) {
+    std::thread::sleep(std::time::Duration::from_millis(backoff.next_delay_ms()));
+}
+
 /// Connect to `endpoint`, negotiate the codec, install the spec.
 /// Retries transport failures with jittered backoff up to
 /// `connect_attempts` times.
@@ -387,14 +342,14 @@ fn connect(
     endpoint: &str,
     spec: &WorkSpec,
     fleet: &FleetConfig,
-    jitter: &mut Jitter,
+    backoff: &mut Backoff,
 ) -> IrisResult<Conn> {
     let mut last = IrisError::Io {
         detail: format!("never attempted {endpoint}"),
     };
     for attempt in 0..fleet.connect_attempts {
         if attempt > 0 {
-            jitter.sleep();
+            nap(backoff);
         }
         match try_connect(endpoint, spec, fleet.codec) {
             Ok(conn) => {

@@ -20,10 +20,13 @@
 //! untouched per scenario, so a sweep costs `O(scenarios · invalidated)`
 //! Dijkstras instead of `O(scenarios · n)`.
 //!
-//! Thread-count policy for the parallel sweeps lives here too:
-//! `IRIS_THREADS` overrides everything, then a programmatic default (set
-//! by drivers that parallelize at a coarser grain), then the machine's
-//! available parallelism.
+//! Thread policy lives here too. [`thread_count`] resolves the budget:
+//! `IRIS_THREADS` overrides everything, then a programmatic default
+//! ([`set_default_threads`]), then the machine's available parallelism.
+//! [`par_map`] is the one fan-out that spends it — Algorithm 1's scenario
+//! chunks, the flow simulator's link jobs and the figure binaries' sweep
+//! points all map through it, so "thread count never changes output" is
+//! implemented once.
 
 use crate::goals::DesignGoals;
 use crate::paths::{scenario_mask, DcPath};
@@ -314,26 +317,79 @@ impl<'r> ScenarioEngine<'r> {
     }
 }
 
-/// Programmatic default thread count (0 = unset). Coarse-grained drivers
-/// (the bench sweep harness) set this to 1 so nested planner sweeps stay
-/// sequential while the outer fan-out uses every core.
+/// Programmatic default thread count (0 = unset): the CLI's `--threads`
+/// and the `perf` harness's per-workload thread budget.
 static DEFAULT_THREADS: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
-    /// Set while this thread is a worker of an outer parallel sweep.
+    /// Set while this thread is a worker of an outer fan-out.
     static SWEEP_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
 /// Run `f` with nested planner parallelism disabled on this thread: any
-/// [`crate::topology::provision`] call inside runs single-threaded
-/// regardless of `IRIS_THREADS`. Outer drivers (the bench sweep harness)
-/// wrap per-item work in this so the thread budget controls one fan-out,
-/// not the product of two.
+/// [`crate::topology::provision`] or [`par_map`] call inside runs on this
+/// thread alone regardless of `IRIS_THREADS`, so the thread budget controls
+/// one fan-out, not the product of two. The previous state comes back when
+/// `f` returns or unwinds, so guarded calls nest.
 pub fn with_nested_parallelism_disabled<R>(f: impl FnOnce() -> R) -> R {
-    SWEEP_WORKER.with(|g| g.set(true));
-    let out = f();
-    SWEEP_WORKER.with(|g| g.set(false));
-    out
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            SWEEP_WORKER.with(|g| g.set(self.0));
+        }
+    }
+    let _restore = Restore(SWEEP_WORKER.with(|g| g.replace(true)));
+    f()
+}
+
+/// Order-preserving parallel map — the workspace's one compute fan-out,
+/// and so the one place determinism rule 2 ("thread count never changes
+/// output") is implemented: `f(i, &items[i])` for every `i`, results in
+/// input order, identical to a sequential map for any `workers`.
+///
+/// Up to `workers` scoped threads (never more than there are items) pull
+/// items off a shared index — no static partitioning, so uneven per-item
+/// cost doesn't idle threads — each under
+/// [`with_nested_parallelism_disabled`]. With one worker, or when called
+/// from inside another fan-out's worker, it is a plain sequential map on
+/// the calling thread: nothing is spawned.
+///
+/// # Panics
+///
+/// Re-raises the panic of any item, once every worker has stopped.
+pub fn par_map<T, R, F>(workers: usize, items: &[T], f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(usize, &T) -> R + Sync,
+{
+    let nested = SWEEP_WORKER.with(std::cell::Cell::get);
+    let workers = if nested { 1 } else { workers.min(items.len()) };
+    if workers <= 1 {
+        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let mut done: Vec<(usize, R)> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                s.spawn(|| {
+                    with_nested_parallelism_disabled(|| {
+                        std::iter::from_fn(|| {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            items.get(i).map(|item| (i, f(i, item)))
+                        })
+                        .collect::<Vec<_>>()
+                    })
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 /// Set the default sweep thread count used when `IRIS_THREADS` is unset.
@@ -512,6 +568,84 @@ mod tests {
     fn nested_guard_forces_single_thread() {
         assert_eq!(with_nested_parallelism_disabled(thread_count), 1);
         assert!(thread_count() >= 1);
+    }
+
+    #[test]
+    fn nested_guard_restores_the_previous_state() {
+        with_nested_parallelism_disabled(|| {
+            with_nested_parallelism_disabled(|| assert_eq!(thread_count(), 1));
+            // Leaving the inner guard must not re-enable nested fan-out
+            // for the rest of the outer one.
+            assert_eq!(thread_count(), 1);
+            assert!(SWEEP_WORKER.with(std::cell::Cell::get));
+        });
+        assert!(!SWEEP_WORKER.with(std::cell::Cell::get));
+
+        let unwound = std::panic::catch_unwind(|| {
+            with_nested_parallelism_disabled(|| panic!("item failed"));
+        });
+        assert!(unwound.is_err());
+        assert!(!SWEEP_WORKER.with(std::cell::Cell::get));
+    }
+
+    /// Busy work whose cost grows with `x`, so workers finish out of order.
+    fn uneven(x: usize) -> usize {
+        let spins = (x * 7919) % 23 * 2_000;
+        (0..spins).fold(x, |acc, k| std::hint::black_box(acc ^ k)) % 2 + x * x
+    }
+
+    #[test]
+    fn par_map_matches_sequential_map_in_order() {
+        let items: Vec<usize> = (0..37).collect();
+        let seq: Vec<usize> = items.iter().map(|&x| uneven(x)).collect();
+        for workers in [1, 2, 3, 8, 64] {
+            let par = par_map(workers, &items, |i, &x| {
+                assert_eq!(i, x);
+                uneven(x)
+            });
+            assert_eq!(par, seq, "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn par_map_empty_input() {
+        let out: Vec<u32> = par_map(4, &[] as &[u32], |_, &x| x);
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn par_map_propagates_an_item_panic() {
+        let items: Vec<usize> = (0..16).collect();
+        let caught = std::panic::catch_unwind(|| {
+            par_map(3, &items, |_, &x| {
+                assert!(x != 11, "item {x} failed");
+                x
+            })
+        });
+        let payload = caught.expect_err("the item's panic must reach the caller");
+        let message = payload.downcast_ref::<String>().expect("assert message");
+        assert!(message.contains("item 11 failed"), "{message}");
+    }
+
+    #[test]
+    fn par_map_workers_and_nested_calls_stay_on_their_thread() {
+        let items: Vec<usize> = (0..8).collect();
+        // One worker: the calling thread, nested parallelism untouched.
+        let me = std::thread::current().id();
+        let ids = par_map(1, &items, |_, _| {
+            (std::thread::current().id(), SWEEP_WORKER.with(|g| g.get()))
+        });
+        assert!(ids.iter().all(|&(id, guarded)| id == me && !guarded));
+        // Several workers: each item's nested fan-out runs on the worker
+        // that owns the item, and sees a thread budget of one.
+        let nested = par_map(4, &items, |_, _| {
+            let worker = std::thread::current().id();
+            assert_eq!(thread_count(), 1);
+            par_map(4, &items, |_, _| std::thread::current().id())
+                .into_iter()
+                .all(|id| id == worker)
+        });
+        assert!(nested.into_iter().all(|same_thread| same_thread));
     }
 
     #[test]

@@ -25,15 +25,17 @@
 //! Every scenario-enumerating stage drives the shared [`engine`] — an
 //! incremental path cache that computes baseline all-pairs DC paths once
 //! and re-routes, per failure scenario, only the pairs whose cached path
-//! crosses a failed duct. Algorithm 1 additionally fans scenarios out
-//! across scoped threads (see [`topology::provision_with_threads`]); its
-//! output is bit-identical for every thread count.
+//! crosses a failed duct. Algorithm 1 additionally maps contiguous
+//! scenario chunks through [`engine::par_map`], the workspace's one
+//! order-preserving fan-out; its output is bit-identical for every
+//! thread count.
 //!
 //! Beyond the hose envelope, [`workload`] generates seeded families of
 //! concrete DC-pair traffic matrices (diurnal, burst, hotspot) and
 //! [`workload::provision_robust`] provisions min-cost capacity feasible
 //! for *every* matrix in a family — the robust topology-engineering mode
-//! described in `docs/PLANNING.md`.
+//! described in `docs/PLANNING.md`. Hose, naive and robust provisioning
+//! are one sweep in [`topology`] under three load models.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -54,7 +56,7 @@ pub mod workload;
 
 pub use centralized::{plan_centralized, CentralizedPlan, HubHoming};
 pub use engine::{
-    set_default_threads, thread_count, with_nested_parallelism_disabled, ScenarioEngine,
+    par_map, set_default_threads, thread_count, with_nested_parallelism_disabled, ScenarioEngine,
     ScenarioView,
 };
 pub use goals::DesignGoals;

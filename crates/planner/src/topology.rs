@@ -7,6 +7,13 @@
 //! simply not part of the topology, so Algorithm 1 answers all three of
 //! the §2 questions at once: which ducts are used, at what capacity, and
 //! which huts house switching equipment.
+//!
+//! The loop is written once (`sweep`), generic over the *load model* —
+//! what a set of DC pairs crossing a duct can load it with. The hose plan
+//! ([`provision`]: Dinic max-flow), the naive ablation
+//! ([`provision_naive`]: Σ min(C_a, C_b)) and the robust plan
+//! ([`crate::workload::provision_robust`]: family maximum of per-matrix
+//! sums) are that one function under three load models.
 
 use crate::engine::{self, ScenarioEngine, ScenarioView};
 use crate::goals::DesignGoals;
@@ -83,115 +90,154 @@ impl Provisioning {
     }
 }
 
-/// Per-chunk accumulator of [`provision_chunk`], merged by
-/// [`provision_with_threads`].
-struct ChunkResult {
-    capacity: Vec<f64>,
-    infeasible: Vec<InfeasiblePair>,
-    scenarios_examined: u64,
-    hose_lookups: u64,
-    hose_invocations: u64,
+/// Work counts of one [`sweep`], for the caller's telemetry.
+pub(crate) struct SweepStats {
+    /// Duct loads asked for (one per occupied duct per scenario).
+    pub lookups: u64,
+    /// Lookups the pair-set memo missed, i.e. load-model evaluations.
+    pub evals: u64,
+    /// Scenarios examined by each chunk, in chunk order.
+    pub chunk_scenarios: Vec<u64>,
 }
 
-/// Provision over one contiguous slice of the scenario enumeration.
+/// Algorithm 1's sweep, generic over what "load of a pair set" means.
 ///
-/// All state is chunk-local: the scenario engine (with its baseline path
-/// cache), the hose-load memo, the Dinic arena and the per-edge pair
-/// buffers. Duct capacities are worst-case maxima, so chunk results merge
-/// by elementwise max regardless of how scenarios were partitioned.
-fn provision_chunk(
+/// For every ≤k-cut failure scenario, group the routed DC pairs by the
+/// ducts their paths cross, and raise each duct's capacity to the load of
+/// the pair set crossing it. `new_load` builds one load model per chunk;
+/// the model owns whatever scratch it needs and maps a pair set (ascending
+/// engine pair indices, resolvable through the [`ScenarioView`]) to a load
+/// in wavelengths. A load depends only on the pair set, so it is memoized
+/// by pair set — across thousands of scenarios the same sets recur
+/// constantly.
+///
+/// The enumeration is split into `threads` contiguous chunks mapped
+/// through [`engine::par_map`]. All sweep state is chunk-local: the
+/// scenario engine (with its baseline path cache), the memo, the load
+/// model and the per-duct pair buffers. Duct capacities merge by
+/// elementwise max (a commutative, associative reduction over finite
+/// values) and infeasible pairs concatenate in chunk order (= global
+/// scenario order), so the output is **bit-identical for every thread
+/// count**.
+pub(crate) fn sweep<L>(
     region: &Region,
     goals: &DesignGoals,
-    caps: &[u64],
-    chunk: &[Vec<EdgeId>],
-) -> ChunkResult {
+    threads: usize,
+    new_load: impl Fn() -> L + Sync,
+) -> (Provisioning, SweepStats)
+where
+    L: FnMut(ScenarioView<'_>, &[u32]) -> f64,
+{
+    region.validate();
     let m = region.map.graph().edge_count();
-    let mut engine = ScenarioEngine::new(region, goals);
-    let mut capacity = vec![0.0f64; m];
-    let mut infeasible = Vec::new();
-    // Memoized hose loads, keyed by the pair-index set crossing a duct
-    // (pair indices are the engine's stable ids for DC pairs, so equal
-    // keys mean equal pair sets). Boxed-slice keys with `&[u32]` lookups
-    // avoid an allocation on every memo hit.
-    let mut memo: HashMap<Box<[u32]>, f64> = HashMap::new();
-    let mut hose = HoseScratch::new();
-    // pairs_on_edge[e] — pair indices crossing duct `e` in the current
-    // scenario; `touched` lists the non-empty entries so clearing is
-    // O(touched), not O(m).
-    let mut pairs_on_edge: Vec<Vec<u32>> = vec![Vec::new(); m];
-    let mut touched: Vec<EdgeId> = Vec::new();
-    let mut pair_buf: Vec<(usize, usize)> = Vec::new();
-    let mut hose_lookups = 0u64;
-    let mut hose_invocations = 0u64;
+    // Never empty: the no-failure scenario always comes first.
+    let scenarios: Vec<Vec<EdgeId>> = FailureScenarios::new(m, goals.max_cuts).collect();
+    let threads = threads.clamp(1, scenarios.len());
+    let chunks: Vec<&[Vec<EdgeId>]> = scenarios
+        .chunks(scenarios.len().div_ceil(threads))
+        .collect();
 
-    engine.for_scenarios(chunk, |scenario, view: ScenarioView<'_>| {
-        for pair in view.unreachable() {
-            infeasible.push(InfeasiblePair {
-                pair,
-                scenario: scenario.to_vec(),
-            });
-        }
-        // Group pairs by duct. Paths iterate in ascending pair-index
-        // order, so each per-edge list is already sorted.
-        for (idx, p) in view.indexed_paths() {
-            for &e in &p.edges {
-                if pairs_on_edge[e].is_empty() {
-                    touched.push(e);
+    let results = engine::par_map(threads, &chunks, |_, chunk| {
+        let mut engine = ScenarioEngine::new(region, goals);
+        let mut load_of = new_load();
+        // This chunk's own worst-case capacities and reports.
+        let mut out = Provisioning {
+            edge_capacity_wl: vec![0.0f64; m],
+            infeasible: Vec::new(),
+            scenarios_examined: chunk.len() as u64,
+        };
+        let (mut lookups, mut evals) = (0u64, 0u64);
+        // Keyed by the pair-index set crossing a duct (pair indices are
+        // the engine's stable ids for DC pairs, so equal keys mean equal
+        // pair sets). Boxed-slice keys with `&[u32]` lookups avoid an
+        // allocation on every memo hit.
+        let mut memo: HashMap<Box<[u32]>, f64> = HashMap::new();
+        // pairs_on_edge[e] — pair indices crossing duct `e` in the current
+        // scenario; `touched` lists the non-empty entries so clearing is
+        // O(touched), not O(m).
+        let mut pairs_on_edge: Vec<Vec<u32>> = vec![Vec::new(); m];
+        let mut touched: Vec<EdgeId> = Vec::new();
+
+        engine.for_scenarios(chunk, |scenario, view| {
+            for pair in view.unreachable() {
+                out.infeasible.push(InfeasiblePair {
+                    pair,
+                    scenario: scenario.to_vec(),
+                });
+            }
+            // Paths iterate in ascending pair-index order, so each
+            // per-edge list is already sorted.
+            for (idx, p) in view.indexed_paths() {
+                for &e in &p.edges {
+                    if pairs_on_edge[e].is_empty() {
+                        touched.push(e);
+                    }
+                    pairs_on_edge[e].push(idx);
                 }
-                pairs_on_edge[e].push(idx);
             }
-        }
-        for &e in &touched {
-            let pairs = &pairs_on_edge[e];
-            hose_lookups += 1;
-            let load = if let Some(&l) = memo.get(pairs.as_slice()) {
-                l
-            } else {
-                hose_invocations += 1;
-                pair_buf.clear();
-                pair_buf.extend(pairs.iter().map(|&i| view.pair(i)));
-                let l = hose.max_edge_load(&|dc| caps[dc], &pair_buf);
-                memo.insert(pairs.clone().into_boxed_slice(), l);
-                l
-            };
-            if load > capacity[e] {
-                capacity[e] = load;
+            for &e in &touched {
+                let pairs = pairs_on_edge[e].as_slice();
+                lookups += 1;
+                let load = if let Some(&l) = memo.get(pairs) {
+                    l
+                } else {
+                    evals += 1;
+                    let l = load_of(view, pairs);
+                    memo.insert(pairs.into(), l);
+                    l
+                };
+                if load > out.edge_capacity_wl[e] {
+                    out.edge_capacity_wl[e] = load;
+                }
             }
-        }
-        for e in touched.drain(..) {
-            pairs_on_edge[e].clear();
-        }
+            for e in touched.drain(..) {
+                pairs_on_edge[e].clear();
+            }
+        });
+        (out, lookups, evals)
     });
 
-    ChunkResult {
-        capacity,
-        infeasible,
-        scenarios_examined: chunk.len() as u64,
-        hose_lookups,
-        hose_invocations,
+    let mut prov = Provisioning {
+        edge_capacity_wl: vec![0.0f64; m],
+        infeasible: Vec::new(),
+        scenarios_examined: 0,
+    };
+    let mut stats = SweepStats {
+        lookups: 0,
+        evals: 0,
+        chunk_scenarios: Vec::with_capacity(results.len()),
+    };
+    for (chunk, lookups, evals) in results {
+        for (c, rc) in prov
+            .edge_capacity_wl
+            .iter_mut()
+            .zip(&chunk.edge_capacity_wl)
+        {
+            if *rc > *c {
+                *c = *rc;
+            }
+        }
+        prov.infeasible.extend(chunk.infeasible);
+        prov.scenarios_examined += chunk.scenarios_examined;
+        stats.lookups += lookups;
+        stats.evals += evals;
+        stats.chunk_scenarios.push(chunk.scenarios_examined);
     }
+    (prov, stats)
 }
 
 /// Run Algorithm 1 on a region with the default thread count
 /// ([`engine::thread_count`]: `IRIS_THREADS`, programmatic default, or
 /// the machine's available parallelism).
-///
-/// The hose max-flow for a duct depends only on the set of DC pairs
-/// crossing it, so results are memoized by pair set — across the thousands
-/// of failure scenarios the same sets recur constantly.
 #[must_use]
 pub fn provision(region: &Region, goals: &DesignGoals) -> Provisioning {
     provision_with_threads(region, goals, engine::thread_count())
 }
 
-/// Run Algorithm 1 with an explicit thread count.
-///
-/// The scenario enumeration is split into `threads` contiguous chunks
-/// processed by scoped worker threads, each with its own scenario engine
-/// and hose memo. Because duct capacities merge by elementwise max (a
-/// commutative, associative reduction over finite values) and infeasible
-/// pairs are concatenated in chunk order (= global scenario order), the
-/// output is **bit-identical for every thread count**.
+/// Run Algorithm 1 with an explicit thread count: the sweep (private
+/// `sweep` above) under the hose load model — a duct's load is the Dinic
+/// max-flow of the worst traffic matrix the per-DC capacities allow over
+/// the pairs crossing it. Bit-identical for every thread count.
 ///
 /// # Panics
 ///
@@ -205,118 +251,55 @@ pub fn provision_with_threads(
     let telemetry = iris_telemetry::global();
     let wall =
         iris_telemetry::Span::enter_ms(telemetry.histogram("iris_planner_provision_wall_ms"));
-    region.validate();
-    let g = region.map.graph();
-    let m = g.edge_count();
-    let caps: Vec<u64> = (0..region.dcs.len())
-        .map(|i| region.capacity_wavelengths(i))
-        .collect();
-
-    let scenarios: Vec<Vec<EdgeId>> = FailureScenarios::new(m, goals.max_cuts).collect();
-    let threads = threads.max(1).min(scenarios.len().max(1));
-
-    let results: Vec<ChunkResult> = if threads == 1 {
-        vec![provision_chunk(region, goals, &caps, &scenarios)]
-    } else {
-        let chunk_size = scenarios.len().div_ceil(threads);
-        let chunks: Vec<&[Vec<EdgeId>]> = scenarios.chunks(chunk_size).collect();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = chunks
-                .iter()
-                .map(|chunk| {
-                    let caps = &caps;
-                    s.spawn(move || provision_chunk(region, goals, caps, chunk))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("provision worker panicked"))
-                .collect()
-        })
-    };
-
-    let mut capacity = vec![0.0f64; m];
-    let mut infeasible = Vec::new();
-    let mut scenarios_examined = 0u64;
-    let mut hose_lookups = 0u64;
-    let mut hose_invocations = 0u64;
-    for (i, r) in results.into_iter().enumerate() {
-        for (c, rc) in capacity.iter_mut().zip(&r.capacity) {
-            if *rc > *c {
-                *c = *rc;
-            }
+    let cap = |dc| region.capacity_wavelengths(dc);
+    let (prov, stats) = sweep(region, goals, threads, || {
+        let mut hose = HoseScratch::new();
+        let mut pair_buf: Vec<(usize, usize)> = Vec::new();
+        move |view: ScenarioView<'_>, pairs: &[u32]| {
+            pair_buf.clear();
+            pair_buf.extend(pairs.iter().map(|&i| view.pair(i)));
+            hose.max_edge_load(&cap, &pair_buf)
         }
-        infeasible.extend(r.infeasible);
-        scenarios_examined += r.scenarios_examined;
-        hose_lookups += r.hose_lookups;
-        hose_invocations += r.hose_invocations;
+    });
+
+    for (i, &n) in stats.chunk_scenarios.iter().enumerate() {
         telemetry
             .counter(&iris_telemetry::labeled(
                 "iris_planner_sweep_thread_scenarios_total",
                 "thread",
                 &i.to_string(),
             ))
-            .add(r.scenarios_examined);
+            .add(n);
     }
-
     telemetry
         .counter("iris_planner_scenarios_total")
-        .add(scenarios_examined);
+        .add(prov.scenarios_examined);
     telemetry
         .counter("iris_planner_hose_maxflow_total")
-        .add(hose_invocations);
+        .add(stats.evals);
     telemetry
         .counter("iris_planner_hose_memo_hits_total")
-        .add(hose_lookups - hose_invocations);
+        .add(stats.lookups - stats.evals);
     wall.finish();
-
-    Provisioning {
-        edge_capacity_wl: capacity,
-        infeasible,
-        scenarios_examined,
-    }
+    prov
 }
 
-/// The naive §4.1 provisioning (sum of `min(C_u, C_v)` per crossing pair),
-/// kept as an ablation to quantify the over-provisioning it causes.
+/// The naive §4.1 provisioning — the sweep under the load model "sum of
+/// `min(C_u, C_v)` per crossing pair" — kept as an ablation to quantify
+/// the over-provisioning it causes.
 #[must_use]
 pub fn provision_naive(region: &Region, goals: &DesignGoals) -> Provisioning {
-    region.validate();
-    let m = region.map.graph().edge_count();
-    let mut capacity = vec![0.0f64; m];
-    let mut load = vec![0.0f64; m];
-    let mut infeasible = Vec::new();
-    let mut scenarios_examined = 0u64;
-    let caps: Vec<u64> = (0..region.dcs.len())
-        .map(|i| region.capacity_wavelengths(i))
-        .collect();
-
-    let mut engine = ScenarioEngine::new(region, goals);
-    engine.for_each_scenario(|scenario, view| {
-        scenarios_examined += 1;
-        for pair in view.unreachable() {
-            infeasible.push(InfeasiblePair {
-                pair,
-                scenario: scenario.to_vec(),
-            });
-        }
-        load.fill(0.0);
-        for p in view.paths() {
-            let demand = caps[p.a].min(caps[p.b]) as f64;
-            for &e in &p.edges {
-                load[e] += demand;
-            }
-        }
-        for e in 0..m {
-            capacity[e] = capacity[e].max(load[e]);
+    let cap = |dc| region.capacity_wavelengths(dc);
+    let (prov, _) = sweep(region, goals, engine::thread_count(), || {
+        move |view: ScenarioView<'_>, pairs: &[u32]| {
+            pairs
+                .iter()
+                .map(|&i| view.pair(i))
+                .map(|(a, b)| cap(a).min(cap(b)) as f64)
+                .sum()
         }
     });
-
-    Provisioning {
-        edge_capacity_wl: capacity,
-        infeasible,
-        scenarios_examined,
-    }
+    prov
 }
 
 /// Check that provisioned capacities suffice for a *specific* traffic

@@ -19,26 +19,26 @@
 //!   matrix so its maximum link load is a target fraction of the
 //!   hose-provisioned capacity, making families comparable across
 //!   regions;
-//! * [`provision_robust`] — Algorithm 1 with the hose max-flow replaced
-//!   by the family maximum: every duct is provisioned for the worst load
-//!   any family matrix places on it in any failure scenario. Like the
-//!   hose sweep it reuses the [`ScenarioEngine`]'s incremental-Dijkstra
-//!   path cache and is bit-identical for every thread count.
+//! * [`provision_robust`] — Algorithm 1's sweep with the family maximum
+//!   as its load model in place of the hose max-flow: every duct is
+//!   provisioned for the worst load any family matrix places on it in
+//!   any failure scenario. It is the same function as the hose plan with
+//!   a different per-pair-set load, so it shares the scenario engine's
+//!   incremental-Dijkstra path cache, the pair-set memo, and the
+//!   guarantee of bit-identical output for every thread count.
 //!
 //! Everything here is a pure function of its seed: the same
 //! [`FamilySpec`] always produces the same matrices, so the robust
 //! experiment artifacts are byte-reproducible.
 
-use crate::engine::{self, ScenarioEngine, ScenarioView};
+use crate::engine::{self, ScenarioView};
 use crate::goals::DesignGoals;
 use crate::paths::scenario_paths;
-use crate::topology::{provision_with_threads, InfeasiblePair, Provisioning};
+use crate::topology::{provision_with_threads, sweep, Provisioning};
 use iris_fibermap::Region;
-use iris_netgraph::{EdgeId, FailureScenarios};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
 use std::str::FromStr;
 
@@ -612,94 +612,10 @@ impl MatrixFamily {
 }
 
 /// Triangular index of unordered pair `(i, j)`, `i < j` — the same dense
-/// pair order the [`ScenarioEngine`] assigns slot indices in.
+/// pair order the [`engine::ScenarioEngine`] assigns slot indices in.
 fn pair_index(n: usize, i: usize, j: usize) -> usize {
     debug_assert!(i < j && j < n);
     i * n - i * (i + 1) / 2 + (j - i - 1)
-}
-
-/// Per-chunk accumulator of the robust sweep, merged by
-/// [`provision_robust_with_threads`] exactly like the hose sweep's.
-struct RobustChunk {
-    capacity: Vec<f64>,
-    infeasible: Vec<InfeasiblePair>,
-    scenarios_examined: u64,
-    maxload_lookups: u64,
-    maxload_evals: u64,
-}
-
-/// Robust-provision one contiguous slice of the scenario enumeration.
-///
-/// `demands_by_pair[m][idx]` is matrix `m`'s demand for engine pair
-/// `idx` (triangular order). Per scenario, pairs are grouped by duct via
-/// the engine's paths; each duct's load is the *family maximum* of the
-/// per-matrix demand sums over its crossing pairs, memoized by pair set
-/// just like the hose max-flow (equal pair sets load equally, and across
-/// thousands of scenarios the same sets recur constantly).
-fn robust_chunk(
-    region: &Region,
-    goals: &DesignGoals,
-    demands_by_pair: &[Vec<f64>],
-    chunk: &[Vec<EdgeId>],
-) -> RobustChunk {
-    let m = region.map.graph().edge_count();
-    let mut engine = ScenarioEngine::new(region, goals);
-    let mut capacity = vec![0.0f64; m];
-    let mut infeasible = Vec::new();
-    let mut memo: HashMap<Box<[u32]>, f64> = HashMap::new();
-    let mut pairs_on_edge: Vec<Vec<u32>> = vec![Vec::new(); m];
-    let mut touched: Vec<EdgeId> = Vec::new();
-    let mut maxload_lookups = 0u64;
-    let mut maxload_evals = 0u64;
-
-    engine.for_scenarios(chunk, |scenario, view: ScenarioView<'_>| {
-        for pair in view.unreachable() {
-            infeasible.push(InfeasiblePair {
-                pair,
-                scenario: scenario.to_vec(),
-            });
-        }
-        for (idx, p) in view.indexed_paths() {
-            for &e in &p.edges {
-                if pairs_on_edge[e].is_empty() {
-                    touched.push(e);
-                }
-                pairs_on_edge[e].push(idx);
-            }
-        }
-        for &e in &touched {
-            let pairs = &pairs_on_edge[e];
-            maxload_lookups += 1;
-            let load = if let Some(&l) = memo.get(pairs.as_slice()) {
-                l
-            } else {
-                maxload_evals += 1;
-                // Ascending pair-index sum per matrix: a fixed f64
-                // addition order, so the result (and therefore the whole
-                // sweep) is bit-identical however scenarios are chunked.
-                let l = demands_by_pair
-                    .iter()
-                    .map(|d| pairs.iter().map(|&i| d[i as usize]).sum::<f64>())
-                    .fold(0.0f64, f64::max);
-                memo.insert(pairs.clone().into_boxed_slice(), l);
-                l
-            };
-            if load > capacity[e] {
-                capacity[e] = load;
-            }
-        }
-        for e in touched.drain(..) {
-            pairs_on_edge[e].clear();
-        }
-    });
-
-    RobustChunk {
-        capacity,
-        infeasible,
-        scenarios_examined: chunk.len() as u64,
-        maxload_lookups,
-        maxload_evals,
-    }
 }
 
 /// Robust Algorithm 1 with the default thread count
@@ -721,12 +637,10 @@ pub fn provision_robust(
     provision_robust_with_threads(region, goals, family, engine::thread_count())
 }
 
-/// Robust Algorithm 1 with an explicit thread count.
-///
-/// The scenario enumeration is split into contiguous chunks exactly like
-/// [`provision_with_threads`]; duct capacities merge by elementwise max
-/// and infeasible pairs concatenate in chunk (= global scenario) order,
-/// so the output is **bit-identical for every thread count**.
+/// Robust Algorithm 1 with an explicit thread count: the same sweep as
+/// [`provision_with_threads`] under the family load model — a duct's load
+/// is the *family maximum* of the per-matrix demand sums over the pairs
+/// crossing it. **Bit-identical for every thread count.**
 ///
 /// # Panics
 ///
@@ -741,15 +655,12 @@ pub fn provision_robust_with_threads(
 ) -> Provisioning {
     let telemetry = iris_telemetry::global();
     let wall = iris_telemetry::Span::enter_ms(telemetry.histogram("iris_planner_robust_wall_ms"));
-    region.validate();
     let n = region.dcs.len();
     assert_eq!(
         family.n_dcs, n,
         "matrix family covers {} DCs but the region has {n}",
         family.n_dcs
     );
-    let g = region.map.graph();
-    let m = g.edge_count();
 
     // Flatten each matrix into engine pair-index order once, shared by
     // every worker.
@@ -764,63 +675,31 @@ pub fn provision_robust_with_threads(
             flat
         })
         .collect();
+    let demands_by_pair = demands_by_pair.as_slice();
 
-    let scenarios: Vec<Vec<EdgeId>> = FailureScenarios::new(m, goals.max_cuts).collect();
-    let threads = threads.max(1).min(scenarios.len().max(1));
-
-    let results: Vec<RobustChunk> = if threads == 1 {
-        vec![robust_chunk(region, goals, &demands_by_pair, &scenarios)]
-    } else {
-        let chunk_size = scenarios.len().div_ceil(threads);
-        let chunks: Vec<&[Vec<EdgeId>]> = scenarios.chunks(chunk_size).collect();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = chunks
+    let (prov, stats) = sweep(region, goals, threads, || {
+        move |_: ScenarioView<'_>, pairs: &[u32]| {
+            // Ascending pair-index sum per matrix: a fixed f64 addition
+            // order, so the result (and therefore the whole sweep) is
+            // bit-identical however scenarios are chunked.
+            demands_by_pair
                 .iter()
-                .map(|chunk| {
-                    let demands = &demands_by_pair;
-                    s.spawn(move || robust_chunk(region, goals, demands, chunk))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("robust provision worker panicked"))
-                .collect()
-        })
-    };
-
-    let mut capacity = vec![0.0f64; m];
-    let mut infeasible = Vec::new();
-    let mut scenarios_examined = 0u64;
-    let mut maxload_lookups = 0u64;
-    let mut maxload_evals = 0u64;
-    for r in results {
-        for (c, rc) in capacity.iter_mut().zip(&r.capacity) {
-            if *rc > *c {
-                *c = *rc;
-            }
+                .map(|d| pairs.iter().map(|&i| d[i as usize]).sum::<f64>())
+                .fold(0.0f64, f64::max)
         }
-        infeasible.extend(r.infeasible);
-        scenarios_examined += r.scenarios_examined;
-        maxload_lookups += r.maxload_lookups;
-        maxload_evals += r.maxload_evals;
-    }
+    });
 
     telemetry
         .counter("iris_planner_robust_scenarios_total")
-        .add(scenarios_examined);
+        .add(prov.scenarios_examined);
     telemetry
         .counter("iris_planner_robust_maxload_total")
-        .add(maxload_evals);
+        .add(stats.evals);
     telemetry
         .counter("iris_planner_robust_memo_hits_total")
-        .add(maxload_lookups - maxload_evals);
+        .add(stats.lookups - stats.evals);
     wall.finish();
-
-    Provisioning {
-        edge_capacity_wl: capacity,
-        infeasible,
-        scenarios_examined,
-    }
+    prov
 }
 
 /// The fraction of offered traffic a provisioning sheds under a specific

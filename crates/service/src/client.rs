@@ -5,54 +5,9 @@ use crate::api::{Request, Response};
 use crate::codec::{self, Codec};
 use crate::frame::{read_frame, write_frame_traced, FrameEvent};
 use iris_errors::{IrisError, IrisResult};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+pub use iris_wire::Backoff;
 use std::net::TcpStream;
 use std::time::Duration;
-
-/// Decorrelated-jitter backoff for retry loops: each delay is drawn
-/// uniformly from `base..=prev * 3` (clamped to `cap`), so concurrent
-/// clients hitting the same overloaded server spread out instead of
-/// retrying in lockstep the way a fixed `retry_after` sleep would.
-///
-/// The sequence is a pure function of the seed, which makes the bound
-/// behaviour unit-testable: every delay `d` satisfies
-/// `base <= d <= min(cap, max(prev * 3, base + 1))`.
-#[derive(Debug)]
-pub struct Backoff {
-    base_ms: u64,
-    cap_ms: u64,
-    prev_ms: u64,
-    rng: StdRng,
-}
-
-impl Backoff {
-    /// A backoff starting at `base_ms` and never sleeping longer than
-    /// `cap_ms`, jittered by a deterministic stream seeded with `seed`.
-    #[must_use]
-    pub fn new(base_ms: u64, cap_ms: u64, seed: u64) -> Self {
-        let base_ms = base_ms.max(1);
-        Self {
-            base_ms,
-            cap_ms: cap_ms.max(base_ms),
-            prev_ms: base_ms,
-            rng: StdRng::seed_from_u64(seed),
-        }
-    }
-
-    /// The next delay, in milliseconds.
-    pub fn next_delay_ms(&mut self) -> u64 {
-        let hi = self
-            .prev_ms
-            .saturating_mul(3)
-            .max(self.base_ms + 1)
-            .min(self.cap_ms);
-        let span = hi - self.base_ms + 1;
-        let delay = self.base_ms + self.rng.random_range(0..span);
-        self.prev_ms = delay;
-        delay
-    }
-}
 
 /// One connection to a running service. Requests are strictly
 /// request/reply on the connection, so a client carries no protocol

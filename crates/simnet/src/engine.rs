@@ -13,8 +13,8 @@
 //! traffic fraction. The EPS baseline sees the same arrivals and matrix
 //! changes but never loses capacity.
 //!
-//! The event loop itself ([`drive`]) is parameterized over an
-//! [`EventSource`] so that two producers share one float-identical
+//! The event loop itself (`drive`) is parameterized over an
+//! `EventSource` so that two producers share one float-identical
 //! implementation: the live RNG-backed source used by
 //! [`Simulator::run`], and the list-backed source used by
 //! [`crate::trace::FlowTrace::replay`] — which is how the decomposed

@@ -6,17 +6,21 @@
 //! are encoded in one of two negotiated codecs ([`Codec`]) — JSON for
 //! debuggability, or a compact tag-prefixed binary format whose value
 //! encodings, [`bin::Wire`] trait and layout-declaration macros live
-//! in [`bin`]. This crate holds exactly the pieces that are protocol-
-//! but not API-specific; each peer defines its own request/response
-//! enums on top and declares their layout once.
+//! in [`bin`] — and reconnect on one seeded schedule ([`Backoff`]). This
+//! crate holds exactly the pieces that are protocol- but not
+//! API-specific; each peer defines its own request/response enums on
+//! top and declares their layout once.
 //!
 //! [`iris-service`]: ../iris_service/index.html
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+mod backoff;
 pub mod bin;
 pub mod frame;
+
+pub use backoff::Backoff;
 
 use bin::{Reader, Wire};
 use iris_errors::{IrisError, IrisResult};

@@ -157,15 +157,28 @@ proptest! {
             },
         );
         let goals = iris_planner::DesignGoals::with_cuts(cuts);
-        let seq = iris_planner::provision_with_threads(&region, &goals, 1);
-        let par = iris_planner::provision_with_threads(&region, &goals, threads);
-        // Bit-exact equality of the provisioned capacities...
-        let seq_bits: Vec<u64> = seq.edge_capacity_wl.iter().map(|c| c.to_bits()).collect();
-        let par_bits: Vec<u64> = par.edge_capacity_wl.iter().map(|c| c.to_bits()).collect();
-        prop_assert_eq!(seq_bits, par_bits);
-        // ...and identical infeasibility reports and scenario counts.
-        prop_assert_eq!(seq.infeasible, par.infeasible);
-        prop_assert_eq!(seq.scenarios_examined, par.scenarios_examined);
+        let hose = (
+            iris_planner::provision_with_threads(&region, &goals, 1),
+            iris_planner::provision_with_threads(&region, &goals, threads),
+        );
+        // The naive ablation runs through the same sweep. It takes its
+        // worker count from `thread_count()`: one inside the guard, and
+        // `threads` (or whatever IRIS_THREADS says) outside it.
+        let naive = iris_planner::topology::provision_naive;
+        let naive_seq = iris_planner::with_nested_parallelism_disabled(|| naive(&region, &goals));
+        iris_planner::set_default_threads(threads);
+        let naive_par = naive(&region, &goals);
+        iris_planner::set_default_threads(0);
+
+        for (seq, par) in [hose, (naive_seq, naive_par)] {
+            // Bit-exact equality of the provisioned capacities...
+            let seq_bits: Vec<u64> = seq.edge_capacity_wl.iter().map(|c| c.to_bits()).collect();
+            let par_bits: Vec<u64> = par.edge_capacity_wl.iter().map(|c| c.to_bits()).collect();
+            prop_assert_eq!(seq_bits, par_bits);
+            // ...and identical infeasibility reports and scenario counts.
+            prop_assert_eq!(seq.infeasible, par.infeasible);
+            prop_assert_eq!(seq.scenarios_examined, par.scenarios_examined);
+        }
     }
 
     #[test]
