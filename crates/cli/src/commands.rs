@@ -977,7 +977,6 @@ pub fn serve(opts: &Options) -> IrisResult<()> {
             None => Vec::new(),
         },
         follower: opts.flag("follower"),
-        ..iris_service::ServiceConfig::default()
     };
     let handle = iris_service::serve(region, &config)?;
     // The bound address goes out first and flushed: with --addr ...:0 the

@@ -1,23 +1,26 @@
 //! The link-simulation worker: a small TCP server any machine can run.
 //!
-//! One worker serves any number of coordinator connections (a thread
-//! per connection). Per connection the protocol is strictly
-//! request/reply except that a `RunLink` answer is a *stream* of
-//! [`WorkerResponse::LinkChunk`] frames. Workers are stateless across
-//! restarts; the only state is a cache of the last installed
-//! [`WorkSpec`]'s decomposition, keyed by content fingerprint, shared
-//! by all connections — reconnecting after a crash re-ships the spec
-//! and rebuilds it.
+//! The worker is a [`Handler`] on the workspace's frame server
+//! ([`iris_wire::server`]): the same acceptor and shard event loops as
+//! the control-plane service, one shard per compute thread. Per
+//! connection the protocol is strictly request/reply except that a
+//! `RunLink` answer is a *stream* of [`WorkerResponse::LinkChunk`]
+//! frames, queued as successive replies to the one request. A link job
+//! runs on the shard thread of the connection that asked for it, so a
+//! shard's other connections wait behind it — a coordinator holds one
+//! connection per worker. Workers are stateless across restarts; the
+//! only state is a cache of the last installed [`WorkSpec`]'s
+//! decomposition, keyed by content fingerprint, shared by all
+//! connections — reconnecting after a crash re-ships the spec and
+//! rebuilds it.
 
 use crate::decompose::Decomposition;
-use crate::proto::{
-    decode_request, encode_response, WorkSpec, WorkerRequest, WorkerResponse, CHUNK_FLOWS,
-};
+use crate::proto::{decode_request, WorkSpec, WorkerRequest, WorkerResponse, CHUNK_FLOWS};
 use iris_errors::{IrisError, IrisResult};
 use iris_simnet::SimTopology;
-use iris_wire::frame::{read_frame, write_frame, FrameEvent};
-use iris_wire::Codec;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use iris_wire::{Codec, Handler, Outbox};
+use std::net::{SocketAddr, TcpListener};
+use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Mutex};
 
 /// Worker tuning knobs.
@@ -51,25 +54,28 @@ impl SpecCache {
     }
 }
 
-/// Serve forever on `listener`. Each accepted connection gets its own
-/// thread; the spec cache is shared.
+/// Serve forever on `listener`.
 ///
 /// # Errors
 ///
-/// Returns an error only if `accept` itself fails fatally.
+/// Returns an error only if the frame server cannot start; a failing
+/// `accept` is counted (`iris_flowsim_worker_accept_errors_total`) and
+/// retried.
 pub fn serve(listener: TcpListener, cfg: WorkerConfig) -> IrisResult<()> {
     let cache = Arc::new(Mutex::new(SpecCache::default()));
-    loop {
-        let (stream, peer) = listener.accept().map_err(|e| IrisError::Io {
-            detail: format!("flowsim worker accept: {e}"),
-        })?;
-        let cache = Arc::clone(&cache);
-        std::thread::spawn(move || {
-            if let Err(e) = serve_connection(stream, &cache, cfg) {
-                eprintln!("flowsim worker: connection {peer}: [{}] {e}", e.code());
-            }
-        });
-    }
+    let handlers = (0..iris_planner::thread_count().clamp(1, 8))
+        .map(|_| WorkerHandler {
+            cache: Arc::clone(&cache),
+            cfg,
+        })
+        .collect();
+    let accept_errors = iris_telemetry::global().counter("iris_flowsim_worker_accept_errors_total");
+    let never = Arc::new(AtomicBool::new(false));
+    // No handler defers, so nothing holds on to the mailbox.
+    let (mut server, _) =
+        iris_wire::server::spawn(listener, never, handlers, move || accept_errors.inc())?;
+    server.join();
+    Ok(())
 }
 
 /// Bind `127.0.0.1:0`, spawn a detached serving thread, and return the
@@ -91,47 +97,52 @@ pub fn spawn_ephemeral(cfg: WorkerConfig) -> IrisResult<SocketAddr> {
     Ok(addr)
 }
 
-fn serve_connection(
-    mut stream: TcpStream,
-    cache: &Mutex<SpecCache>,
+/// One connection's protocol state.
+#[derive(Default)]
+struct WorkerConn {
+    codec: Codec,
+    /// The spec installed by this connection's last `LoadSpec`.
+    run: Option<Arc<(SimTopology, Decomposition)>>,
+}
+
+/// The worker protocol on one shard.
+struct WorkerHandler {
+    cache: Arc<Mutex<SpecCache>>,
     cfg: WorkerConfig,
-) -> IrisResult<()> {
-    let telemetry = iris_telemetry::global();
-    let mut codec = Codec::Json;
-    let mut run: Option<Arc<(SimTopology, Decomposition)>> = None;
-    loop {
-        let payload = match read_frame(&mut stream)? {
-            FrameEvent::Frame(p) => p,
-            FrameEvent::Eof | FrameEvent::Idle => return Ok(()),
-        };
-        let request = match decode_request(codec, &payload) {
-            Ok(r) => r,
-            Err(error) => {
-                // Frame boundaries survived; answer typed and continue.
-                reply(&mut stream, codec, &WorkerResponse::Error { error })?;
-                continue;
-            }
-        };
-        match request {
-            WorkerRequest::Hello { codec: name } => match Codec::from_name(&name) {
+}
+
+impl Handler for WorkerHandler {
+    type Conn = WorkerConn;
+    type Parked = ();
+    type Completion = ();
+
+    fn open(&mut self) -> WorkerConn {
+        WorkerConn::default()
+    }
+
+    fn on_frame(
+        &mut self,
+        conn: &mut WorkerConn,
+        out: &mut Outbox<()>,
+        payload: &[u8],
+        _trace_id: Option<u64>,
+    ) {
+        let resp = match decode_request(conn.codec, payload) {
+            // Frame boundaries survived; answer typed and continue.
+            Err(error) => WorkerResponse::Error { error },
+            Ok(WorkerRequest::Hello { codec: name }) => match Codec::from_name(&name) {
                 Some(next) => {
                     // Ack in the *old* codec, then switch — mirror of
                     // the service's negotiation.
-                    reply(&mut stream, codec, &WorkerResponse::HelloOk { codec: name })?;
-                    codec = next;
+                    reply(out, conn.codec, &WorkerResponse::HelloOk { codec: name });
+                    conn.codec = next;
+                    return;
                 }
-                None => reply(
-                    &mut stream,
-                    codec,
-                    &WorkerResponse::Error {
-                        error: IrisError::InvalidInput {
-                            detail: format!("unknown codec '{name}'"),
-                        },
-                    },
-                )?,
+                None => invalid(format!("unknown codec '{name}'")),
             },
-            WorkerRequest::LoadSpec { spec } => {
-                let (installed, cache_hit) = cache.lock().expect("cache lock").load(&spec);
+            Ok(WorkerRequest::LoadSpec { spec }) => {
+                let (installed, cache_hit) = self.cache.lock().expect("cache lock").load(&spec);
+                let telemetry = iris_telemetry::global();
                 telemetry
                     .counter("iris_flowsim_worker_spec_loads_total")
                     .add(1);
@@ -144,78 +155,66 @@ fn serve_connection(
                     flows: installed.1.flows.len(),
                     links: installed.1.occupied_links().len(),
                 };
-                run = Some(installed);
-                reply(&mut stream, codec, &resp)?;
+                conn.run = Some(installed);
+                resp
             }
-            WorkerRequest::RunLink { link } => {
-                let Some(run) = run.as_ref() else {
-                    reply(
-                        &mut stream,
-                        codec,
-                        &WorkerResponse::Error {
-                            error: IrisError::InvalidInput {
-                                detail: "RunLink before LoadSpec".to_owned(),
-                            },
-                        },
-                    )?;
-                    continue;
-                };
-                let (topo, dec) = run.as_ref();
-                if link >= dec.link_flows.len() {
-                    reply(
-                        &mut stream,
-                        codec,
-                        &WorkerResponse::Error {
-                            error: IrisError::InvalidInput {
-                                detail: format!(
-                                    "link {link} out of range ({} links)",
-                                    dec.link_flows.len()
-                                ),
-                            },
-                        },
-                    )?;
-                    continue;
+            Ok(WorkerRequest::RunLink { link }) => match conn.run.as_deref() {
+                None => invalid("RunLink before LoadSpec".to_owned()),
+                Some((_, dec)) if link >= dec.link_flows.len() => invalid(format!(
+                    "link {link} out of range ({} links)",
+                    dec.link_flows.len()
+                )),
+                Some((topo, dec)) => {
+                    if self.cfg.slow_ms > 0 {
+                        std::thread::sleep(std::time::Duration::from_millis(self.cfg.slow_ms));
+                    }
+                    let finishes = dec.simulate(topo, link);
+                    iris_telemetry::global()
+                        .counter("iris_flowsim_worker_jobs_total")
+                        .add(1);
+                    return stream_chunks(out, conn.codec, link, &finishes);
                 }
-                if cfg.slow_ms > 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(cfg.slow_ms));
-                }
-                let finishes = dec.simulate(topo, link);
-                telemetry.counter("iris_flowsim_worker_jobs_total").add(1);
-                stream_chunks(&mut stream, codec, link, &finishes)?;
-            }
-        }
+            },
+        };
+        reply(out, conn.codec, &resp);
+    }
+
+    fn on_bad_frame(&mut self, conn: &mut WorkerConn, out: &mut Outbox<()>, error: IrisError) {
+        reply(out, conn.codec, &WorkerResponse::Error { error });
+    }
+}
+
+fn invalid(detail: String) -> WorkerResponse {
+    WorkerResponse::Error {
+        error: IrisError::InvalidInput { detail },
     }
 }
 
 /// Stream a link result as `LinkChunk` frames (always at least one, so
 /// an empty link still yields a `done` frame).
-fn stream_chunks(
-    stream: &mut TcpStream,
-    codec: Codec,
-    link: usize,
-    finishes: &[f64],
-) -> IrisResult<()> {
+fn stream_chunks(out: &mut Outbox<()>, codec: Codec, link: usize, finishes: &[f64]) {
     let mut offset = 0;
     loop {
         let end = (offset + CHUNK_FLOWS).min(finishes.len());
         let done = end == finishes.len();
-        reply(
-            stream,
-            codec,
-            &WorkerResponse::LinkChunk {
-                link,
-                offset,
-                finish_s: finishes[offset..end].to_vec(),
-                done,
-            },
-        )?;
+        let chunk = WorkerResponse::LinkChunk {
+            link,
+            offset,
+            finish_s: finishes[offset..end].to_vec(),
+            done,
+        };
+        reply(out, codec, &chunk);
         if done {
-            return Ok(());
+            return;
         }
         offset = end;
     }
 }
 
-fn reply(stream: &mut TcpStream, codec: Codec, resp: &WorkerResponse) -> IrisResult<()> {
-    write_frame(stream, &encode_response(codec, resp)?)
+/// Queue `resp`; a response that cannot be framed ends the connection
+/// (the coordinator requeues the job).
+fn reply(out: &mut Outbox<()>, codec: Codec, resp: &WorkerResponse) {
+    if out.reply(|buf| codec.encode_into(resp, buf)).is_err() {
+        out.close();
+    }
 }

@@ -1,7 +1,8 @@
 //! `iris-poll` — a thin, std-only readiness-polling abstraction.
 //!
-//! The service crate forbids `unsafe` outright, so the few lines of
-//! kernel interface an event loop needs live here instead: a
+//! The crates with event loops (`iris-wire`'s transport, the service's
+//! load generator) forbid `unsafe` outright, so the few lines of kernel
+//! interface an event loop needs live here instead: a
 //! [`Poller`] wrapping epoll on Linux (`poll(2)` elsewhere on Unix),
 //! plus a [`Waker`] that lets any thread interrupt a blocked
 //! [`Poller::wait`]. Nothing here spawns threads, allocates per event

@@ -1,0 +1,514 @@
+//! The write path behind the shards: the single mutator thread and the
+//! group-commit syncer.
+//!
+//! Shards enqueue [`WriteOp`]s on the bounded queue. The mutator pops a
+//! write, gathers the coalesce window, applies the batch through the
+//! [`ControlMachine`] (which appends it to the WAL *without* fsyncing)
+//! and hands the result to the syncer. The syncer drains every batch
+//! produced while the previous fsync was in flight, makes them all
+//! durable with *one* fsync, publishes the newest snapshot, and only
+//! then sends each write's [`DeferredReply`] back to the shard holding
+//! its [`Ticket`]: acknowledge-after-durable, fsyncs amortized.
+
+use crate::recovery::{ControlMachine, CutReply};
+use crate::replicate::{ReplEntry, REPL_LOG_CAP};
+use crate::server::Shared;
+use crate::state::StateSnapshot;
+use crate::wal::{PersistedSnapshot, WalBatch, WalStats, WalSyncHandle};
+use iris_errors::IrisError;
+use iris_netgraph::EdgeId;
+use iris_wire::{Mailbox, Ticket};
+use std::collections::BTreeMap;
+use std::sync::atomic::Ordering;
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+/// One queued write.
+pub(crate) struct WriteOp {
+    pub(crate) kind: WriteKind,
+    /// The parked reply the acknowledgement goes to once durable.
+    pub(crate) dest: Ticket,
+    /// When the op entered the queue (feeds the batch trace's
+    /// queue-wait span).
+    pub(crate) enqueued: Instant,
+}
+
+/// What a [`WriteOp`] asks for.
+pub(crate) enum WriteKind {
+    Update {
+        a: usize,
+        b: usize,
+        circuits: u32,
+    },
+    Cut(Vec<EdgeId>),
+    /// One WAL batch shipped from a primary region (serialized
+    /// [`WalBatch`] JSON), applied via
+    /// [`ControlMachine::apply_replicated`].
+    Replicate(String),
+    /// A full persisted snapshot shipped from a primary region
+    /// (serialized [`PersistedSnapshot`] JSON), adopted via
+    /// [`ControlMachine::adopt_state`].
+    SyncState(String),
+}
+
+/// One acknowledgement held back until its batch's group commit: the
+/// syncer routes these to their shards only after the fsync, so every
+/// ack a client sees describes durable state.
+pub(crate) enum DeferredReply {
+    /// A fiber-cut outcome.
+    Cut(CutReply),
+    /// A demand update became durable and visible at `epoch` — the
+    /// read-your-writes fence a client hands to `GetPlanAt`.
+    Demand { epoch: u64 },
+    /// A replicated batch (or adopted snapshot) committed at `epoch`
+    /// with the follower snapshot fingerprinting to `state_crc`.
+    Replicated {
+        epoch: u64,
+        state_crc: u32,
+        op: &'static str,
+    },
+    /// The operation failed (WAL error, epoch-chain gap, ...).
+    Failed { op: &'static str, err: IrisError },
+}
+
+impl DeferredReply {
+    /// Telemetry label of the operation being acknowledged.
+    pub(crate) fn op(&self) -> &'static str {
+        match self {
+            DeferredReply::Cut(_) => "report_fiber_cut",
+            DeferredReply::Demand { .. } => "update_demand",
+            DeferredReply::Replicated { op, .. } | DeferredReply::Failed { op, .. } => op,
+        }
+    }
+}
+
+/// One applied batch handed from the mutator to the syncer for group
+/// commit: fsync (if a record was appended), publish, route the acks.
+pub(crate) struct SyncMsg {
+    snapshot: Option<Arc<StateSnapshot>>,
+    replies: Vec<(Ticket, DeferredReply)>,
+    /// The batch rendered for the replication window (primary-originated
+    /// and replicated batches both land here, so a freshly promoted
+    /// follower can ship incrementally).
+    repl_entry: Option<ReplEntry>,
+    /// Whether this batch appended a WAL record the group fsync must
+    /// cover.
+    appended: bool,
+    /// Writes this batch applied (`writes_applied` delta).
+    applied: u64,
+    /// Updates this batch absorbed by coalescing.
+    coalesced: u64,
+    /// Queue ops this batch consumed (drives the pending-write gauge).
+    batch_len: usize,
+    wal_stats: Option<WalStats>,
+    batch_trace: u64,
+    /// The WAL append failed: route the replies, then stop the server.
+    fatal: bool,
+}
+
+impl SyncMsg {
+    /// A batch that committed nothing: `replies` carry the failures.
+    fn failed(
+        replies: Vec<(Ticket, DeferredReply)>,
+        batch_len: usize,
+        batch_trace: u64,
+        fatal: bool,
+    ) -> Self {
+        Self {
+            snapshot: None,
+            replies,
+            repl_entry: None,
+            appended: false,
+            applied: 0,
+            coalesced: 0,
+            batch_len,
+            wal_stats: None,
+            batch_trace,
+            fatal,
+        }
+    }
+}
+
+/// The single writer: pop a write, gather the coalesce window, apply the
+/// batch through the [`ControlMachine`] (which appends it to the WAL
+/// *without* fsyncing), and hand the result to the syncer for group
+/// commit.
+pub(crate) fn mutator_loop(
+    mut machine: ControlMachine<'_>,
+    rx: &Receiver<WriteOp>,
+    shared: &Shared,
+    window: Duration,
+    sync_tx: &Sender<SyncMsg>,
+    boot_snap: Arc<StateSnapshot>,
+    wal_backed: bool,
+) {
+    machine.set_deferred_sync(true);
+    // The last snapshot this thread built. `shared.cell` lags behind it
+    // (publication happens in the syncer, after the group fsync), so
+    // the mutator must chain batches off its own copy.
+    let mut prev = boot_snap;
+
+    loop {
+        if shared.shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        let first = match rx.recv_timeout(Duration::from_millis(20)) {
+            Ok(op) => op,
+            Err(mpsc::RecvTimeoutError::Timeout) => continue,
+            Err(mpsc::RecvTimeoutError::Disconnected) => return,
+        };
+        // Trace bookkeeping: queue wait is measured from the first
+        // op's enqueue to its pop (FIFO queue, so it waited longest);
+        // coalescing covers the gather window plus the drain.
+        let first_enqueued = first.enqueued;
+        let popped = Instant::now();
+        let mut batch = vec![first];
+        if !window.is_zero() {
+            std::thread::sleep(window);
+        }
+        while let Ok(op) = rx.try_recv() {
+            batch.push(op);
+        }
+        let drained = Instant::now();
+
+        // Partition the drain: local ops coalesce into one batch, while
+        // replication ops apply standalone in arrival order. A server
+        // only ever sees one kind per drain in practice — shards reject
+        // local writes on a follower and `Replicate` frames on a
+        // primary — so the partition does not reorder anything a client
+        // can observe.
+        let mut updates: BTreeMap<(usize, usize), u32> = BTreeMap::new();
+        let mut update_dests: Vec<Ticket> = Vec::new();
+        let mut cut_sets: Vec<Vec<EdgeId>> = Vec::new();
+        let mut cut_dests: Vec<Ticket> = Vec::new();
+        let mut repl_ops: Vec<WriteOp> = Vec::new();
+        let mut coalesced_now = 0u64;
+        for op in batch {
+            match op.kind {
+                WriteKind::Update { a, b, circuits } => {
+                    if updates.insert((a, b), circuits).is_some() {
+                        coalesced_now += 1;
+                    }
+                    update_dests.push(op.dest);
+                }
+                WriteKind::Cut(cuts) => {
+                    cut_sets.push(cuts);
+                    cut_dests.push(op.dest);
+                }
+                WriteKind::Replicate(_) | WriteKind::SyncState(_) => repl_ops.push(op),
+            }
+        }
+        let local_len = update_dests.len() + cut_dests.len();
+
+        if local_len > 0 {
+            // Every batch gets its own trace: the root span covers the
+            // apply path, with queue-wait and coalesce recorded as
+            // sibling windows preceding it. The group fsync + publish
+            // land under a `group_commit` root in the same trace,
+            // emitted by the syncer.
+            let batch_trace = iris_telemetry::trace::mint_trace_id();
+            let batch_span = iris_telemetry::trace::root_span(batch_trace, "write_batch");
+            iris_telemetry::trace::emit_window("queue_wait", first_enqueued, popped);
+            iris_telemetry::trace::emit_window("coalesce", popped, drained);
+
+            match machine.apply_batch(&prev, &updates, coalesced_now, &cut_sets) {
+                Ok(result) => {
+                    let snapshot = result.snapshot.map(Arc::new);
+                    let applied = snapshot
+                        .as_ref()
+                        .map_or(0, |next| next.writes_applied - prev.writes_applied);
+                    // Demand acks carry the epoch their write is
+                    // readable at: the batch's commit epoch, or the
+                    // current one when the whole batch was a no-op.
+                    let ack_epoch = snapshot.as_ref().map_or(prev.epoch, |next| next.epoch);
+                    if let Some(next) = &snapshot {
+                        prev = Arc::clone(next);
+                    }
+                    let repl_entry = match (&snapshot, result.batch) {
+                        (Some(next), Some(record)) => {
+                            serde_json::to_string(&record).ok().map(|json| ReplEntry {
+                                epoch: next.epoch,
+                                state_crc: next.state_crc(),
+                                batch_json: Arc::new(json),
+                            })
+                        }
+                        _ => None,
+                    };
+                    let demand_acks = update_dests
+                        .into_iter()
+                        .map(|dest| (dest, DeferredReply::Demand { epoch: ack_epoch }));
+                    let cut_acks = cut_dests
+                        .into_iter()
+                        .zip(result.cut_replies.into_iter().map(DeferredReply::Cut));
+                    let msg = SyncMsg {
+                        appended: wal_backed && snapshot.is_some(),
+                        snapshot,
+                        replies: demand_acks.chain(cut_acks).collect(),
+                        repl_entry,
+                        applied,
+                        coalesced: coalesced_now,
+                        batch_len: local_len,
+                        wal_stats: machine.wal_stats(),
+                        batch_trace,
+                        fatal: false,
+                    };
+                    if sync_tx.send(msg).is_err() {
+                        return;
+                    }
+                    drop(batch_span);
+                    iris_telemetry::trace::note_if_slow(
+                        "write_batch",
+                        popped.elapsed().as_secs_f64() * 1e3,
+                        batch_trace,
+                    );
+                }
+                Err(e) => {
+                    // The WAL could not be written: accepting more
+                    // writes would let acknowledged state evaporate on
+                    // the next crash, so fail loudly and stop the
+                    // server.
+                    wal_error();
+                    let updates = update_dests.into_iter().map(|d| (d, "update_demand"));
+                    let cuts = cut_dests.into_iter().map(|d| (d, "report_fiber_cut"));
+                    let replies = updates
+                        .chain(cuts)
+                        .map(|(dest, op)| {
+                            let err = e.clone();
+                            (dest, DeferredReply::Failed { op, err })
+                        })
+                        .collect();
+                    let _ = sync_tx.send(SyncMsg::failed(replies, local_len, batch_trace, true));
+                    shared.shutdown.store(true, Ordering::SeqCst);
+                    return;
+                }
+            }
+        }
+
+        for op in repl_ops {
+            if !apply_repl_op(&mut machine, &mut prev, shared, sync_tx, wal_backed, op) {
+                return;
+            }
+        }
+    }
+}
+
+fn wal_error() {
+    iris_telemetry::global()
+        .counter("iris_service_wal_errors_total")
+        .inc();
+}
+
+/// Apply one replication op (a shipped WAL batch or a full snapshot)
+/// through the [`ControlMachine`] and hand its deferred `ReplicateAck`
+/// to the syncer. Returns whether the mutator should keep running:
+/// epoch-chain gaps and undecodable frames only fail the one request
+/// (the primary falls back to `SyncState`), while a WAL write failure
+/// is as fatal as it is for local batches.
+fn apply_repl_op(
+    machine: &mut ControlMachine<'_>,
+    prev: &mut Arc<StateSnapshot>,
+    shared: &Shared,
+    sync_tx: &Sender<SyncMsg>,
+    wal_backed: bool,
+    op: WriteOp,
+) -> bool {
+    let batch_trace = iris_telemetry::trace::mint_trace_id();
+    let (op_name, outcome, shipped_json) = match op.kind {
+        WriteKind::Replicate(batch_json) => {
+            let outcome = serde_json::from_str::<WalBatch>(&batch_json)
+                .map_err(|e| IrisError::Decode {
+                    detail: format!("replicated batch does not parse: {e}"),
+                })
+                .and_then(|record| machine.apply_replicated(prev, &record));
+            ("replicate", outcome, Some(batch_json))
+        }
+        WriteKind::SyncState(state_json) => {
+            let outcome = serde_json::from_str::<PersistedSnapshot>(&state_json)
+                .map_err(|e| IrisError::Decode {
+                    detail: format!("sync-state snapshot does not parse: {e}"),
+                })
+                .and_then(|snap| machine.adopt_state(prev, &snap));
+            ("sync_state", outcome, None)
+        }
+        WriteKind::Update { .. } | WriteKind::Cut(_) => return true,
+    };
+    match outcome {
+        Ok(next) => {
+            let next = Arc::new(next);
+            let epoch = next.epoch;
+            let applied = next.writes_applied.saturating_sub(prev.writes_applied);
+            let coalesced = next.coalesced.saturating_sub(prev.coalesced);
+            let state_crc = next.state_crc();
+            *prev = Arc::clone(&next);
+            let repl_entry = shipped_json.map(|json| ReplEntry {
+                epoch,
+                state_crc,
+                batch_json: Arc::new(json),
+            });
+            let ack = DeferredReply::Replicated {
+                epoch,
+                state_crc,
+                op: op_name,
+            };
+            let msg = SyncMsg {
+                appended: wal_backed && repl_entry.is_some(),
+                snapshot: Some(next),
+                replies: vec![(op.dest, ack)],
+                repl_entry,
+                applied,
+                coalesced,
+                batch_len: 1,
+                wal_stats: machine.wal_stats(),
+                batch_trace,
+                fatal: false,
+            };
+            sync_tx.send(msg).is_ok()
+        }
+        Err(err) => {
+            let fatal = matches!(err, IrisError::Io { .. });
+            if fatal {
+                wal_error();
+            }
+            let replies = vec![(op.dest, DeferredReply::Failed { op: op_name, err })];
+            let sent = sync_tx
+                .send(SyncMsg::failed(replies, 1, batch_trace, fatal))
+                .is_ok();
+            if fatal {
+                shared.shutdown.store(true, Ordering::SeqCst);
+            }
+            sent && !fatal
+        }
+    }
+}
+
+/// The group-commit thread: drain every batch the mutator produced
+/// while the previous fsync was in flight, make them all durable with
+/// one fsync, publish the newest snapshot (rebuilding the
+/// pre-serialized read buffers), and only then send the
+/// acknowledgements back to their shards.
+pub(crate) fn syncer_loop(
+    rx: &Receiver<SyncMsg>,
+    shared: &Shared,
+    handle: Option<WalSyncHandle>,
+    mailbox: &Mailbox<DeferredReply>,
+) {
+    let telemetry = iris_telemetry::global();
+    let batches_c = telemetry.counter("iris_service_group_commit_batches");
+    let saved_c = telemetry.counter("iris_service_fsyncs_saved");
+    let size_h = telemetry.histogram("iris_service_group_commit_size");
+    let epoch_g = telemetry.gauge("iris_service_epoch");
+    let writes_c = telemetry.counter("iris_service_writes_applied_total");
+    let coalesced_c = telemetry.counter("iris_service_coalesced_total");
+    let queue_g = telemetry.gauge("iris_service_queue_depth");
+
+    loop {
+        let first = match rx.recv() {
+            Ok(msg) => msg,
+            Err(_) => return, // mutator exited; nothing left to commit
+        };
+        let mut group = vec![first];
+        while let Ok(msg) = rx.try_recv() {
+            group.push(msg);
+        }
+        let mut fatal = group.iter().any(|m| m.fatal);
+        let appended = group.iter().filter(|m| m.appended).count() as u64;
+        let trace = group
+            .iter()
+            .rev()
+            .find(|m| m.appended)
+            .or_else(|| group.last())
+            .map_or(0, |m| m.batch_trace);
+
+        // The commit gets its own root span in the trace of the last
+        // batch it covers: the fsync and publish happen on this thread,
+        // outside the mutator's `write_batch` span stack.
+        let commit_span = iris_telemetry::trace::root_span(trace, "group_commit");
+        if appended > 0 {
+            if let Some(h) = handle.as_ref() {
+                match h.sync() {
+                    Ok(ms) => shared
+                        .last_fsync_us
+                        .store((ms * 1e3) as u64, Ordering::Relaxed),
+                    Err(_) => {
+                        // Nothing in this group is durable: fail every
+                        // pending ack in it and stop the server rather
+                        // than acknowledge state that can evaporate.
+                        wal_error();
+                        fatal = true;
+                        for msg in &mut group {
+                            msg.snapshot = None;
+                            msg.repl_entry = None;
+                            for (_, reply) in &mut msg.replies {
+                                let op = reply.op();
+                                *reply = DeferredReply::Failed {
+                                    op,
+                                    err: IrisError::Io {
+                                        detail: "WAL group fsync failed".to_owned(),
+                                    },
+                                };
+                            }
+                        }
+                    }
+                }
+            }
+            batches_c.add(appended);
+            saved_c.add(appended - 1);
+            size_h.record(appended as f64);
+        }
+
+        // Publish once per group: the newest snapshot covers them all.
+        let mut published_now = false;
+        if let Some(next) = group.iter().rev().find_map(|m| m.snapshot.clone()) {
+            epoch_g.set(next.epoch as i64);
+            let _publish = iris_telemetry::trace::span("publish");
+            match shared.facts.publish(Arc::clone(&next)) {
+                Ok(p) => {
+                    *shared.published.write() = Arc::new(p);
+                    shared.cell.store(next);
+                    published_now = true;
+                }
+                Err(_) => fatal = true,
+            }
+        }
+        drop(commit_span);
+
+        // Feed the replication window only after the group fsync:
+        // replicator threads must never ship a batch that could still
+        // evaporate in a crash.
+        if !fatal {
+            let mut log = shared.repl_log.lock();
+            for msg in &mut group {
+                if let Some(entry) = msg.repl_entry.take() {
+                    log.push_back(entry);
+                    while log.len() > REPL_LOG_CAP {
+                        log.pop_front();
+                    }
+                }
+            }
+        }
+
+        writes_c.add(group.iter().map(|m| m.applied).sum());
+        coalesced_c.add(group.iter().map(|m| m.coalesced).sum());
+        if let Some(stats) = group.iter().rev().find_map(|m| m.wal_stats) {
+            shared.wal_records.store(stats.records, Ordering::Relaxed);
+            shared.wal_bytes.store(stats.bytes, Ordering::Relaxed);
+        }
+        let consumed: usize = group.iter().map(|m| m.batch_len).sum();
+        let depth = shared
+            .queue_depth
+            .fetch_sub(consumed, Ordering::SeqCst)
+            .saturating_sub(consumed);
+        queue_g.set(depth as i64);
+
+        // Acknowledge-after-durable: deferred replies leave only now.
+        // Every shard is woken after a publish so parked epoch-waits
+        // (`GetPlanAt`) notice the new epoch promptly.
+        mailbox.deliver(group.into_iter().flat_map(|m| m.replies), published_now);
+        if fatal {
+            shared.shutdown.store(true, Ordering::SeqCst);
+            mailbox.deliver(None, true);
+            return;
+        }
+    }
+}

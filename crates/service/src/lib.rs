@@ -2,18 +2,27 @@
 //!
 //! The planner and controller crates answer one-shot questions; this
 //! crate keeps a region *live*: a sharded non-blocking TCP server (std
-//! only — readiness comes from the workspace's [`iris_poll`] leaf, no
-//! async runtime) speaking length-prefixed frames ([`frame`]) with a
-//! typed request API ([`api`]) in either of two codecs ([`codec`]).
+//! only — no async runtime) speaking length-prefixed frames ([`frame`])
+//! with a typed request API ([`api`]) in either of two codecs
+//! ([`codec`]).
+//!
+//! The modules: [`server`] wires everything up and holds the protocol
+//! (the `Handler` that [`iris_wire::server`] runs on every shard);
+//! `commit` is the write path behind it (mutator + group-commit
+//! syncer) and `replicate` the per-peer replication pump; [`state`],
+//! [`wal`] and [`recovery`] are what they publish, persist and replay;
+//! [`client`] and [`loadgen`] are the other end of the socket.
 //!
 //! The serving model is the crate's point:
 //!
-//! * **Connections live on event-loop shards.** One acceptor hands each
-//!   socket round-robin to a [`ServiceConfig::shards`]-sized pool of
-//!   worker loops; each shard drives its connections through one
-//!   `iris_poll::Poller` with per-connection read/write buffers.
-//!   Clients may pipeline — any number of request frames in flight,
-//!   replies strictly FIFO per connection.
+//! * **Connections live on event-loop shards.** The transport is
+//!   `iris-wire`'s frame server: one acceptor hands each socket
+//!   round-robin to a [`ServiceConfig::shards`]-sized pool of shard
+//!   loops, each driving its connections through one
+//!   `iris_poll::Poller` with per-connection read/write buffers, and
+//!   this crate's handler answers the frames. Clients may pipeline —
+//!   any number of request frames in flight, replies strictly FIFO per
+//!   connection.
 //! * **Codecs are negotiated per connection.** Frames carry JSON until
 //!   a `Hello { codec: "binary" }` switches the connection to the
 //!   compact binary encoding (and back); the ack travels in the old
@@ -36,8 +45,9 @@
 //!   `retry_after_ms` instead of blocking the socket; the client's
 //!   retry path adds seeded decorrelated jitter on top.
 //!
-//! [`loadgen`] is the matching seeded load generator — the same poller
-//! drives all its connections from one thread, closed-loop (optionally
+//! [`loadgen`] is the matching seeded load generator — one poller
+//! drives all its connections (the same `iris_wire::FramedConn` the
+//! shards use) from one thread, closed-loop (optionally
 //! pipelined) or open-loop (seeded Poisson arrivals via
 //! `LoadgenConfig::rate`) — and it splits its report into
 //! seed-deterministic results (byte-identical JSON across runs, thread
@@ -58,9 +68,11 @@
 pub mod api;
 pub mod client;
 pub mod codec;
+mod commit;
 pub use iris_wire::frame;
 pub mod loadgen;
 pub mod recovery;
+mod replicate;
 pub mod server;
 pub mod state;
 pub mod wal;

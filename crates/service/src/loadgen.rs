@@ -26,20 +26,14 @@
 use crate::api::{AllocEntry, RecoverySummary, Request, Response};
 use crate::client::ServiceClient;
 use crate::codec::{self, Codec};
-use crate::frame::{append_frame, parse_frame};
 use iris_errors::{IrisError, IrisResult};
-use iris_poll::{Event, Interest, Poller};
+use iris_poll::{Event, Poller};
+use iris_wire::FramedConn;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{ErrorKind, Read, Write};
-use std::net::TcpStream;
-use std::os::fd::AsRawFd;
 use std::time::{Duration, Instant};
-
-/// Socket read granularity for the reply buffers.
-const READ_CHUNK: usize = 64 * 1024;
 
 /// Load-generator parameters.
 #[derive(Debug, Clone)]
@@ -441,7 +435,7 @@ struct DriverState {
 
 /// One multiplexed load connection.
 struct LoadConn {
-    stream: TcpStream,
+    io: FramedConn,
     codec: Codec,
     seq: Vec<Request>,
     next_idx: usize,
@@ -453,11 +447,13 @@ struct LoadConn {
     retries: Vec<RetryEntry>,
     /// Latest sequence index sent per owned pair — the supersede fence.
     last_sent_update: BTreeMap<(usize, usize), usize>,
-    wbuf: Vec<u8>,
-    wpos: usize,
-    rbuf: Vec<u8>,
-    rlen: usize,
-    want_write: bool,
+}
+
+/// The load cannot continue on this socket.
+fn io_failed(e: std::io::Error) -> IrisError {
+    IrisError::Io {
+        detail: format!("loadgen socket failed during load: {e}"),
+    }
 }
 
 impl LoadConn {
@@ -477,8 +473,8 @@ impl LoadConn {
         first_sent: Instant,
         during_recovery: bool,
     ) -> IrisResult<()> {
-        let payload = codec::encode_request(self.codec, req)?;
-        append_frame(&mut self.wbuf, &payload)?;
+        let codec = self.codec;
+        self.io.queue_frame(|buf| codec.encode_into(req, buf))?;
         self.inflight.push_back(Inflight {
             op,
             req: req.is_write().then(|| req.clone()),
@@ -486,36 +482,6 @@ impl LoadConn {
             first_sent,
             during_recovery,
         });
-        Ok(())
-    }
-
-    /// Write buffered bytes until the socket would block.
-    fn flush(&mut self) -> IrisResult<()> {
-        while self.wpos < self.wbuf.len() {
-            match self.stream.write(&self.wbuf[self.wpos..]) {
-                Ok(0) => {
-                    return Err(IrisError::Io {
-                        detail: "server closed the connection during load".to_owned(),
-                    })
-                }
-                Ok(n) => self.wpos += n,
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) => {
-                    return Err(IrisError::Io {
-                        detail: format!("loadgen socket write failed: {e}"),
-                    })
-                }
-            }
-        }
-        if self.wpos >= self.wbuf.len() {
-            self.wbuf.clear();
-            self.wpos = 0;
-        } else if self.wpos > READ_CHUNK {
-            self.wbuf.drain(..self.wpos);
-            self.wpos = 0;
-        }
-        self.want_write = !self.wbuf.is_empty();
         Ok(())
     }
 }
@@ -616,7 +582,7 @@ fn pump(
         conn.send(&req, req.op(), kind, now, during)?;
         conn.next_idx += 1;
     }
-    conn.flush()
+    conn.io.flush().map_err(io_failed)
 }
 
 /// Consume one reply off the connection's FIFO.
@@ -681,38 +647,18 @@ fn handle_reply(conn: &mut LoadConn, state: &mut DriverState, resp: Response) ->
     Ok(())
 }
 
-/// Read replies until the socket would block, parsing every complete
+/// Read replies until the socket would block, handling every complete
 /// frame.
 fn read_replies(conn: &mut LoadConn, state: &mut DriverState) -> IrisResult<()> {
-    loop {
-        if conn.rbuf.len() < conn.rlen + READ_CHUNK {
-            conn.rbuf.resize(conn.rlen + READ_CHUNK, 0);
-        }
-        match conn.stream.read(&mut conn.rbuf[conn.rlen..]) {
-            Ok(0) => {
-                return Err(IrisError::Io {
-                    detail: "server closed the connection during load".to_owned(),
-                })
-            }
-            Ok(n) => conn.rlen += n,
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(e) => {
-                return Err(IrisError::Io {
-                    detail: format!("loadgen socket read failed: {e}"),
-                })
-            }
-        }
-    }
-    let mut off = 0;
-    while let Some(frame) = parse_frame(&conn.rbuf[off..conn.rlen])? {
-        off += frame.consumed;
+    conn.io.fill().map_err(io_failed)?;
+    while let Some(frame) = conn.io.next_frame()? {
         let resp = codec::decode_response(conn.codec, &frame.payload)?;
         handle_reply(conn, state, resp)?;
     }
-    if off > 0 {
-        conn.rbuf.copy_within(off..conn.rlen, 0);
-        conn.rlen -= off;
+    if conn.io.is_eof() {
+        return Err(IrisError::Io {
+            detail: "server closed the connection during load".to_owned(),
+        });
     }
     Ok(())
 }
@@ -732,12 +678,9 @@ fn run_driver(
             client.hello(cfg.codec)?;
         }
         let (stream, codec) = client.into_parts();
-        stream.set_nonblocking(true).map_err(|e| IrisError::Io {
-            detail: format!("cannot switch loadgen socket to non-blocking: {e}"),
-        })?;
         let conn_idx = conns.len();
         conns.push(LoadConn {
-            stream,
+            io: FramedConn::new(stream).map_err(io_failed)?,
             codec,
             arrivals: cfg
                 .rate
@@ -749,11 +692,6 @@ fn run_driver(
             inflight: VecDeque::new(),
             retries: Vec::new(),
             last_sent_update: BTreeMap::new(),
-            wbuf: Vec::new(),
-            wpos: 0,
-            rbuf: Vec::new(),
-            rlen: 0,
-            want_write: false,
         });
     }
     if let Some(first) = conns.first_mut() {
@@ -763,14 +701,6 @@ fn run_driver(
     let poller = Poller::new().map_err(|e| IrisError::Io {
         detail: format!("cannot create loadgen poller: {e}"),
     })?;
-    for (token, conn) in conns.iter().enumerate() {
-        poller
-            .register(conn.stream.as_raw_fd(), token, Interest::READ)
-            .map_err(|e| IrisError::Io {
-                detail: format!("cannot register loadgen socket: {e}"),
-            })?;
-    }
-
     let mut state = DriverState {
         samples: Vec::new(),
         retries: 0,
@@ -781,25 +711,12 @@ fn run_driver(
     };
     let start = Instant::now();
     let mut events: Vec<Event> = Vec::new();
-    let mut registered_write = vec![false; conns.len()];
     loop {
         let mut next_due: Option<Instant> = None;
         let mut all_done = true;
         for (token, conn) in conns.iter_mut().enumerate() {
             pump(conn, &mut state, start, pipeline, &mut next_due)?;
-            if conn.want_write != registered_write[token] {
-                let interest = if conn.want_write {
-                    Interest::READ_WRITE
-                } else {
-                    Interest::READ
-                };
-                poller
-                    .modify(conn.stream.as_raw_fd(), token, interest)
-                    .map_err(|e| IrisError::Io {
-                        detail: format!("cannot update loadgen socket interest: {e}"),
-                    })?;
-                registered_write[token] = conn.want_write;
-            }
+            conn.io.reconcile(&poller, token, true).map_err(io_failed)?;
             if !conn.done() {
                 all_done = false;
             }
@@ -827,7 +744,7 @@ fn run_driver(
                 read_replies(conn, &mut state)?;
             }
             if ev.writable {
-                conn.flush()?;
+                conn.io.flush().map_err(io_failed)?;
             }
         }
     }

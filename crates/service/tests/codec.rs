@@ -222,6 +222,35 @@ fn truncated_frames_get_no_reply() {
     handle.shutdown();
 }
 
+#[test]
+fn requests_sent_before_a_half_close_are_answered() {
+    let mut handle = boot(47);
+    let addr = handle.local_addr().to_string();
+    let health = encode_request(Codec::Json, &Request::Health).expect("encode");
+    let mut bytes = Vec::new();
+    for _ in 0..3 {
+        iris_service::frame::append_frame(&mut bytes, &health).expect("frame");
+    }
+    // The FIN usually arrives in the same readiness event as the
+    // requests: the server must stop reading, not stop serving.
+    for round in 0..20 {
+        let mut raw = TcpStream::connect(&addr).expect("raw connect");
+        raw.write_all(&bytes).expect("three pipelined requests");
+        raw.shutdown(std::net::Shutdown::Write).expect("half-close");
+        for reply in 0..3 {
+            match read_frame(&mut raw) {
+                Ok(FrameEvent::Frame(payload)) => assert!(matches!(
+                    decode_response(Codec::Json, &payload).expect("json reply"),
+                    Response::Health(_)
+                )),
+                other => panic!("connection {round}, reply {reply}: got {other:?}"),
+            }
+        }
+        assert!(matches!(read_frame(&mut raw), Ok(FrameEvent::Eof)));
+    }
+    handle.shutdown();
+}
+
 proptest! {
     #[test]
     fn arbitrary_requests_round_trip_in_both_codecs(

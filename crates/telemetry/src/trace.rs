@@ -16,8 +16,7 @@
 //! atomic words: recording takes a handful of relaxed atomic stores,
 //! never allocates, never blocks, and overwrites the oldest events
 //! when full. Threads are spread round-robin across shards, so the
-//! thread-per-connection server does not serialize on one head
-//! pointer. [`dump`] snapshots the rings into owned [`TraceEvent`]s
+//! server's shard threads do not serialize on one head pointer. [`dump`] snapshots the rings into owned [`TraceEvent`]s
 //! (newest last) for the `TraceDump` RPC and `iris trace dump`.
 //!
 //! Readers and writers synchronize per slot with a sequence word

@@ -11,6 +11,67 @@
 //! API-specific; each peer defines its own request/response enums on
 //! top and declares their layout once.
 //!
+//! It is also the workspace's one transport. [`FramedConn`] is a
+//! non-blocking socket with its read and write buffers; [`server`] runs
+//! an acceptor and `N` shard event loops over such connections and
+//! hands every frame to a [`Handler`]. The control-plane server and the
+//! flowsim worker are two handlers on it.
+//!
+//! # Writing a handler
+//!
+//! A handler is the protocol: it gets each request frame's payload and
+//! an [`Outbox`] for that connection's replies. This one echoes.
+//!
+//! ```
+//! use iris_errors::IrisError;
+//! use iris_wire::frame::{read_frame, write_frame, FrameEvent};
+//! use iris_wire::{server, Handler, Outbox};
+//! use std::net::{TcpListener, TcpStream};
+//! use std::sync::{atomic::AtomicBool, Arc};
+//!
+//! struct Echo;
+//!
+//! impl Handler for Echo {
+//!     type Conn = (); // no per-connection state
+//!     type Parked = (); // never defers,
+//!     type Completion = (); // so nothing ever completes
+//!
+//!     fn open(&mut self) {}
+//!
+//!     fn on_frame(&mut self, _: &mut (), out: &mut Outbox<()>, payload: &[u8], _: Option<u64>) {
+//!         let sent = out.reply(|buf| {
+//!             buf.extend_from_slice(payload);
+//!             Ok(())
+//!         });
+//!         if sent.is_err() {
+//!             out.close();
+//!         }
+//!     }
+//!
+//!     fn on_bad_frame(&mut self, _: &mut (), out: &mut Outbox<()>, err: IrisError) {
+//!         let _ = out.reply(|buf| {
+//!             buf.extend_from_slice(err.to_string().as_bytes());
+//!             Ok(())
+//!         });
+//!     }
+//! }
+//!
+//! let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+//! let stop = Arc::new(AtomicBool::new(false));
+//! let (mut server, _mailbox) = server::spawn(listener, stop, vec![Echo, Echo], || {}).unwrap();
+//!
+//! let mut peer = TcpStream::connect(server.local_addr()).unwrap();
+//! write_frame(&mut peer, b"ping").unwrap();
+//! assert_eq!(read_frame(&mut peer).unwrap(), FrameEvent::Frame(b"ping".to_vec()));
+//! server.shutdown();
+//! ```
+//!
+//! A handler that cannot answer at once calls [`Outbox::defer`], ships
+//! the [`Ticket`] with the work, and fills it from
+//! [`Handler::on_completion`] when the result comes back through the
+//! [`Mailbox`]; see [`server`] for reply order, generations and
+//! deadlines.
+//!
 //! [`iris-service`]: ../iris_service/index.html
 
 #![forbid(unsafe_code)]
@@ -18,9 +79,13 @@
 
 mod backoff;
 pub mod bin;
+mod conn;
 pub mod frame;
+pub mod server;
 
 pub use backoff::Backoff;
+pub use conn::FramedConn;
+pub use server::{Conns, FrameServer, Handler, Mailbox, Outbox, Ticket};
 
 use bin::{Reader, Wire};
 use iris_errors::{IrisError, IrisResult};
