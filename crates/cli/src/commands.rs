@@ -933,19 +933,9 @@ pub fn wal_inspect(opts: &Options) -> IrisResult<()> {
         None => println!("torn tail: none"),
     }
 
-    // Validate the epoch chain the way recovery will.
-    let mut epoch = base_epoch;
-    for b in &batches {
-        if b.epoch <= epoch {
-            continue;
-        }
-        if b.epoch != epoch + 1 {
-            return Err(IrisError::ReplayFailed {
-                detail: format!("record epoch {} does not follow epoch {epoch}", b.epoch),
-            });
-        }
-        epoch = b.epoch;
-    }
+    // The chain rule is recovery's own, so what this prints is what a
+    // restart will do.
+    let epoch = iris_service::recovery::chain_end(base_epoch, batches.iter().map(|b| b.epoch))?;
     println!("replay would recover to epoch {epoch}");
     Ok(())
 }

@@ -344,3 +344,33 @@ fn simulate_out_records_manifest_for_reproduction() {
         assert!(text.contains(field), "missing {field}: {text}");
     }
 }
+
+#[test]
+fn wal_inspect_reports_a_healthy_log_and_exits_6_on_an_epoch_gap() {
+    use iris_service::{Wal, WalBatch};
+    let dir = tmp(&format!("wal-inspect-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (mut wal, _) = Wal::open(&dir).expect("open");
+    let batch = |epoch| WalBatch {
+        epoch,
+        updates: Vec::new(),
+        cuts: Vec::new(),
+        writes_applied: 1,
+        coalesced: 0,
+    };
+    wal.append(&batch(1)).expect("append");
+    wal.append(&batch(2)).expect("append");
+    let out = iris(&["wal", "inspect", "--dir", dir.to_str().unwrap()]);
+    assert!(out.status.success());
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("replay would recover to epoch 2"), "{text}");
+
+    // Epoch 3 never made it to the log: recovery would refuse this
+    // directory, and inspect says so with the same typed error.
+    wal.append(&batch(4)).expect("append");
+    let out = iris(&["wal", "inspect", "--dir", dir.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(6), "replay-failed");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("epoch 4 does not follow epoch 2"), "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

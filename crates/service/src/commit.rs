@@ -42,14 +42,19 @@ pub(crate) enum WriteKind {
         circuits: u32,
     },
     Cut(Vec<EdgeId>),
-    /// One WAL batch shipped from a primary region (serialized
-    /// [`WalBatch`] JSON), applied via
+    /// Shipped from a primary region; applied standalone, never
+    /// coalesced with local writes.
+    Repl(ReplOp),
+}
+
+/// One replication op, still serialized as it came off the socket.
+pub(crate) enum ReplOp {
+    /// One WAL batch ([`WalBatch`] JSON), applied via
     /// [`ControlMachine::apply_replicated`].
-    Replicate(String),
-    /// A full persisted snapshot shipped from a primary region
-    /// (serialized [`PersistedSnapshot`] JSON), adopted via
-    /// [`ControlMachine::adopt_state`].
-    SyncState(String),
+    Batch(String),
+    /// A full persisted snapshot ([`PersistedSnapshot`] JSON), adopted
+    /// via [`ControlMachine::adopt_state`].
+    State(String),
 }
 
 /// One acknowledgement held back until its batch's group commit: the
@@ -63,24 +68,9 @@ pub(crate) enum DeferredReply {
     Demand { epoch: u64 },
     /// A replicated batch (or adopted snapshot) committed at `epoch`
     /// with the follower snapshot fingerprinting to `state_crc`.
-    Replicated {
-        epoch: u64,
-        state_crc: u32,
-        op: &'static str,
-    },
+    Replicated { epoch: u64, state_crc: u32 },
     /// The operation failed (WAL error, epoch-chain gap, ...).
-    Failed { op: &'static str, err: IrisError },
-}
-
-impl DeferredReply {
-    /// Telemetry label of the operation being acknowledged.
-    pub(crate) fn op(&self) -> &'static str {
-        match self {
-            DeferredReply::Cut(_) => "report_fiber_cut",
-            DeferredReply::Demand { .. } => "update_demand",
-            DeferredReply::Replicated { op, .. } | DeferredReply::Failed { op, .. } => op,
-        }
-    }
+    Failed(IrisError),
 }
 
 /// One applied batch handed from the mutator to the syncer for group
@@ -108,21 +98,65 @@ pub(crate) struct SyncMsg {
 }
 
 impl SyncMsg {
-    /// A batch that committed nothing: `replies` carry the failures.
-    fn failed(
-        replies: Vec<(Ticket, DeferredReply)>,
-        batch_len: usize,
+    /// Any committed transition, local or replicated. `next` is the
+    /// snapshot it built (`None`: every op was a no-op) and `prev`
+    /// advances to it; `shipped` is the record's JSON for the
+    /// replication window, present exactly when a record was appended
+    /// (an adopted snapshot compacts synchronously instead). `acks` gets
+    /// the epoch the ops are readable at and that state's CRC (0: none).
+    fn committed(
+        machine: &ControlMachine<'_>,
+        prev: &mut Arc<StateSnapshot>,
+        next: Option<StateSnapshot>,
+        shipped: Option<String>,
+        acks: impl FnOnce(u64, u32) -> Vec<(Ticket, DeferredReply)>,
         batch_trace: u64,
-        fatal: bool,
     ) -> Self {
+        let wal_stats = machine.wal_stats();
+        let snapshot = next.map(Arc::new);
+        let state_crc = snapshot.as_ref().map_or(0, |next| next.state_crc());
+        let before = match &snapshot {
+            Some(next) => std::mem::replace(prev, Arc::clone(next)),
+            None => Arc::clone(prev),
+        };
+        let replies = acks(prev.epoch, state_crc);
+        Self {
+            snapshot,
+            appended: wal_stats.is_some() && shipped.is_some(),
+            repl_entry: shipped.map(|json| ReplEntry {
+                epoch: prev.epoch,
+                state_crc,
+                batch_json: Arc::new(json),
+            }),
+            applied: prev.writes_applied.saturating_sub(before.writes_applied),
+            coalesced: prev.coalesced.saturating_sub(before.coalesced),
+            batch_len: replies.len(),
+            replies,
+            wal_stats,
+            batch_trace,
+            fatal: false,
+        }
+    }
+
+    /// Any failed transition: every op waiting on it is answered with
+    /// `err`. Fatal iff the WAL could not be written — accepting more
+    /// writes would let acknowledged state evaporate on the next crash,
+    /// so the server stops. Anything else (an undecodable frame, a record
+    /// the machine refused before touching its state) fails only these.
+    fn failed(dests: Vec<Ticket>, err: &IrisError, batch_trace: u64) -> Self {
+        let fatal = matches!(err, IrisError::Io { .. });
+        if fatal {
+            wal_error();
+        }
+        let failure = |dest| (dest, DeferredReply::Failed(err.clone()));
         Self {
             snapshot: None,
-            replies,
             repl_entry: None,
             appended: false,
             applied: 0,
             coalesced: 0,
-            batch_len,
+            batch_len: dests.len(),
+            replies: dests.into_iter().map(failure).collect(),
             wal_stats: None,
             batch_trace,
             fatal,
@@ -131,9 +165,7 @@ impl SyncMsg {
 }
 
 /// The single writer: pop a write, gather the coalesce window, apply the
-/// batch through the [`ControlMachine`] (which appends it to the WAL
-/// *without* fsyncing), and hand the result to the syncer for group
-/// commit.
+/// batch through the [`ControlMachine`], hand the outcome to the syncer.
 pub(crate) fn mutator_loop(
     mut machine: ControlMachine<'_>,
     rx: &Receiver<WriteOp>,
@@ -141,13 +173,22 @@ pub(crate) fn mutator_loop(
     window: Duration,
     sync_tx: &Sender<SyncMsg>,
     boot_snap: Arc<StateSnapshot>,
-    wal_backed: bool,
 ) {
     machine.set_deferred_sync(true);
     // The last snapshot this thread built. `shared.cell` lags behind it
     // (publication happens in the syncer, after the group fsync), so
     // the mutator must chain batches off its own copy.
     let mut prev = boot_snap;
+    // Hand one transition's outcome to the syncer; false once the
+    // mutator must stop (fatal failure, or the syncer is gone).
+    let send = |msg: SyncMsg| {
+        let fatal = msg.fatal;
+        let sent = sync_tx.send(msg).is_ok();
+        if fatal {
+            shared.shutdown.store(true, Ordering::SeqCst);
+        }
+        sent && !fatal
+    };
 
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
@@ -182,7 +223,7 @@ pub(crate) fn mutator_loop(
         let mut update_dests: Vec<Ticket> = Vec::new();
         let mut cut_sets: Vec<Vec<EdgeId>> = Vec::new();
         let mut cut_dests: Vec<Ticket> = Vec::new();
-        let mut repl_ops: Vec<WriteOp> = Vec::new();
+        let mut repl_ops: Vec<(Ticket, ReplOp)> = Vec::new();
         let mut coalesced_now = 0u64;
         for op in batch {
             match op.kind {
@@ -196,12 +237,10 @@ pub(crate) fn mutator_loop(
                     cut_sets.push(cuts);
                     cut_dests.push(op.dest);
                 }
-                WriteKind::Replicate(_) | WriteKind::SyncState(_) => repl_ops.push(op),
+                WriteKind::Repl(repl) => repl_ops.push((op.dest, repl)),
             }
         }
-        let local_len = update_dests.len() + cut_dests.len();
-
-        if local_len > 0 {
+        if !update_dests.is_empty() || !cut_dests.is_empty() {
             // Every batch gets its own trace: the root span covers the
             // apply path, with queue-wait and coalesce recorded as
             // sibling windows preceding it. The group fsync + publish
@@ -212,81 +251,40 @@ pub(crate) fn mutator_loop(
             iris_telemetry::trace::emit_window("queue_wait", first_enqueued, popped);
             iris_telemetry::trace::emit_window("coalesce", popped, drained);
 
-            match machine.apply_batch(&prev, &updates, coalesced_now, &cut_sets) {
+            let msg = match machine.apply_batch(&prev, &updates, coalesced_now, &cut_sets) {
                 Ok(result) => {
-                    let snapshot = result.snapshot.map(Arc::new);
-                    let applied = snapshot
-                        .as_ref()
-                        .map_or(0, |next| next.writes_applied - prev.writes_applied);
+                    let shipped = result.batch.and_then(|r| serde_json::to_string(&r).ok());
                     // Demand acks carry the epoch their write is
                     // readable at: the batch's commit epoch, or the
                     // current one when the whole batch was a no-op.
-                    let ack_epoch = snapshot.as_ref().map_or(prev.epoch, |next| next.epoch);
-                    if let Some(next) = &snapshot {
-                        prev = Arc::clone(next);
-                    }
-                    let repl_entry = match (&snapshot, result.batch) {
-                        (Some(next), Some(record)) => {
-                            serde_json::to_string(&record).ok().map(|json| ReplEntry {
-                                epoch: next.epoch,
-                                state_crc: next.state_crc(),
-                                batch_json: Arc::new(json),
-                            })
-                        }
-                        _ => None,
+                    let acks = |epoch, _| {
+                        let demands = update_dests
+                            .into_iter()
+                            .map(|dest| (dest, DeferredReply::Demand { epoch }));
+                        let cuts = result.cut_replies.into_iter().map(DeferredReply::Cut);
+                        demands.chain(cut_dests.into_iter().zip(cuts)).collect()
                     };
-                    let demand_acks = update_dests
-                        .into_iter()
-                        .map(|dest| (dest, DeferredReply::Demand { epoch: ack_epoch }));
-                    let cut_acks = cut_dests
-                        .into_iter()
-                        .zip(result.cut_replies.into_iter().map(DeferredReply::Cut));
-                    let msg = SyncMsg {
-                        appended: wal_backed && snapshot.is_some(),
-                        snapshot,
-                        replies: demand_acks.chain(cut_acks).collect(),
-                        repl_entry,
-                        applied,
-                        coalesced: coalesced_now,
-                        batch_len: local_len,
-                        wal_stats: machine.wal_stats(),
-                        batch_trace,
-                        fatal: false,
-                    };
-                    if sync_tx.send(msg).is_err() {
-                        return;
-                    }
-                    drop(batch_span);
-                    iris_telemetry::trace::note_if_slow(
-                        "write_batch",
-                        popped.elapsed().as_secs_f64() * 1e3,
-                        batch_trace,
-                    );
+                    let next = result.snapshot;
+                    SyncMsg::committed(&machine, &mut prev, next, shipped, acks, batch_trace)
                 }
                 Err(e) => {
-                    // The WAL could not be written: accepting more
-                    // writes would let acknowledged state evaporate on
-                    // the next crash, so fail loudly and stop the
-                    // server.
-                    wal_error();
-                    let updates = update_dests.into_iter().map(|d| (d, "update_demand"));
-                    let cuts = cut_dests.into_iter().map(|d| (d, "report_fiber_cut"));
-                    let replies = updates
-                        .chain(cuts)
-                        .map(|(dest, op)| {
-                            let err = e.clone();
-                            (dest, DeferredReply::Failed { op, err })
-                        })
-                        .collect();
-                    let _ = sync_tx.send(SyncMsg::failed(replies, local_len, batch_trace, true));
-                    shared.shutdown.store(true, Ordering::SeqCst);
-                    return;
+                    update_dests.append(&mut cut_dests);
+                    SyncMsg::failed(update_dests, &e, batch_trace)
                 }
+            };
+            if !send(msg) {
+                return;
             }
+            drop(batch_span);
+            iris_telemetry::trace::note_if_slow(
+                "write_batch",
+                popped.elapsed().as_secs_f64() * 1e3,
+                batch_trace,
+            );
         }
 
-        for op in repl_ops {
-            if !apply_repl_op(&mut machine, &mut prev, shared, sync_tx, wal_backed, op) {
+        for (dest, op) in repl_ops {
+            if !send(apply_repl_op(&mut machine, &mut prev, dest, op)) {
                 return;
             }
         }
@@ -299,86 +297,37 @@ fn wal_error() {
         .inc();
 }
 
-/// Apply one replication op (a shipped WAL batch or a full snapshot)
-/// through the [`ControlMachine`] and hand its deferred `ReplicateAck`
-/// to the syncer. Returns whether the mutator should keep running:
-/// epoch-chain gaps and undecodable frames only fail the one request
-/// (the primary falls back to `SyncState`), while a WAL write failure
-/// is as fatal as it is for local batches.
+/// Apply one replication op: decode the shipped WAL batch or snapshot
+/// and put it through the [`ControlMachine`]. The syncer sends the
+/// `ReplicateAck` once durable; an epoch-chain gap or an undecodable
+/// frame fails only this request (the primary falls back to `SyncState`).
 fn apply_repl_op(
     machine: &mut ControlMachine<'_>,
     prev: &mut Arc<StateSnapshot>,
-    shared: &Shared,
-    sync_tx: &Sender<SyncMsg>,
-    wal_backed: bool,
-    op: WriteOp,
-) -> bool {
+    dest: Ticket,
+    op: ReplOp,
+) -> SyncMsg {
     let batch_trace = iris_telemetry::trace::mint_trace_id();
-    let (op_name, outcome, shipped_json) = match op.kind {
-        WriteKind::Replicate(batch_json) => {
-            let outcome = serde_json::from_str::<WalBatch>(&batch_json)
-                .map_err(|e| IrisError::Decode {
-                    detail: format!("replicated batch does not parse: {e}"),
-                })
-                .and_then(|record| machine.apply_replicated(prev, &record));
-            ("replicate", outcome, Some(batch_json))
-        }
-        WriteKind::SyncState(state_json) => {
-            let outcome = serde_json::from_str::<PersistedSnapshot>(&state_json)
-                .map_err(|e| IrisError::Decode {
-                    detail: format!("sync-state snapshot does not parse: {e}"),
-                })
-                .and_then(|snap| machine.adopt_state(prev, &snap));
-            ("sync_state", outcome, None)
-        }
-        WriteKind::Update { .. } | WriteKind::Cut(_) => return true,
+    let undecodable = |what: &str, e| IrisError::Decode {
+        detail: format!("{what} does not parse: {e}"),
+    };
+    let outcome = match op {
+        ReplOp::Batch(json) => serde_json::from_str::<WalBatch>(&json)
+            .map_err(|e| undecodable("replicated batch", e))
+            .and_then(|record| machine.apply_replicated(prev, &record))
+            .map(|next| (next, Some(json))),
+        ReplOp::State(json) => serde_json::from_str::<PersistedSnapshot>(&json)
+            .map_err(|e| undecodable("sync-state snapshot", e))
+            .and_then(|snap| machine.adopt_state(prev, &snap))
+            .map(|next| (next, None)),
     };
     match outcome {
-        Ok(next) => {
-            let next = Arc::new(next);
-            let epoch = next.epoch;
-            let applied = next.writes_applied.saturating_sub(prev.writes_applied);
-            let coalesced = next.coalesced.saturating_sub(prev.coalesced);
-            let state_crc = next.state_crc();
-            *prev = Arc::clone(&next);
-            let repl_entry = shipped_json.map(|json| ReplEntry {
-                epoch,
-                state_crc,
-                batch_json: Arc::new(json),
-            });
-            let ack = DeferredReply::Replicated {
-                epoch,
-                state_crc,
-                op: op_name,
-            };
-            let msg = SyncMsg {
-                appended: wal_backed && repl_entry.is_some(),
-                snapshot: Some(next),
-                replies: vec![(op.dest, ack)],
-                repl_entry,
-                applied,
-                coalesced,
-                batch_len: 1,
-                wal_stats: machine.wal_stats(),
-                batch_trace,
-                fatal: false,
-            };
-            sync_tx.send(msg).is_ok()
+        Ok((next, shipped)) => {
+            let ack =
+                |epoch, state_crc| vec![(dest, DeferredReply::Replicated { epoch, state_crc })];
+            SyncMsg::committed(machine, prev, Some(next), shipped, ack, batch_trace)
         }
-        Err(err) => {
-            let fatal = matches!(err, IrisError::Io { .. });
-            if fatal {
-                wal_error();
-            }
-            let replies = vec![(op.dest, DeferredReply::Failed { op: op_name, err })];
-            let sent = sync_tx
-                .send(SyncMsg::failed(replies, 1, batch_trace, fatal))
-                .is_ok();
-            if fatal {
-                shared.shutdown.store(true, Ordering::SeqCst);
-            }
-            sent && !fatal
-        }
+        Err(err) => SyncMsg::failed(vec![dest], &err, batch_trace),
     }
 }
 
@@ -440,13 +389,9 @@ pub(crate) fn syncer_loop(
                             msg.snapshot = None;
                             msg.repl_entry = None;
                             for (_, reply) in &mut msg.replies {
-                                let op = reply.op();
-                                *reply = DeferredReply::Failed {
-                                    op,
-                                    err: IrisError::Io {
-                                        detail: "WAL group fsync failed".to_owned(),
-                                    },
-                                };
+                                *reply = DeferredReply::Failed(IrisError::Io {
+                                    detail: "WAL group fsync failed".to_owned(),
+                                });
                             }
                         }
                     }

@@ -61,6 +61,17 @@
 //! server replays WAL-after-snapshot ([`recovery`]) and republishes a
 //! byte-identical `Arc<StateSnapshot>` — same epoch, same allocation,
 //! same paths, same `last_recovery` — as the process that crashed.
+//!
+//! **One transition.** [`ControlMachine`] is the only code that changes
+//! control-plane state: `restore` (boot seed or persisted snapshot),
+//! `replay` (one durable record: validate, apply, seal) and `seal`
+//! (append, build the snapshot, compact). Live batches, WAL replay,
+//! batches replicated from a primary and adopted snapshots are all
+//! compositions of those three. A record from a peer or from disk is
+//! validated there before anything is touched, and one that cannot be
+//! replayed on this region is a typed
+//! [`iris_errors::IrisError::ReplayFailed`]; a client's own write is
+//! checked by the shard before it is queued (`InvalidInput`).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

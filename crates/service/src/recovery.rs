@@ -1,29 +1,44 @@
-//! Crash recovery and the shared write-batch application core.
+//! The control-plane state machine, and crash recovery as one use of it.
 //!
-//! Recovery rebuilds the pre-crash control plane from the durable state
-//! [`Wal::open`] found: restore the compacted snapshot (reconfigure to
-//! its allocation, re-derive the cut state from its cumulative cut set),
-//! then replay every WAL record after it. Because per-pair paths are a
-//! deterministic function of the active cut set, and every stored
-//! `RecoverySummary` is replayed verbatim rather than recomputed, the
-//! republished [`StateSnapshot`] is byte-identical to the one the server
-//! published before it died.
+//! [`ControlMachine`] is the only implementation of a control-plane
+//! transition. Three private steps compose into every way state changes:
 //!
-//! [`ControlMachine`] is the single implementation of "apply one
-//! coalesced write batch": the live mutator thread drives it per batch,
-//! recovery replays WAL records through the same controller calls, and
-//! the crash harness (`iris chaos --crash`) drives it directly — so a
-//! crashed-and-recovered server cannot drift from an uninterrupted one
-//! by construction.
+//! * `restore` — the boot seed or a [`PersistedSnapshot`] becomes the
+//!   controller's allocation, the cut set and the snapshot to publish;
+//! * `replay` — one durable [`WalBatch`] on top of a snapshot: validate,
+//!   fold the updates into the allocation, re-run recovery against each
+//!   stored *cumulative* cut set adopting its stored
+//!   [`RecoverySummary`] verbatim, then seal;
+//! * `seal` — the tail every committed record shares: append it to the
+//!   WAL (synced, or deferred for group commit), build the per-pair
+//!   paths and the [`StateSnapshot`], compact when due.
+//!
+//! The live [`ControlMachine::apply_batch`] executes its operations into
+//! a record and seals it; a follower's
+//! [`ControlMachine::apply_replicated`] *is* `replay` with the WAL
+//! attached; [`ControlMachine::adopt_state`] *is* `restore` behind an
+//! epoch guard, plus a compaction; [`recover`] is `restore` then `replay`
+//! per WAL record on a machine with no WAL. Paths are a function of the
+//! cut set alone, so primary, follower and recovered server publish
+//! byte-identical snapshots at every epoch: they ran the same function
+//! on the same records.
+//!
+//! **Validation.** `replay` and `restore` take records from a peer's
+//! socket and from disk, so both check them before the controller, the
+//! cut set or the WAL is touched: every DC pair is `a < b < n_dcs`,
+//! every duct id `< ducts`, a record's epoch extends the chain
+//! ([`chain_end`]). From either source, input that parses but cannot be
+//! replayed on this region is [`IrisError::ReplayFailed`], and a refused
+//! record leaves the machine exactly as it was.
 
 use crate::api::{AllocEntry, RecoverySummary};
 use crate::state::{PairPath, StateSnapshot};
 use crate::wal::{CutRecord, DurableState, PersistedSnapshot, Wal, WalBatch};
+use iris_control::controller::{Allocation, RecoveryReport};
 use iris_control::Controller;
 use iris_errors::{IrisError, IrisResult};
 use iris_fibermap::Region;
 use iris_netgraph::EdgeId;
-use iris_planner::topology::nominal_paths;
 use iris_planner::{DesignGoals, Provisioning, ScenarioEngine};
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -52,16 +67,41 @@ pub struct ReplayStats {
     pub recovered_epoch: u64,
 }
 
-/// Rebuild controller state and the publishable snapshot from durable
-/// state. The `controller` must be freshly constructed for the region
-/// (no writes applied yet). Returns the snapshot to republish, the
-/// active cut set, and what was replayed.
+/// The epoch-chain rule of replay, applied to `epochs` in log order on
+/// top of a state at `base`: an epoch at or below the chain's end is
+/// already covered (a crash between compaction's rename and truncate
+/// leaves such records behind) and is skipped; any other must be
+/// exactly the next one. Returns the epoch replay would reach.
 ///
 /// # Errors
 ///
-/// [`IrisError::ReplayFailed`] if the record epochs are discontinuous or
-/// a replayed operation cannot be re-applied; any controller error
-/// encountered while re-applying a cut.
+/// [`IrisError::ReplayFailed`] on a gap.
+pub fn chain_end(base: u64, epochs: impl IntoIterator<Item = u64>) -> IrisResult<u64> {
+    let mut end = base;
+    for epoch in epochs {
+        if epoch <= end {
+            continue;
+        }
+        if epoch != end + 1 {
+            let detail = format!("epoch {epoch} does not follow epoch {end}: a record is missing");
+            return Err(IrisError::ReplayFailed { detail });
+        }
+        end = epoch;
+    }
+    Ok(end)
+}
+
+/// Rebuild controller state and the publishable snapshot from durable
+/// state: `restore` the compacted snapshot (or the boot seed), then
+/// `replay` every WAL record after it. The `controller` must be freshly
+/// constructed for the region (no writes applied yet). Returns the
+/// snapshot to republish, the active cut set, and what was replayed.
+///
+/// # Errors
+///
+/// [`IrisError::ReplayFailed`] if the record epochs are discontinuous,
+/// or a record or the snapshot names a DC pair or duct the region does
+/// not have.
 pub fn recover(
     region: &Region,
     goals: &DesignGoals,
@@ -70,167 +110,30 @@ pub fn recover(
     durable: &DurableState,
 ) -> IrisResult<(StateSnapshot, Vec<EdgeId>, ReplayStats)> {
     let start = Instant::now();
-    let mut replay_ms = 0.0f64;
-
-    // Restore the base state: the compacted snapshot if there is one,
-    // else the boot seed (one circuit per reachable pair) every fresh
-    // server starts from — WAL updates are deltas against that seed.
-    let (mut epoch, mut writes_applied, mut coalesced, mut last_recovery, mut active_cuts) =
-        match &durable.snapshot {
-            Some(snap) => {
-                let target: iris_control::controller::Allocation = snap
-                    .allocation
-                    .iter()
-                    .map(|e| ((e.a, e.b), e.circuits))
-                    .collect();
-                replay_ms += controller.reconfigure(&target).total_ms;
-                if !snap.active_cuts.is_empty() {
-                    let report = controller.handle_fiber_cut(
-                        region,
-                        goals,
-                        provisioning,
-                        &snap.active_cuts,
-                    )?;
-                    replay_ms += report.recovery_ms;
-                }
-                (
-                    snap.epoch,
-                    snap.writes_applied,
-                    snap.coalesced,
-                    snap.last_recovery.clone(),
-                    snap.active_cuts.clone(),
-                )
-            }
-            None => {
-                let seed: iris_control::controller::Allocation = controller
-                    .current_paths()
-                    .keys()
-                    .map(|&pair| (pair, 1u32))
-                    .collect();
-                controller.reconfigure(&seed);
-                (0, 0, 0, None, Vec::new())
-            }
-        };
-    let from_snapshot_epoch = durable.snapshot.as_ref().map(|s| s.epoch);
-
+    let mut machine =
+        ControlMachine::new(region, goals, provisioning, controller, Vec::new(), None, 0);
+    let (mut snapshot, mut replay_ms) = machine.restore(durable.snapshot.as_ref())?;
     let mut replayed = 0u64;
-    let mut skipped = 0u64;
     for batch in &durable.batches {
-        if batch.epoch <= epoch {
-            // Snapshot newer than the log: a crash between compaction's
-            // rename and truncate left already-compacted records behind.
-            skipped += 1;
-            continue;
+        if let Some((next, modeled_ms)) = machine.replay(&snapshot, batch)? {
+            snapshot = next;
+            replay_ms += modeled_ms;
+            replayed += 1;
         }
-        if batch.epoch != epoch + 1 {
-            return Err(IrisError::ReplayFailed {
-                detail: format!(
-                    "record epoch {} does not follow epoch {epoch} (lost a record mid-log?)",
-                    batch.epoch
-                ),
-            });
-        }
-        if !batch.updates.is_empty() {
-            let mut target = controller.allocation();
-            for e in &batch.updates {
-                if e.circuits == 0 {
-                    target.remove(&(e.a, e.b));
-                } else {
-                    target.insert((e.a, e.b), e.circuits);
-                }
-            }
-            replay_ms += controller.reconfigure(&target).total_ms;
-        }
-        for cut in &batch.cuts {
-            let report = controller
-                .handle_fiber_cut(region, goals, provisioning, &cut.cuts)
-                .map_err(|e| IrisError::ReplayFailed {
-                    detail: format!(
-                        "cannot re-apply cut {:?} from record epoch {}: {e}",
-                        cut.cuts, batch.epoch
-                    ),
-                })?;
-            replay_ms += report.recovery_ms;
-            active_cuts = cut.cuts.clone();
-            last_recovery = Some(cut.recovery.clone());
-        }
-        epoch = batch.epoch;
-        writes_applied += batch.writes_applied;
-        coalesced += batch.coalesced;
-        replayed += 1;
     }
-
-    let paths = snapshot_paths(region, goals, epoch, &active_cuts);
-    let quarantined = match (&durable.snapshot, replayed) {
-        // Nothing replayed after the snapshot: carry its quarantine set
-        // verbatim (the fault-free service path never quarantines, so
-        // the controller cannot reconstruct one).
-        (Some(snap), 0) => snap.quarantined.clone(),
-        _ => controller.quarantined(),
-    };
-    let snapshot = StateSnapshot {
-        epoch,
-        allocation: controller.allocation(),
-        paths,
-        active_cuts: active_cuts.clone(),
-        quarantined,
-        writes_applied,
-        coalesced,
-        last_recovery,
-    };
     iris_telemetry::global()
         .histogram("iris_service_replay_ms")
         .record(start.elapsed().as_secs_f64() * 1e3);
     let stats = ReplayStats {
-        from_snapshot_epoch,
+        from_snapshot_epoch: durable.snapshot.as_ref().map(|s| s.epoch),
         salvaged_records: durable.salvage.records,
         truncated_bytes: durable.salvage.truncated_bytes,
         replayed_batches: replayed,
-        skipped_records: skipped,
+        skipped_records: durable.batches.len() as u64 - replayed,
         replay_reconfig_ms: replay_ms,
-        recovered_epoch: epoch,
+        recovered_epoch: snapshot.epoch,
     };
-    Ok((snapshot, active_cuts, stats))
-}
-
-/// The per-pair paths a snapshot at `epoch` publishes. Epoch 0 is the
-/// boot snapshot and uses the planner's nominal paths, exactly as a
-/// fresh [`crate::serve`] does; every later epoch was published by the
-/// mutator and uses the scenario engine, exactly as the mutator does.
-fn snapshot_paths(
-    region: &Region,
-    goals: &DesignGoals,
-    epoch: u64,
-    active_cuts: &[EdgeId],
-) -> BTreeMap<(usize, usize), PairPath> {
-    let mut paths = BTreeMap::new();
-    if epoch == 0 && active_cuts.is_empty() {
-        for p in nominal_paths(region, goals) {
-            paths.insert(
-                (p.a, p.b),
-                PairPath {
-                    nodes: p.nodes.clone(),
-                    edges: p.edges.clone(),
-                    length_km: p.length_km,
-                },
-            );
-        }
-    } else {
-        let mut engine = ScenarioEngine::new(region, goals);
-        engine.for_scenarios(std::slice::from_ref(&active_cuts.to_vec()), |_, view| {
-            for p in view.paths() {
-                paths.insert(
-                    (p.a, p.b),
-                    PairPath {
-                        nodes: p.nodes.clone(),
-                        edges: p.edges.clone(),
-                        length_km: p.length_km,
-                    },
-                );
-            }
-        });
-    }
-    paths
+    Ok((snapshot, machine.active_cuts, stats))
 }
 
 /// Outcome of one fiber-cut operation inside a batch.
@@ -264,8 +167,8 @@ pub struct BatchResult {
 
 /// The single writer's state: region, controller, scenario engine, the
 /// active cut set, and (optionally) the write-ahead log. One instance is
-/// owned by whoever plays the mutator — the server's mutator thread or
-/// the crash harness.
+/// owned by whoever plays the mutator — the server's mutator thread, the
+/// crash harness, or [`recover`] for the length of one replay.
 pub struct ControlMachine<'r> {
     region: &'r Region,
     goals: &'r DesignGoals,
@@ -275,10 +178,6 @@ pub struct ControlMachine<'r> {
     active_cuts: Vec<EdgeId>,
     wal: Option<Wal>,
     snapshot_every: u64,
-    /// When set, [`Self::apply_batch`] appends WAL records *without*
-    /// fsyncing; the owner is responsible for syncing (via
-    /// [`Wal::sync_handle`]) before acknowledging the batch — the
-    /// group-commit protocol.
     deferred_sync: bool,
 }
 
@@ -310,7 +209,7 @@ impl<'r> ControlMachine<'r> {
     }
 
     /// Switch WAL appends to group-commit mode: records are written but
-    /// not fsync'd by [`Self::apply_batch`]; the caller must sync (one
+    /// not fsync'd by the machine; the caller must sync (one
     /// [`crate::wal::WalSyncHandle::sync`] covers every append since the
     /// last) before acknowledging the batches to clients. Compaction
     /// still syncs its snapshot file immediately — the snapshot then
@@ -319,34 +218,20 @@ impl<'r> ControlMachine<'r> {
         self.deferred_sync = deferred;
     }
 
-    /// A duplicated descriptor for group-commit fsyncs, or `None` for a
-    /// memory-only machine. See [`Wal::sync_handle`].
-    ///
-    /// # Errors
-    ///
-    /// [`IrisError::Io`] if the descriptor cannot be duplicated.
-    pub fn wal_sync_handle(&self) -> IrisResult<Option<crate::wal::WalSyncHandle>> {
-        self.wal.as_ref().map(Wal::sync_handle).transpose()
-    }
-
-    /// The cumulative active cut set.
-    #[must_use]
-    pub fn active_cuts(&self) -> &[EdgeId] {
-        &self.active_cuts
-    }
-
-    /// The WAL's cumulative statistics (`None` for a memory-only
-    /// machine).
+    /// The WAL's cumulative statistics; `None` when memory-only.
     #[must_use]
     pub fn wal_stats(&self) -> Option<crate::wal::WalStats> {
         self.wal.as_ref().map(Wal::stats)
     }
 
-    /// Apply one coalesced batch: demand updates first (one
-    /// reconfiguration to the merged target), then each cut operation in
-    /// order. The WAL record is appended and fsync'd *before* the
-    /// snapshot is handed back for publication; a batch that applied
-    /// nothing returns no snapshot and writes no record.
+    /// Apply one coalesced batch of live writes: demand updates first
+    /// (one reconfiguration to the merged target), then each cut
+    /// operation in order, written down as a [`WalBatch`] and sealed —
+    /// the record is appended (and, unless deferred, fsync'd) *before*
+    /// the snapshot is handed back for publication. A batch that applied
+    /// nothing returns no snapshot and writes no record. The operations
+    /// are the caller's own, already checked (the shards refuse an
+    /// out-of-range pair or duct before queueing it).
     ///
     /// # Errors
     ///
@@ -360,9 +245,7 @@ impl<'r> ControlMachine<'r> {
         coalesced_now: u64,
         cuts_ops: &[Vec<EdgeId>],
     ) -> IrisResult<BatchResult> {
-        let telemetry = iris_telemetry::global();
         let mut writes_applied_now = 0u64;
-        let mut last_recovery = prev.last_recovery.clone();
         let mut cut_records: Vec<CutRecord> = Vec::new();
         let mut cut_replies = Vec::with_capacity(cuts_ops.len());
 
@@ -373,18 +256,11 @@ impl<'r> ControlMachine<'r> {
         let apply_span = iris_telemetry::trace::span("apply");
 
         if !updates.is_empty() {
-            let mut target = self.controller.allocation();
-            for (&pair, &circuits) in updates {
-                if circuits == 0 {
-                    target.remove(&pair);
-                } else {
-                    target.insert(pair, circuits);
-                }
-            }
-            let report = self.controller.reconfigure(&target);
-            telemetry
+            let target = updates.iter().map(|(&pair, &circuits)| (pair, circuits));
+            let modeled_ms = self.reconfigure(self.controller.allocation(), target);
+            iris_telemetry::global()
                 .histogram("iris_service_reconfig_ms")
-                .record(report.total_ms);
+                .record(modeled_ms);
             writes_applied_now += updates.len() as u64;
         }
 
@@ -403,14 +279,8 @@ impl<'r> ControlMachine<'r> {
                 });
                 continue;
             }
-            match self.controller.handle_fiber_cut(
-                self.region,
-                self.goals,
-                self.provisioning,
-                &merged,
-            ) {
+            match self.cut(merged) {
                 Ok(report) => {
-                    self.active_cuts = merged;
                     writes_applied_now += 1;
                     let summary = RecoverySummary {
                         cuts: report.cuts.clone(),
@@ -422,7 +292,6 @@ impl<'r> ControlMachine<'r> {
                         reconfig_ms: report.reconfig.total_ms,
                         recovery_ms: report.recovery_ms,
                     };
-                    last_recovery = Some(summary.clone());
                     cut_records.push(CutRecord {
                         cuts: self.active_cuts.clone(),
                         recovery: summary.clone(),
@@ -445,9 +314,8 @@ impl<'r> ControlMachine<'r> {
             });
         }
 
-        let epoch = prev.epoch + 1;
         let record = WalBatch {
-            epoch,
+            epoch: prev.epoch + 1,
             updates: updates
                 .iter()
                 .map(|(&(a, b), &circuits)| AllocEntry { a, b, circuits })
@@ -456,45 +324,7 @@ impl<'r> ControlMachine<'r> {
             writes_applied: writes_applied_now,
             coalesced: coalesced_now,
         };
-        if let Some(wal) = &mut self.wal {
-            if self.deferred_sync {
-                wal.append_nosync(&record)?;
-            } else {
-                wal.append(&record)?;
-            }
-        }
-
-        let build_span = iris_telemetry::trace::span("snapshot_build");
-        let mut paths = BTreeMap::new();
-        self.engine
-            .for_scenarios(std::slice::from_ref(&self.active_cuts), |_, view| {
-                for p in view.paths() {
-                    paths.insert(
-                        (p.a, p.b),
-                        PairPath {
-                            nodes: p.nodes.clone(),
-                            edges: p.edges.clone(),
-                            length_km: p.length_km,
-                        },
-                    );
-                }
-            });
-        let next = StateSnapshot {
-            epoch,
-            allocation: self.controller.allocation(),
-            paths,
-            active_cuts: self.active_cuts.clone(),
-            quarantined: self.controller.quarantined(),
-            writes_applied: prev.writes_applied + writes_applied_now,
-            coalesced: prev.coalesced + coalesced_now,
-            last_recovery,
-        };
-        drop(build_span);
-        if let Some(wal) = &mut self.wal {
-            if self.snapshot_every > 0 && wal.batches_since_compaction() >= self.snapshot_every {
-                wal.compact(&PersistedSnapshot::from_state(&next))?;
-            }
-        }
+        let next = self.seal(prev, &record)?;
         Ok(BatchResult {
             snapshot: Some(next),
             cut_replies,
@@ -503,112 +333,45 @@ impl<'r> ControlMachine<'r> {
     }
 
     /// Apply one batch shipped from a primary region — the follower half
-    /// of WAL-shipping replication. The batch is replayed exactly the
-    /// way [`recover`] replays a WAL record: updates reconfigure to the
-    /// merged absolute target, cuts re-run recovery against the stored
-    /// *cumulative* cut set, and the stored [`RecoverySummary`] is
-    /// adopted verbatim rather than recomputed — so the follower's next
-    /// snapshot is byte-identical to the primary's at the same epoch.
-    /// The record is also appended to the follower's own WAL (honouring
-    /// deferred sync), keeping its durable log byte-compatible with the
-    /// primary's.
+    /// of WAL-shipping replication, and exactly the `replay` step
+    /// [`recover`] runs per WAL record, with this machine's own WAL
+    /// attached: the follower's next snapshot is byte-identical to the
+    /// primary's at the same epoch, and its log to the primary's log.
     ///
     /// # Errors
     ///
-    /// [`IrisError::ReplayFailed`] if `batch.epoch` does not extend the
-    /// epoch chain (`prev.epoch + 1`) or a cut cannot be re-applied;
-    /// [`IrisError::Io`] / [`IrisError::Decode`] on WAL failure.
+    /// [`IrisError::ReplayFailed`] if `batch.epoch` is not
+    /// `prev.epoch + 1`, or the batch names a pair or duct this region
+    /// does not have — the machine is untouched; [`IrisError::Io`] /
+    /// [`IrisError::Decode`] on WAL failure.
     pub fn apply_replicated(
         &mut self,
         prev: &StateSnapshot,
         batch: &WalBatch,
     ) -> IrisResult<StateSnapshot> {
-        if batch.epoch != prev.epoch + 1 {
-            return Err(IrisError::ReplayFailed {
+        match self.replay(prev, batch)? {
+            Some((next, _)) => Ok(next),
+            None => Err(IrisError::ReplayFailed {
                 detail: format!(
-                    "replicated batch epoch {} does not follow local epoch {} (stream gap)",
+                    "replicated batch epoch {} does not advance local epoch {}",
                     batch.epoch, prev.epoch
                 ),
-            });
+            }),
         }
-        let mut last_recovery = prev.last_recovery.clone();
-        if !batch.updates.is_empty() {
-            let mut target = self.controller.allocation();
-            for e in &batch.updates {
-                if e.circuits == 0 {
-                    target.remove(&(e.a, e.b));
-                } else {
-                    target.insert((e.a, e.b), e.circuits);
-                }
-            }
-            self.controller.reconfigure(&target);
-        }
-        for cut in &batch.cuts {
-            self.controller
-                .handle_fiber_cut(self.region, self.goals, self.provisioning, &cut.cuts)
-                .map_err(|e| IrisError::ReplayFailed {
-                    detail: format!(
-                        "cannot re-apply replicated cut {:?} at epoch {}: {e}",
-                        cut.cuts, batch.epoch
-                    ),
-                })?;
-            self.active_cuts = cut.cuts.clone();
-            last_recovery = Some(cut.recovery.clone());
-        }
-        if let Some(wal) = &mut self.wal {
-            if self.deferred_sync {
-                wal.append_nosync(batch)?;
-            } else {
-                wal.append(batch)?;
-            }
-        }
-        let mut paths = BTreeMap::new();
-        self.engine
-            .for_scenarios(std::slice::from_ref(&self.active_cuts), |_, view| {
-                for p in view.paths() {
-                    paths.insert(
-                        (p.a, p.b),
-                        PairPath {
-                            nodes: p.nodes.clone(),
-                            edges: p.edges.clone(),
-                            length_km: p.length_km,
-                        },
-                    );
-                }
-            });
-        let next = StateSnapshot {
-            epoch: batch.epoch,
-            allocation: self.controller.allocation(),
-            paths,
-            active_cuts: self.active_cuts.clone(),
-            quarantined: self.controller.quarantined(),
-            writes_applied: prev.writes_applied + batch.writes_applied,
-            coalesced: prev.coalesced + batch.coalesced,
-            last_recovery,
-        };
-        if let Some(wal) = &mut self.wal {
-            if self.snapshot_every > 0 && wal.batches_since_compaction() >= self.snapshot_every {
-                wal.compact(&PersistedSnapshot::from_state(&next))?;
-            }
-        }
-        Ok(next)
     }
 
     /// Adopt a full persisted snapshot shipped by a primary — the resync
     /// path for a follower that fell behind the primary's in-memory
-    /// replication window. Rebuilds controller state exactly the way
-    /// [`recover`] restores a compacted snapshot (reconfigure to its
-    /// allocation, re-derive cut state from the cumulative set, carry
-    /// stored counters and `last_recovery` verbatim), compacts the
-    /// follower's own WAL to the adopted state, and returns the snapshot
-    /// to publish. A snapshot at or below the local epoch is rejected —
-    /// adoption never rewinds the chain.
+    /// replication window. This is the `restore` step [`recover`] boots
+    /// from, guarded so adoption never rewinds the chain, followed by a
+    /// compaction of the follower's own WAL to the adopted state.
     ///
     /// # Errors
     ///
     /// [`IrisError::ReplayFailed`] if the snapshot does not advance the
-    /// local epoch; controller errors re-applying the cut set;
-    /// [`IrisError::Io`] / [`IrisError::Decode`] on WAL failure.
+    /// local epoch, or names a pair or duct this region does not have —
+    /// the machine is untouched; [`IrisError::Io`] /
+    /// [`IrisError::Decode`] on WAL failure.
     pub fn adopt_state(
         &mut self,
         prev: &StateSnapshot,
@@ -622,39 +385,204 @@ impl<'r> ControlMachine<'r> {
                 ),
             });
         }
-        let target: iris_control::controller::Allocation = snap
-            .allocation
-            .iter()
-            .map(|e| ((e.a, e.b), e.circuits))
-            .collect();
-        self.controller.reconfigure(&target);
-        if !snap.active_cuts.is_empty() {
-            self.controller
-                .handle_fiber_cut(
-                    self.region,
-                    self.goals,
-                    self.provisioning,
-                    &snap.active_cuts,
-                )
-                .map_err(|e| IrisError::ReplayFailed {
-                    detail: format!("cannot re-apply cut set {:?}: {e}", snap.active_cuts),
-                })?;
-        }
-        self.active_cuts = snap.active_cuts.clone();
-        let paths = snapshot_paths(self.region, self.goals, snap.epoch, &self.active_cuts);
-        let next = StateSnapshot {
-            epoch: snap.epoch,
-            allocation: self.controller.allocation(),
-            paths,
-            active_cuts: self.active_cuts.clone(),
-            quarantined: snap.quarantined.clone(),
-            writes_applied: snap.writes_applied,
-            coalesced: snap.coalesced,
-            last_recovery: snap.last_recovery.clone(),
-        };
+        let (next, _) = self.restore(Some(snap))?;
         if let Some(wal) = &mut self.wal {
             wal.compact(snap)?;
         }
         Ok(next)
+    }
+
+    /// Put the controller, the cut set and the published view in the
+    /// state `base` describes, or — with no base — in the boot seed
+    /// every fresh server starts from: one circuit per reachable pair at
+    /// epoch 0, which WAL updates are deltas against. Counters,
+    /// `last_recovery` and the quarantine set are carried verbatim (the
+    /// fault-free service path never quarantines, so the controller
+    /// could not reconstruct one). Also returns the modeled cost, ms;
+    /// booting the seed is not replayed work and counts 0.
+    fn restore(&mut self, base: Option<&PersistedSnapshot>) -> IrisResult<(StateSnapshot, f64)> {
+        let Some(snap) = base else {
+            let seed = self.controller.current_paths().into_keys();
+            self.reconfigure(Allocation::new(), seed.map(|pair| (pair, 1)));
+            self.active_cuts.clear();
+            let boot = self.snapshot(0, self.controller.quarantined(), 0, 0, None);
+            return Ok((boot, 0.0));
+        };
+        self.validate("snapshot", snap.epoch, &snap.allocation, &snap.active_cuts)?;
+        // Cuts first: the stored allocation is what was published *after*
+        // them, and recovery run on top of it would shed again any
+        // unreachable pair that has been re-provisioned since.
+        self.active_cuts.clear();
+        let mut modeled_ms = 0.0;
+        if !snap.active_cuts.is_empty() {
+            let cuts = snap.active_cuts.clone();
+            modeled_ms += self.cut(cuts).map_err(stored_cut_failed)?.recovery_ms;
+        }
+        let target = snap.allocation.iter().map(|e| ((e.a, e.b), e.circuits));
+        modeled_ms += self.reconfigure(Allocation::new(), target);
+        let next = self.snapshot(
+            snap.epoch,
+            snap.quarantined.clone(),
+            snap.writes_applied,
+            snap.coalesced,
+            snap.last_recovery.clone(),
+        );
+        Ok((next, modeled_ms))
+    }
+
+    /// Replay one durable record on top of `prev`: updates reconfigure
+    /// to the merged absolute target, each cut re-runs recovery against
+    /// its stored *cumulative* set, and the stored summary is adopted
+    /// rather than recomputed. `None` means the record is at or below
+    /// `prev.epoch` — already covered, nothing done; otherwise the next
+    /// snapshot and the modeled cost of the replayed operations, ms.
+    fn replay(
+        &mut self,
+        prev: &StateSnapshot,
+        batch: &WalBatch,
+    ) -> IrisResult<Option<(StateSnapshot, f64)>> {
+        if chain_end(prev.epoch, [batch.epoch])? == prev.epoch {
+            return Ok(None);
+        }
+        let ducts = batch.cuts.iter().flat_map(|cut| &cut.cuts);
+        self.validate("record", batch.epoch, &batch.updates, ducts)?;
+        let mut modeled_ms = 0.0;
+        if !batch.updates.is_empty() {
+            let updates = batch.updates.iter().map(|e| ((e.a, e.b), e.circuits));
+            modeled_ms += self.reconfigure(self.controller.allocation(), updates);
+        }
+        for cut in &batch.cuts {
+            let cuts = cut.cuts.clone();
+            modeled_ms += self.cut(cuts).map_err(stored_cut_failed)?.recovery_ms;
+        }
+        Ok(Some((self.seal(prev, batch)?, modeled_ms)))
+    }
+
+    /// Commit `record` as the successor of `prev`, the controller and
+    /// cut set having already been moved to the state it describes:
+    /// append it to the WAL, build the snapshot it publishes, compact
+    /// when due.
+    fn seal(&mut self, prev: &StateSnapshot, record: &WalBatch) -> IrisResult<StateSnapshot> {
+        if let Some(wal) = &mut self.wal {
+            if self.deferred_sync {
+                wal.append_nosync(record)?;
+            } else {
+                wal.append(record)?;
+            }
+        }
+        let build_span = iris_telemetry::trace::span("snapshot_build");
+        let last_recovery = match record.cuts.last() {
+            Some(cut) => Some(cut.recovery.clone()),
+            None => prev.last_recovery.clone(),
+        };
+        let next = self.snapshot(
+            record.epoch,
+            self.controller.quarantined(),
+            prev.writes_applied + record.writes_applied,
+            prev.coalesced + record.coalesced,
+            last_recovery,
+        );
+        drop(build_span);
+        if let Some(wal) = &mut self.wal {
+            if self.snapshot_every > 0 && wal.batches_since_compaction() >= self.snapshot_every {
+                wal.compact(&PersistedSnapshot::from_state(&next))?;
+            }
+        }
+        Ok(next)
+    }
+
+    /// Refuse input that names a DC pair or duct this region does not
+    /// have. Called before anything is mutated.
+    fn validate<'a>(
+        &self,
+        what: &str,
+        epoch: u64,
+        pairs: &[AllocEntry],
+        ducts: impl IntoIterator<Item = &'a EdgeId>,
+    ) -> IrisResult<()> {
+        let (n_dcs, n_ducts) = (self.region.dcs.len(), self.region.map.duct_count());
+        let detail = if let Some(e) = pairs.iter().find(|e| e.a >= e.b || e.b >= n_dcs) {
+            format!(
+                "{what} at epoch {epoch} names DC pair ({}, {}); pairs are a < b < {n_dcs}",
+                e.a, e.b
+            )
+        } else if let Some(duct) = ducts.into_iter().find(|&&duct| duct >= n_ducts) {
+            format!("{what} at epoch {epoch} names duct {duct}; the region has {n_ducts}")
+        } else {
+            return Ok(());
+        };
+        Err(IrisError::ReplayFailed { detail })
+    }
+
+    /// Reconfigure the controller to `target` overlaid with `updates`
+    /// (absolute per-pair circuit counts; 0 removes the pair). Returns
+    /// the modeled reconfiguration time, ms.
+    fn reconfigure(
+        &self,
+        mut target: Allocation,
+        updates: impl Iterator<Item = ((usize, usize), u32)>,
+    ) -> f64 {
+        for (pair, circuits) in updates {
+            if circuits == 0 {
+                target.remove(&pair);
+            } else {
+                target.insert(pair, circuits);
+            }
+        }
+        self.controller.reconfigure(&target).total_ms
+    }
+
+    /// Run fiber-cut recovery against the cumulative set `cuts`, which
+    /// becomes the active set if it succeeds.
+    fn cut(&mut self, cuts: Vec<EdgeId>) -> IrisResult<RecoveryReport> {
+        let report =
+            self.controller
+                .handle_fiber_cut(self.region, self.goals, self.provisioning, &cuts)?;
+        self.active_cuts = cuts;
+        Ok(report)
+    }
+
+    /// The snapshot the current controller and cut state publish at
+    /// `epoch`: per-pair paths are whatever the scenario engine routes
+    /// around the active cut set.
+    fn snapshot(
+        &mut self,
+        epoch: u64,
+        quarantined: Vec<usize>,
+        writes_applied: u64,
+        coalesced: u64,
+        last_recovery: Option<RecoverySummary>,
+    ) -> StateSnapshot {
+        let mut paths = BTreeMap::new();
+        self.engine
+            .for_scenarios(std::slice::from_ref(&self.active_cuts), |_, view| {
+                for p in view.paths() {
+                    paths.insert(
+                        (p.a, p.b),
+                        PairPath {
+                            nodes: p.nodes.clone(),
+                            edges: p.edges.clone(),
+                            length_km: p.length_km,
+                        },
+                    );
+                }
+            });
+        StateSnapshot {
+            epoch,
+            allocation: self.controller.allocation(),
+            paths,
+            active_cuts: self.active_cuts.clone(),
+            quarantined,
+            writes_applied,
+            coalesced,
+            last_recovery,
+        }
+    }
+}
+
+/// A cut set stored in a record or snapshot could not be re-applied.
+fn stored_cut_failed(e: IrisError) -> IrisError {
+    IrisError::ReplayFailed {
+        detail: format!("cannot re-apply a stored cut set: {e}"),
     }
 }

@@ -31,7 +31,9 @@ use crate::api::{
     TopologySummary, TraceDumpInfo, TraceEventInfo,
 };
 use crate::codec::{self, Codec};
-use crate::commit::{mutator_loop, syncer_loop, DeferredReply, SyncMsg, WriteKind, WriteOp};
+use crate::commit::{
+    mutator_loop, syncer_loop, DeferredReply, ReplOp, SyncMsg, WriteKind, WriteOp,
+};
 use crate::frame::append_frame_with;
 use crate::recovery::{self, ControlMachine, CutReply, ReplayStats};
 use crate::replicate::{replicator_loop, PeerState, ReplEntry};
@@ -378,7 +380,6 @@ pub fn serve(region: Region, config: &ServiceConfig) -> IrisResult<ServiceHandle
         }
         None => (None, DurableState::empty()),
     };
-    let wal_backed = wal.is_some();
     let sync_handle = wal.as_ref().map(Wal::sync_handle).transpose()?;
     let (boot, active_cuts, stats) =
         recovery::recover(&region, &goals, &plan.provisioning, &controller, &durable)?;
@@ -464,9 +465,7 @@ pub fn serve(region: Region, config: &ServiceConfig) -> IrisResult<ServiceHandle
                 wal,
                 snapshot_every,
             );
-            mutator_loop(
-                machine, &rx, &shared, window, &sync_tx, boot_snap, wal_backed,
-            );
+            mutator_loop(machine, &rx, &shared, window, &sync_tx, boot_snap);
         })
     };
     let syncer = {
@@ -557,6 +556,7 @@ impl ShardMetrics {
 /// request arrived in and what the latency record needs.
 struct Parked {
     codec: Codec,
+    op: &'static str,
     start: Instant,
     trace_id: u64,
 }
@@ -615,6 +615,7 @@ impl Handler for ShardHandler {
         let span = iris_telemetry::trace::root_span(trace_id, op);
         let parked = Parked {
             codec: *codec,
+            op,
             start,
             trace_id,
         };
@@ -633,7 +634,6 @@ impl Handler for ShardHandler {
 
     /// One durable acknowledgement came back from the syncer.
     fn on_completion(&mut self, conns: &mut Conns<Self>, ticket: Ticket, reply: DeferredReply) {
-        let op = reply.op();
         let resp = match reply {
             DeferredReply::Cut(CutReply::Applied(summary)) => Response::Recovery(summary),
             DeferredReply::Cut(CutReply::AlreadySevered { active_cuts }) => {
@@ -644,12 +644,12 @@ impl Handler for ShardHandler {
                 queue_depth: self.shared.queue_depth.load(Ordering::SeqCst),
                 epoch,
             },
-            DeferredReply::Replicated {
-                epoch, state_crc, ..
-            } => Response::ReplicateAck { epoch, state_crc },
-            DeferredReply::Failed { err, .. } => Response::Error(err),
+            DeferredReply::Replicated { epoch, state_crc } => {
+                Response::ReplicateAck { epoch, state_crc }
+            }
+            DeferredReply::Failed(err) => Response::Error(err),
         };
-        self.complete(conns, ticket, op, |codec| framed(codec, &resp));
+        self.complete(conns, ticket, |codec| framed(codec, &resp));
     }
 
     /// The syncer is gone with acknowledgements still pending: answer
@@ -678,7 +678,7 @@ impl Handler for ShardHandler {
                 continue;
             }
             let wait = self.waits.swap_remove(i);
-            self.complete(conns, wait.ticket, "get_plan_at", |codec| {
+            self.complete(conns, wait.ticket, |codec| {
                 if ready {
                     return published.plan_framed[cidx(codec)].clone();
                 }
@@ -759,11 +759,13 @@ impl ShardHandler {
             // chain.
             Request::Replicate { batch, .. } => {
                 let checked = self.follower_only("replicated batches");
-                return self.submit(out, parked, checked.map(|()| WriteKind::Replicate(batch)));
+                let op = checked.map(|()| WriteKind::Repl(ReplOp::Batch(batch)));
+                return self.submit(out, parked, op);
             }
             Request::SyncState { state, .. } => {
                 let checked = self.follower_only("state syncs");
-                return self.submit(out, parked, checked.map(|()| WriteKind::SyncState(state)));
+                let op = checked.map(|()| WriteKind::Repl(ReplOp::State(state)));
+                return self.submit(out, parked, op);
             }
             Request::Promote => {
                 // Idempotent: promoting a primary changes nothing. The
@@ -835,12 +837,11 @@ impl ShardHandler {
         &self,
         conns: &mut Conns<Self>,
         ticket: Ticket,
-        op: &'static str,
         frame: impl FnOnce(Codec) -> Vec<u8>,
     ) {
         conns.fill(ticket, |parked| {
             let framed = frame(parked.codec);
-            self.record(op, parked.start, parked.trace_id);
+            self.record(parked.op, parked.start, parked.trace_id);
             framed
         });
     }
