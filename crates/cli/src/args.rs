@@ -16,7 +16,8 @@ impl Options {
 
     /// Parse `--key value` pairs where the names in `flags` are boolean
     /// switches: they take no value and read back as `true` via
-    /// [`Options::flag`].
+    /// [`Options::flag`]. An option given twice is an error, not a
+    /// silent last-one-wins.
     pub fn parse_with_flags(argv: &[String], flags: &[&str]) -> Result<Self, String> {
         let mut values = BTreeMap::new();
         let mut it = argv.iter();
@@ -24,14 +25,16 @@ impl Options {
             let Some(name) = key.strip_prefix("--") else {
                 return Err(format!("expected --option, found '{key}'"));
             };
-            if flags.contains(&name) {
-                values.insert(name.to_owned(), "true".to_owned());
-                continue;
-            }
-            let Some(value) = it.next() else {
+            let value = if flags.contains(&name) {
+                "true"
+            } else if let Some(value) = it.next() {
+                value
+            } else {
                 return Err(format!("--{name} requires a value"));
             };
-            values.insert(name.to_owned(), value.clone());
+            if values.insert(name.to_owned(), value.to_owned()).is_some() {
+                return Err(format!("option --{name} given more than once"));
+            }
         }
         Ok(Self { values })
     }
@@ -105,6 +108,14 @@ mod tests {
     #[test]
     fn rejects_bare_values() {
         assert!(Options::parse(&strs(&["seed", "7"])).is_err());
+    }
+
+    #[test]
+    fn rejects_a_repeated_option_or_switch() {
+        let err = Options::parse(&strs(&["--seed", "1", "--seed", "2"])).unwrap_err();
+        assert!(err.contains("--seed given more than once"), "{err}");
+        let twice = strs(&["--crash", "--crash"]);
+        assert!(Options::parse_with_flags(&twice, &["crash"]).is_err());
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! iris testbed
 //! iris chaos    --seed 7 --scenarios 10 [--dcs 6] [--cuts 1] [--out FILE]
 //! iris chaos    --crash [--seed 7] [--scenarios 9] [--batches 8] [--out FILE]
+//! iris chaos    --federation [--seed 7] [--users 12] [--writes 6] [--out FILE]
 //! iris serve    --region region.json [--addr HOST:PORT] [--cuts 1] [--wal-dir DIR]
 //! iris wal      inspect --dir DIR
 //! iris rpc      --op health [--addr HOST:PORT]
@@ -120,14 +121,33 @@ fn accepted_options(command: &str) -> Option<&'static [&'static str]> {
             "telemetry",
         ],
         "testbed" => &["telemetry"],
+        // One set per mode (see `run`): an option another mode reads
+        // is an unknown option here, not one parsed and ignored.
         "chaos" => &[
             "seed",
             "scenarios",
             "dcs",
             "cuts",
-            "batches",
+            "threads",
+            "out",
+            "telemetry",
+        ],
+        "chaos --crash" => &[
             "crash",
+            "seed",
+            "scenarios",
+            "dcs",
+            "cuts",
+            "batches",
+            "threads",
+            "out",
+            "telemetry",
+        ],
+        "chaos --federation" => &[
             "federation",
+            "seed",
+            "dcs",
+            "cuts",
             "users",
             "writes",
             "threads",
@@ -205,8 +225,13 @@ fn run(argv: &[String]) -> Result<(), CliError> {
         _ => &[],
     };
     let opts = args::Options::parse_with_flags(&argv[1..], flags)?;
-    if let Some(allowed) = accepted_options(command) {
-        opts.ensure_known(command, allowed)?;
+    let scope = match command.as_str() {
+        "chaos" if opts.flag("crash") => "chaos --crash",
+        "chaos" if opts.flag("federation") => "chaos --federation",
+        other => other,
+    };
+    if let Some(allowed) = accepted_options(scope) {
+        opts.ensure_known(scope, allowed)?;
     }
     match command.as_str() {
         "gen" => commands::generate(&opts),

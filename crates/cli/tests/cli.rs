@@ -177,6 +177,41 @@ fn unknown_flag_names_flag_and_accepted_options() {
 }
 
 #[test]
+fn chaos_rejects_options_its_mode_ignores_and_repeated_options() {
+    // Each of these used to parse cleanly and change nothing.
+    for (args, stray, scope) in [
+        (
+            &["chaos", "--crash", "--users", "5"][..],
+            "--users",
+            "chaos --crash",
+        ),
+        (&["chaos", "--batches", "3"], "--batches", "iris chaos'"),
+        (
+            &["chaos", "--federation", "--scenarios", "3"],
+            "--scenarios",
+            "chaos --federation",
+        ),
+        (
+            &["chaos", "--crash", "--federation"],
+            "--federation",
+            "chaos --crash",
+        ),
+    ] {
+        let out = iris(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("unknown option {stray}")), "{err}");
+        assert!(err.contains(scope), "{err}");
+        assert!(err.contains("accepted: "), "{err}");
+        assert!(err.contains("--seed"), "{err}");
+    }
+    let out = iris(&["chaos", "--seed", "1", "--seed", "2"]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--seed given more than once"), "{err}");
+}
+
+#[test]
 fn malformed_number_names_the_flag() {
     let region = tmp("badnum.json");
     iris(&[

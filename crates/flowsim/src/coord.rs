@@ -12,12 +12,12 @@
 //! * [`Backend::Fleet`] — socket workers. One dispatcher thread per
 //!   endpoint pulls jobs from a shared queue, so a slow or dead worker
 //!   merely contributes less; a job interrupted by a worker death is
-//!   requeued (bounded by [`FleetConfig::max_job_attempts`]) and the
-//!   dispatcher reconnects with seeded decorrelated-jitter backoff
-//!   ([`iris_wire::Backoff`]). These threads block on socket I/O; they
-//!   are not a compute fan-out and `IRIS_THREADS` does not size them. A
-//!   permanently unreachable endpoint retires its dispatcher; the run
-//!   fails only if *every* dispatcher retires with jobs outstanding.
+//!   requeued (at most [`MAX_JOB_ATTEMPTS`] times) and the dispatcher
+//!   re-dials through its [`iris_wire::PeerLink`], installing the spec
+//!   again. These threads block on socket I/O; `IRIS_THREADS` does not
+//!   size them. A permanently unreachable endpoint retires its
+//!   dispatcher; the run fails only if *every* one retires with jobs
+//!   outstanding.
 //!
 //! Either way the result is deterministic: jobs are pure functions of
 //! the spec, results are keyed by link id, and the cross-link
@@ -27,15 +27,22 @@
 
 use crate::cluster::{cluster_links, estimate_member, SlowdownTable};
 use crate::decompose::{combine, Decomposition};
-use crate::proto::{decode_response, encode_request, WorkSpec, WorkerRequest, WorkerResponse};
+use crate::proto::{WorkSpec, Worker, WorkerRequest, WorkerResponse};
 use iris_errors::{IrisError, IrisResult};
 use iris_simnet::trace::FlowTrace;
 use iris_simnet::FlowRecord;
-use iris_wire::frame::{read_frame, write_frame, FrameEvent};
-use iris_wire::{Backoff, Codec};
+use iris_wire::{Backoff, Client, PeerLink, Protocol};
 use std::collections::VecDeque;
-use std::net::TcpStream;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+use std::time::Duration;
+
+/// Times a single job may fail (across reconnects and endpoints) before
+/// the run is abandoned.
+pub const MAX_JOB_ATTEMPTS: u32 = 5;
+
+/// Dispatcher `i` draws its reconnect jitter from stream `RECONNECT_SEED + i`.
+const RECONNECT_SEED: u64 = 1;
 
 /// Where link-simulation jobs run.
 #[derive(Debug, Clone)]
@@ -51,15 +58,6 @@ pub enum Backend {
 pub struct FleetConfig {
     /// Worker addresses (`host:port`).
     pub endpoints: Vec<String>,
-    /// Wire codec after negotiation ([`Codec::Binary`] by default —
-    /// results are dense `f64` vectors).
-    pub codec: Codec,
-    /// Seed for the reconnect jitter streams (dispatcher `i` derives
-    /// its own stream from `seed + i`).
-    pub seed: u64,
-    /// Times a single job may fail (across reconnects and endpoints)
-    /// before the run is abandoned.
-    pub max_job_attempts: u32,
     /// Consecutive failed connects before a dispatcher retires its
     /// endpoint.
     pub connect_attempts: u32,
@@ -75,9 +73,6 @@ impl FleetConfig {
     pub fn new(endpoints: Vec<String>) -> Self {
         Self {
             endpoints,
-            codec: Codec::Binary,
-            seed: 1,
-            max_job_attempts: 5,
             connect_attempts: 8,
             backoff_base_ms: 10,
             backoff_cap_ms: 500,
@@ -200,12 +195,6 @@ fn run_in_process(spec: &WorkSpec, dec: &Decomposition, reps: &[usize]) -> Vec<V
     })
 }
 
-/// One dispatcher's live connection.
-struct Conn {
-    stream: TcpStream,
-    codec: Codec,
-}
-
 /// Fan `reps` out to the fleet; results align with `reps`.
 fn run_fleet(
     spec: &WorkSpec,
@@ -219,90 +208,77 @@ fn run_fleet(
         });
     }
     let telemetry = iris_telemetry::global();
+    // `(index into reps, strikes so far)`.
     let queue: Mutex<VecDeque<(usize, u32)>> =
-        Mutex::new(reps.iter().enumerate().map(|(i, _)| (i, 0)).collect());
+        Mutex::new((0..reps.len()).map(|job| (job, 0)).collect());
     let slots: Vec<Mutex<Option<Vec<f64>>>> = reps.iter().map(|_| Mutex::new(None)).collect();
     let fatal: Mutex<Option<IrisError>> = Mutex::new(None);
-    // Jobs not yet completed. An empty queue with `remaining > 0` means
-    // another dispatcher holds a job in flight — it will either finish
-    // it or requeue it, so idle dispatchers wait instead of exiting.
-    // (An incomplete job is always either queued or in flight, so the
-    // wait cannot deadlock; if every dispatcher retires unreachable the
-    // scope still ends and the unfilled slot reports the failure.)
-    let remaining = std::sync::atomic::AtomicUsize::new(reps.len());
+    // Jobs not yet completed. An incomplete job is always either queued
+    // or in flight on a dispatcher that will finish or requeue it, so an
+    // idle dispatcher waits for `remaining == 0` instead of exiting; if
+    // every dispatcher retires, an unfilled slot reports the failure.
+    let remaining = AtomicUsize::new(reps.len());
 
     std::thread::scope(|s| {
         for (worker_idx, endpoint) in fleet.endpoints.iter().enumerate() {
-            let queue = &queue;
-            let slots = &slots;
-            let fatal = &fatal;
-            let remaining = &remaining;
+            let (queue, slots, fatal, remaining) = (&queue, &slots, &fatal, &remaining);
+            let seed = RECONNECT_SEED.wrapping_add(worker_idx as u64);
+            let backoff = Backoff::new(fleet.backoff_base_ms, fleet.backoff_cap_ms, seed);
+            let mut link = PeerLink::<Worker>::new(endpoint, None, backoff);
             s.spawn(move || {
-                use std::sync::atomic::Ordering;
-                let mut backoff = Backoff::new(
-                    fleet.backoff_base_ms,
-                    fleet.backoff_cap_ms,
-                    fleet.seed.wrapping_add(worker_idx as u64),
-                );
-                let mut conn: Option<Conn> = None;
+                let requeue = |job| queue.lock().expect("queue lock").push_back(job);
+                let mut failed_dials = 0;
                 loop {
                     if fatal.lock().expect("fatal lock").is_some() {
                         return;
                     }
                     let popped = queue.lock().expect("queue lock").pop_front();
-                    let Some((job, attempts)) = popped else {
+                    let Some((job, strikes)) = popped else {
                         if remaining.load(Ordering::Relaxed) == 0 {
                             return;
                         }
                         // Another dispatcher holds the outstanding
                         // job(s) in flight; it will finish or requeue.
-                        std::thread::sleep(std::time::Duration::from_millis(1));
+                        std::thread::sleep(Duration::from_millis(1));
                         continue;
                     };
-                    if attempts >= fleet.max_job_attempts {
+                    if strikes >= MAX_JOB_ATTEMPTS {
                         *fatal.lock().expect("fatal lock") = Some(IrisError::RetriesExhausted {
                             phase: format!("flowsim link job {}", reps[job]),
-                            attempts,
+                            attempts: strikes,
                             last_error: "worker fleet kept failing the job".to_owned(),
                         });
                         return;
                     }
-                    // Ensure a connection with the spec installed.
-                    if conn.is_none() {
-                        match connect(endpoint, spec, fleet, &mut backoff) {
-                            Ok(c) => {
-                                conn = Some(c);
-                                backoff.reset();
-                            }
-                            Err(_) => {
-                                // Endpoint unreachable: requeue and
-                                // retire this dispatcher.
-                                queue.lock().expect("queue lock").push_back((job, attempts));
+                    let worker = match link.session(|fresh| load_spec(fresh, spec)) {
+                        Ok(worker) => worker,
+                        Err(_) => {
+                            // No strike for a failed dial, but a run of
+                            // them retires this dispatcher.
+                            requeue((job, strikes));
+                            failed_dials += 1;
+                            if failed_dials >= fleet.connect_attempts {
                                 return;
                             }
+                            std::thread::sleep(Duration::from_millis(link.fail()));
+                            continue;
                         }
+                    };
+                    if std::mem::take(&mut failed_dials) > 0 {
+                        telemetry.counter("iris_flowsim_reconnects_total").add(1);
                     }
-                    let c = conn.as_mut().expect("connected");
-                    match run_link(c, reps[job], dec.link_flows[reps[job]].len()) {
+                    match run_link(worker, reps[job], dec.link_flows[reps[job]].len()) {
                         Ok(finishes) => {
                             *slots[job].lock().expect("slot lock") = Some(finishes);
                             remaining.fetch_sub(1, Ordering::Relaxed);
-                            iris_telemetry::global()
-                                .counter("iris_flowsim_jobs_total")
-                                .add(1);
+                            telemetry.counter("iris_flowsim_jobs_total").add(1);
                         }
                         Err(_) => {
-                            // Worker died or answered garbage: drop the
-                            // connection, requeue with one more strike.
-                            conn = None;
-                            iris_telemetry::global()
-                                .counter("iris_flowsim_job_retries_total")
-                                .add(1);
-                            queue
-                                .lock()
-                                .expect("queue lock")
-                                .push_back((job, attempts + 1));
-                            nap(&mut backoff);
+                            // Worker died or answered garbage: requeue
+                            // with one more strike, start a new session.
+                            telemetry.counter("iris_flowsim_job_retries_total").add(1);
+                            requeue((job, strikes + 1));
+                            std::thread::sleep(Duration::from_millis(link.fail()));
                         }
                     }
                 }
@@ -313,151 +289,72 @@ fn run_fleet(
     if let Some(e) = fatal.into_inner().expect("fatal lock") {
         return Err(e);
     }
-    let mut out = Vec::with_capacity(reps.len());
-    for (i, slot) in slots.into_iter().enumerate() {
-        match slot.into_inner().expect("slot lock") {
-            Some(f) => out.push(f),
-            None => {
-                return Err(IrisError::RetriesExhausted {
-                    phase: format!("flowsim link job {}", reps[i]),
-                    attempts: 0,
-                    last_error: "every worker endpoint became unreachable".to_owned(),
-                })
-            }
-        }
-    }
+    let finished = slots.into_iter().zip(reps).map(|(slot, rep)| {
+        let unfilled = || IrisError::RetriesExhausted {
+            phase: format!("flowsim link job {rep}"),
+            attempts: 0,
+            last_error: "every worker endpoint became unreachable".to_owned(),
+        };
+        slot.into_inner().expect("slot lock").ok_or_else(unfilled)
+    });
+    let out = finished.collect::<IrisResult<Vec<_>>>()?;
     telemetry.counter("iris_flowsim_fleet_runs_total").add(1);
     Ok(out)
 }
 
-/// Sleep for the schedule's next delay.
-fn nap(backoff: &mut Backoff) {
-    std::thread::sleep(std::time::Duration::from_millis(backoff.next_delay_ms()));
-}
-
-/// Connect to `endpoint`, negotiate the codec, install the spec.
-/// Retries transport failures with jittered backoff up to
-/// `connect_attempts` times.
-fn connect(
-    endpoint: &str,
-    spec: &WorkSpec,
-    fleet: &FleetConfig,
-    backoff: &mut Backoff,
-) -> IrisResult<Conn> {
-    let mut last = IrisError::Io {
-        detail: format!("never attempted {endpoint}"),
-    };
-    for attempt in 0..fleet.connect_attempts {
-        if attempt > 0 {
-            nap(backoff);
-        }
-        match try_connect(endpoint, spec, fleet.codec) {
-            Ok(conn) => {
-                if attempt > 0 {
-                    iris_telemetry::global()
-                        .counter("iris_flowsim_reconnects_total")
-                        .add(1);
-                }
-                return Ok(conn);
-            }
-            Err(e) => last = e,
-        }
-    }
-    Err(last)
-}
-
-fn try_connect(endpoint: &str, spec: &WorkSpec, codec: Codec) -> IrisResult<Conn> {
-    let stream = TcpStream::connect(endpoint).map_err(|e| IrisError::Io {
-        detail: format!("connect {endpoint}: {e}"),
-    })?;
-    stream.set_nodelay(true).ok();
-    let mut conn = Conn {
-        stream,
-        codec: Codec::Json,
-    };
-    if codec != Codec::Json {
-        let ack = roundtrip(
-            &mut conn,
-            &WorkerRequest::Hello {
-                codec: codec.name().to_owned(),
-            },
-        )?;
-        match ack {
-            WorkerResponse::HelloOk { .. } => conn.codec = codec,
-            other => return Err(unexpected("Hello", &other)),
-        }
-    }
+/// The resume step of a dispatcher's session: install the spec.
+fn load_spec(worker: &mut Client<Worker>, spec: &WorkSpec) -> IrisResult<()> {
     let load = WorkerRequest::LoadSpec {
         spec: Box::new(spec.clone()),
     };
-    match roundtrip(&mut conn, &load)? {
-        WorkerResponse::SpecLoaded { .. } => Ok(conn),
+    match Worker::into_result(worker.call(&load, None)?)? {
+        WorkerResponse::SpecLoaded { .. } => Ok(()),
         other => Err(unexpected("LoadSpec", &other)),
     }
 }
 
 /// Run one link job on a live connection, reassembling chunks.
-fn run_link(conn: &mut Conn, link: usize, expected_flows: usize) -> IrisResult<Vec<f64>> {
-    write_frame(
-        &mut conn.stream,
-        &encode_request(conn.codec, &WorkerRequest::RunLink { link })?,
-    )?;
+fn run_link(
+    worker: &mut Client<Worker>,
+    link: usize,
+    expected_flows: usize,
+) -> IrisResult<Vec<f64>> {
+    worker.send(&WorkerRequest::RunLink { link }, None)?;
     let mut finishes: Vec<f64> = Vec::with_capacity(expected_flows);
+    let misaligned = |detail: String| IrisError::Decode {
+        detail: format!("link {link} chunks misaligned: {detail}"),
+    };
     loop {
-        match read_response(conn)? {
+        let (got, offset, finish_s, done) = match Worker::into_result(worker.recv()?)? {
             WorkerResponse::LinkChunk {
-                link: got,
+                link,
                 offset,
                 finish_s,
                 done,
-            } => {
-                if got != link || offset != finishes.len() {
-                    return Err(IrisError::Decode {
-                        detail: format!(
-                            "link {link} chunk misaligned: got link {got} offset {offset}, \
-                             expected offset {}",
-                            finishes.len()
-                        ),
-                    });
-                }
-                finishes.extend_from_slice(&finish_s);
-                if done {
-                    if finishes.len() != expected_flows {
-                        return Err(IrisError::Decode {
-                            detail: format!(
-                                "link {link}: worker returned {} finishes, expected {}",
-                                finishes.len(),
-                                expected_flows
-                            ),
-                        });
-                    }
-                    return Ok(finishes);
-                }
-            }
+            } => (link, offset, finish_s, done),
             other => return Err(unexpected("RunLink", &other)),
+        };
+        let have = finishes.len();
+        if got != link || offset != have {
+            return Err(misaligned(format!(
+                "got link {got} offset {offset}, expected offset {have}"
+            )));
+        }
+        finishes.extend_from_slice(&finish_s);
+        if done {
+            let have = finishes.len();
+            if have != expected_flows {
+                return Err(misaligned(format!(
+                    "{have} finishes in all, expected {expected_flows}"
+                )));
+            }
+            return Ok(finishes);
         }
     }
 }
 
-fn roundtrip(conn: &mut Conn, req: &WorkerRequest) -> IrisResult<WorkerResponse> {
-    write_frame(&mut conn.stream, &encode_request(conn.codec, req)?)?;
-    read_response(conn)
-}
-
-fn read_response(conn: &mut Conn) -> IrisResult<WorkerResponse> {
-    match read_frame(&mut conn.stream)? {
-        FrameEvent::Frame(payload) => decode_response(conn.codec, &payload),
-        FrameEvent::Eof | FrameEvent::Idle => Err(IrisError::Io {
-            detail: "worker closed the connection mid-reply".to_owned(),
-        }),
-    }
-}
-
-fn unexpected(what: &str, resp: &WorkerResponse) -> IrisError {
-    match resp {
-        WorkerResponse::Error { error } => error.clone(),
-        other => IrisError::Decode {
-            detail: format!("unexpected worker reply to {what}: {other:?}"),
-        },
+fn unexpected(what: &str, reply: &WorkerResponse) -> IrisError {
+    IrisError::Decode {
+        detail: format!("unexpected worker reply to {what}: {reply:?}"),
     }
 }

@@ -21,7 +21,7 @@ use iris_simnet::engine::SimConfig;
 use iris_simnet::trace::FlowTrace;
 use iris_simnet::{SimTopology, Simulator, TrafficMatrix};
 use iris_wire::bin::{Layout, Reader, Wire};
-use iris_wire::{wire_enum, Codec};
+use iris_wire::{wire_enum, Codec, Protocol};
 use serde::{Deserialize, Serialize};
 
 /// Finish-time entries per [`WorkerResponse::LinkChunk`]. Binary:
@@ -119,6 +119,44 @@ pub enum WorkerResponse {
         /// The typed failure.
         error: IrisError,
     },
+}
+
+/// The coordinator ↔ worker protocol, as the transport sees it.
+#[derive(Debug)]
+pub struct Worker;
+
+impl Protocol for Worker {
+    type Request = WorkerRequest;
+    type Response = WorkerResponse;
+    const REPLY: &'static str = "flowsim response";
+
+    fn hello(codec: Codec) -> WorkerRequest {
+        WorkerRequest::Hello {
+            codec: codec.name().to_owned(),
+        }
+    }
+
+    fn hello_ack(reply: &WorkerResponse) -> Option<&str> {
+        match reply {
+            WorkerResponse::HelloOk { codec } => Some(codec),
+            _ => None,
+        }
+    }
+
+    fn into_result(reply: WorkerResponse) -> IrisResult<WorkerResponse> {
+        match reply {
+            WorkerResponse::Error { error } => Err(error),
+            other => Ok(other),
+        }
+    }
+
+    fn op(req: &WorkerRequest) -> &'static str {
+        match req {
+            WorkerRequest::Hello { .. } => "hello",
+            WorkerRequest::LoadSpec { .. } => "load_spec",
+            WorkerRequest::RunLink { .. } => "run_link",
+        }
+    }
 }
 
 /// JSON text nested in a binary string: the layout of the two fields

@@ -2,14 +2,19 @@
 //! engine, and of the distributed backend against the in-process one.
 
 use iris_flowsim::coord::{estimate_with_trace, Backend, EstimateConfig, FleetConfig};
-use iris_flowsim::proto::WorkSpec;
-use iris_flowsim::worker::{spawn_ephemeral, WorkerConfig};
+use iris_flowsim::proto::{
+    decode_request, encode_response, WorkSpec, WorkerRequest, WorkerResponse,
+};
+use iris_flowsim::worker::{serve, spawn_ephemeral, WorkerConfig};
 use iris_simnet::engine::{FabricModel, FlowRecord, SimConfig};
 use iris_simnet::experiment::fct_quantile;
 use iris_simnet::traffic::ChangeModel;
 use iris_simnet::workloads::FlowSizeDist;
 use iris_simnet::{SimTopology, TrafficMatrix};
+use iris_wire::frame::{read_frame, write_frame, FrameEvent};
+use iris_wire::Codec;
 use proptest::prelude::*;
+use std::net::TcpListener;
 
 fn spec(n_dcs: usize, seed: u64, utilization: f64, duration_s: f64) -> WorkSpec {
     WorkSpec {
@@ -189,6 +194,69 @@ fn fleet_survives_a_dead_endpoint() {
     };
     let out = estimate_with_trace(&spec, &trace, &cfg).expect("fleet estimate with dead peer");
     assert_bit_identical(&local.records, &out.records);
+}
+
+#[test]
+fn a_lone_endpoint_that_drops_its_connection_is_redialled_and_reloaded() {
+    let spec = spec(5, 8, 0.5, 2.0);
+    let trace = spec.trace();
+    let local = estimate_with_trace(&spec, &trace, &EstimateConfig::default())
+        .expect("in-process estimate");
+
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("local addr").to_string();
+    let (hung_up, first_connection) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        // The first connection gets through the handshake and the spec,
+        // then dies under its first job.
+        let (mut sock, _) = listener.accept().expect("accept");
+        let mut exchange = |codec: Codec, reply: Option<WorkerResponse>| {
+            let FrameEvent::Frame(payload) = read_frame(&mut sock).expect("a request") else {
+                panic!("the coordinator hung up first");
+            };
+            if let Some(reply) = reply {
+                write_frame(&mut sock, &encode_response(codec, &reply).unwrap()).unwrap();
+            }
+            decode_request(codec, &payload).expect("a well-formed request")
+        };
+        let ack = WorkerResponse::HelloOk {
+            codec: "binary".to_owned(),
+        };
+        let loaded = WorkerResponse::SpecLoaded { flows: 0, links: 0 };
+        let asked = [
+            exchange(Codec::Json, Some(ack)),
+            exchange(Codec::Binary, Some(loaded)),
+            exchange(Codec::Binary, None),
+        ];
+        drop(sock);
+        hung_up.send(asked).expect("test alive");
+        // The same port comes back as a real worker.
+        let _ = serve(listener, WorkerConfig::default());
+    });
+
+    let mut fleet = FleetConfig::new(vec![addr]);
+    fleet.backoff_base_ms = 1;
+    fleet.backoff_cap_ms = 5;
+    let cfg = EstimateConfig {
+        backend: Backend::Fleet(fleet),
+        ..EstimateConfig::default()
+    };
+    let out = estimate_with_trace(&spec, &trace, &cfg).expect("the endpoint came back");
+    assert_bit_identical(&local.records, &out.records);
+    let asked = first_connection
+        .try_recv()
+        .expect("the first connection was used");
+    assert!(
+        matches!(
+            asked,
+            [
+                WorkerRequest::Hello { .. },
+                WorkerRequest::LoadSpec { .. },
+                WorkerRequest::RunLink { .. }
+            ]
+        ),
+        "{asked:?}"
+    );
 }
 
 #[test]

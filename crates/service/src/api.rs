@@ -8,6 +8,7 @@
 //! `Vec<AllocEntry>` so the wire shape is plain JSON objects.
 
 use iris_errors::{IrisError, IrisResult};
+use iris_wire::{Codec, Protocol};
 use serde::{Deserialize, Serialize};
 
 /// A client request. Reads (`GetPlan`, `GetTopology`, `QueryPath`,
@@ -422,6 +423,37 @@ impl Response {
             Response::Error(e) => Err(e),
             other => Ok(other),
         }
+    }
+}
+
+/// The control-plane protocol, as the transport sees it.
+#[derive(Debug)]
+pub struct Service;
+
+impl Protocol for Service {
+    type Request = Request;
+    type Response = Response;
+    const REPLY: &'static str = "response";
+
+    fn hello(codec: Codec) -> Request {
+        Request::Hello {
+            codec: codec.name().to_owned(),
+        }
+    }
+
+    fn hello_ack(reply: &Response) -> Option<&str> {
+        match reply {
+            Response::HelloAck { codec } => Some(codec),
+            _ => None,
+        }
+    }
+
+    fn into_result(reply: Response) -> IrisResult<Response> {
+        reply.into_result()
+    }
+
+    fn op(req: &Request) -> &'static str {
+        req.op()
     }
 }
 

@@ -1,17 +1,57 @@
-//! A blocking client for the framed protocol (JSON by default, compact
-//! binary after a [`Request::Hello`] negotiation).
+//! The control-plane protocol's clients: [`ServiceClient`], one typed
+//! connection, and [`RegionRouter`], health-routed access to several
+//! regions. Connecting, the `Hello` handshake, deadlines and
+//! reconnecting are [`iris_wire::client`]'s; this module adds what is
+//! particular to the protocol (trace ids, `Overloaded` retries, routing).
 
-use crate::api::{Request, Response};
-use crate::codec::{self, Codec};
-use crate::frame::{read_frame, write_frame_traced, FrameEvent};
+use crate::api::{Request, Response, Service};
+use crate::codec::Codec;
 use iris_errors::{IrisError, IrisResult};
 pub use iris_wire::Backoff;
+use iris_wire::{Client, PeerLink};
 use std::net::TcpStream;
 use std::time::Duration;
 
-/// One connection to a running service. Requests are strictly
-/// request/reply on the connection, so a client carries no protocol
-/// state beyond the socket and the negotiated wire codec.
+/// [`ServiceClient::call`] on a connection out of a [`PeerLink`].
+pub(crate) fn call(conn: &mut Client<Service>, req: &Request) -> IrisResult<Response> {
+    use iris_telemetry::trace;
+    // Propagate the caller's trace context (if any) so the server logs
+    // the request under an id the caller can correlate. With the local
+    // recorder off no header is sent: the bytes of the untraced format.
+    let context = || trace::current_trace().or_else(|| req.is_write().then(trace::mint_trace_id));
+    conn.call(req, trace::enabled().then(context).flatten())
+}
+
+/// [`ServiceClient::call_retrying`] on a connection out of a [`PeerLink`].
+pub(crate) fn call_retrying(
+    conn: &mut Client<Service>,
+    req: &Request,
+    max_retries: u32,
+) -> IrisResult<Response> {
+    let mut backoff: Option<Backoff> = None;
+    for _ in 0..max_retries {
+        match call(conn, req)?.into_result() {
+            Err(IrisError::Overloaded { retry_after_ms }) => {
+                let backoff = backoff.get_or_insert_with(|| {
+                    // The vendored rand has no OS entropy source: seed
+                    // from the wall clock so concurrent clients draw
+                    // different jitter streams.
+                    let seed = std::time::SystemTime::now()
+                        .duration_since(std::time::UNIX_EPOCH)
+                        .map_or(0x9E37_79B9_7F4A_7C15, |d| d.as_nanos() as u64);
+                    let base = retry_after_ms.max(1);
+                    Backoff::new(base, base.saturating_mul(16), seed)
+                });
+                std::thread::sleep(Duration::from_millis(backoff.next_delay_ms()));
+            }
+            settled => return settled,
+        }
+    }
+    call(conn, req)?.into_result()
+}
+
+/// One connection to a running service: an [`iris_wire::Client`] of
+/// this protocol plus trace ids and `Overloaded` retries.
 ///
 /// # Example
 ///
@@ -50,47 +90,20 @@ use std::time::Duration;
 /// ```
 #[derive(Debug)]
 pub struct ServiceClient {
-    stream: TcpStream,
-    codec: Codec,
-    /// Per-call deadline; `None` blocks forever (the legacy behaviour).
-    deadline: Option<Duration>,
+    conn: Client<Service>,
 }
 
 impl ServiceClient {
-    /// Connect to `addr`. The connection speaks JSON until
-    /// [`ServiceClient::hello`] negotiates another codec.
-    ///
-    /// # Errors
-    ///
-    /// [`IrisError::Io`] if the connection fails.
+    /// Connect to `addr`, or fail with [`IrisError::Io`]. The connection
+    /// speaks JSON until [`ServiceClient::hello`] negotiates another codec.
     pub fn connect(addr: &str) -> IrisResult<Self> {
-        let stream = TcpStream::connect(addr).map_err(|e| IrisError::Io {
-            detail: format!("cannot connect to {addr}: {e}"),
-        })?;
-        stream.set_nodelay(true).ok();
-        Ok(Self {
-            stream,
-            codec: Codec::Json,
-            deadline: None,
-        })
+        Client::connect(addr).map(|conn| Self { conn })
     }
 
-    /// Bound every subsequent call: if no reply byte arrives within the
-    /// deadline the call fails with a typed [`IrisError::Timeout`]
-    /// instead of stalling forever on a hung or partitioned server.
+    /// Bound every subsequent call, as [`Client::set_deadline`] does;
     /// `None` restores unbounded blocking.
-    ///
-    /// # Errors
-    ///
-    /// [`IrisError::Io`] if the socket rejects the timeout.
     pub fn set_deadline(&mut self, deadline: Option<Duration>) -> IrisResult<()> {
-        let io_err = |e: std::io::Error| IrisError::Io {
-            detail: format!("cannot set socket deadline: {e}"),
-        };
-        self.stream.set_read_timeout(deadline).map_err(io_err)?;
-        self.stream.set_write_timeout(deadline).map_err(io_err)?;
-        self.deadline = deadline;
-        Ok(())
+        self.conn.set_deadline(deadline)
     }
 
     /// Connect, retrying `attempts` times with `delay_ms` between tries —
@@ -100,160 +113,65 @@ impl ServiceClient {
     ///
     /// The last [`IrisError::Io`] if every attempt fails.
     pub fn connect_retry(addr: &str, attempts: u32, delay_ms: u64) -> IrisResult<Self> {
-        let mut last = IrisError::Io {
-            detail: format!("no connection attempts made for {addr}"),
-        };
-        for attempt in 0..attempts.max(1) {
-            match Self::connect(addr) {
-                Ok(client) => return Ok(client),
-                Err(e) => last = e,
-            }
-            if attempt + 1 < attempts {
+        (1..attempts).fold(Self::connect(addr), |connected, _| {
+            connected.or_else(|_| {
                 std::thread::sleep(Duration::from_millis(delay_ms));
-            }
-        }
-        Err(last)
+                Self::connect(addr)
+            })
+        })
     }
 
     /// The codec currently in effect on this connection.
     #[must_use]
     pub fn codec(&self) -> Codec {
-        self.codec
+        self.conn.codec()
     }
 
-    /// Negotiate `codec` for the rest of this connection. The `Hello`
-    /// goes out (and its acknowledgement comes back) in the *current*
-    /// codec; both sides switch after the acknowledgement, so a
-    /// negotiation that fails leaves the connection usable as-is.
-    ///
-    /// # Errors
-    ///
-    /// [`IrisError::InvalidInput`] if the server rejects the codec,
-    /// [`IrisError::Decode`] on an unexpected reply, [`IrisError::Io`]
-    /// on socket failure.
+    /// Negotiate `codec` for the rest of this connection, as
+    /// [`Client::hello`] does; a refusal leaves it usable as it was.
     pub fn hello(&mut self, codec: Codec) -> IrisResult<()> {
-        let resp = self
-            .call(&Request::Hello {
-                codec: codec.name().to_owned(),
-            })?
-            .into_result()?;
-        match resp {
-            Response::HelloAck { codec: name } => {
-                self.codec = Codec::from_name(&name).ok_or_else(|| IrisError::Decode {
-                    detail: format!("server acknowledged unknown codec {name:?}"),
-                })?;
-                Ok(())
-            }
-            other => Err(IrisError::Decode {
-                detail: format!("unexpected reply to Hello: {other:?}"),
-            }),
-        }
+        self.conn.hello(codec)
     }
 
-    /// Dismantle the client into its socket and negotiated codec — for
-    /// callers (the load generator's event loop) that switch the
-    /// connection to non-blocking I/O after the blocking handshake.
+    /// The socket and its negotiated codec — for callers (the load
+    /// generator's event loop) that go non-blocking after the handshake.
     #[must_use]
     pub fn into_parts(self) -> (TcpStream, Codec) {
-        (self.stream, self.codec)
+        self.conn.into_parts()
     }
 
-    /// Send one request and wait for its reply. `Error` replies are
-    /// returned as `Ok(Response::Error(..))` — use
-    /// [`Response::into_result`] or [`ServiceClient::call_retrying`] to
-    /// surface them as typed errors.
+    /// Send one request and wait for its reply, under the caller's
+    /// trace id if it has one (a write gets a fresh one while the
+    /// recorder is on). `Error` replies are returned as
+    /// `Ok(Response::Error(..))` — use [`Response::into_result`] or
+    /// [`ServiceClient::call_retrying`] to surface them as typed errors.
     ///
     /// # Errors
     ///
-    /// [`IrisError::Io`] on socket failure, [`IrisError::Decode`] on a
-    /// malformed reply or server disconnect mid-reply.
+    /// Those of [`Client::call`]: [`IrisError::Io`], [`IrisError::Timeout`]
+    /// past the deadline, [`IrisError::Decode`] for a malformed reply.
     pub fn call(&mut self, req: &Request) -> IrisResult<Response> {
-        // Propagate the caller's trace context (if any) so the server
-        // logs the request under an id the caller can correlate. When
-        // the local recorder is disabled no header is sent and the
-        // frame bytes are identical to the pre-tracing protocol.
-        let trace = if iris_telemetry::trace::enabled() {
-            iris_telemetry::trace::current_trace().or_else(|| {
-                if req.is_write() {
-                    Some(iris_telemetry::trace::mint_trace_id())
-                } else {
-                    None
-                }
-            })
-        } else {
-            None
-        };
-        self.call_with_trace(req, trace)
+        call(&mut self.conn, req)
     }
 
     /// [`ServiceClient::call`] with an explicit trace context: `Some`
     /// attaches the id as a frame header, `None` sends a legacy frame.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ServiceClient::call`].
     pub fn call_with_trace(&mut self, req: &Request, trace: Option<u64>) -> IrisResult<Response> {
-        let payload = codec::encode_request(self.codec, req)?;
-        write_frame_traced(&mut self.stream, &payload, trace)?;
-        loop {
-            match read_frame(&mut self.stream)? {
-                FrameEvent::Frame(bytes) => return codec::decode_response(self.codec, &bytes),
-                // Idle only fires when a socket read timeout is set:
-                // with a deadline armed it is the typed per-call
-                // timeout; without one it cannot occur (kept as a
-                // defensive retry).
-                FrameEvent::Idle => match self.deadline {
-                    Some(d) => {
-                        return Err(IrisError::Timeout {
-                            what: format!("{} call", req.op()),
-                            after_ms: d.as_millis() as u64,
-                        })
-                    }
-                    None => continue,
-                },
-                FrameEvent::Eof => {
-                    return Err(IrisError::Io {
-                        detail: "server closed the connection before replying".to_owned(),
-                    })
-                }
-            }
-        }
+        self.conn.call(req, trace)
     }
 
     /// [`ServiceClient::call`], backing off and retrying (up to
     /// `max_retries` times) when the server answers
-    /// [`IrisError::Overloaded`]. Delays follow a decorrelated-jitter
-    /// schedule ([`Backoff`]) seeded per call, anchored on the
-    /// server-suggested `retry_after_ms` and capped at 16× it, so
-    /// stampeding clients decorrelate. Other errors pass through.
+    /// [`IrisError::Overloaded`]. Delays follow a [`Backoff`] seeded per
+    /// call, anchored on the server-suggested `retry_after_ms` and capped
+    /// at 16× it, so stampeding clients decorrelate.
     ///
     /// # Errors
     ///
     /// The final [`IrisError`] once retries are exhausted, or any
     /// non-backpressure error immediately.
     pub fn call_retrying(&mut self, req: &Request, max_retries: u32) -> IrisResult<Response> {
-        let mut attempt = 0;
-        let mut backoff: Option<Backoff> = None;
-        loop {
-            match self.call(req)?.into_result() {
-                Ok(resp) => return Ok(resp),
-                Err(IrisError::Overloaded { retry_after_ms }) if attempt < max_retries => {
-                    attempt += 1;
-                    let backoff = backoff.get_or_insert_with(|| {
-                        // The vendored rand has no OS entropy source:
-                        // seed from the wall clock so concurrent
-                        // clients draw different jitter streams.
-                        let seed = std::time::SystemTime::now()
-                            .duration_since(std::time::UNIX_EPOCH)
-                            .map_or(0x9E37_79B9_7F4A_7C15, |d| d.as_nanos() as u64);
-                        let base = retry_after_ms.max(1);
-                        Backoff::new(base, base.saturating_mul(16), seed)
-                    });
-                    std::thread::sleep(Duration::from_millis(backoff.next_delay_ms()));
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        call_retrying(&mut self.conn, req, max_retries)
     }
 }
 
@@ -288,12 +206,11 @@ pub const OVERLOADED_STREAK_LIMIT: u32 = 3;
 /// shipping its tail.
 pub struct RegionRouter {
     endpoints: Vec<RegionEndpoint>,
-    clients: Vec<Option<ServiceClient>>,
+    /// One per endpoint; a router fails over rather than wait out a delay.
+    links: Vec<PeerLink<Service>>,
     healthy: Vec<bool>,
     primary_flag: Vec<bool>,
-    epochs: Vec<u64>,
     streaks: Vec<u32>,
-    deadline: Duration,
     current: usize,
     failovers: u64,
     stale_redirects: u64,
@@ -307,14 +224,17 @@ impl RegionRouter {
     #[must_use]
     pub fn new(endpoints: Vec<RegionEndpoint>, deadline_ms: u64) -> Self {
         let n = endpoints.len();
+        let deadline = Duration::from_millis(deadline_ms.max(1));
+        let links = endpoints
+            .iter()
+            .map(|e| PeerLink::new(&e.addr, Some(deadline), Backoff::new(1, 1, 0)))
+            .collect();
         Self {
             endpoints,
-            clients: (0..n).map(|_| None).collect(),
+            links,
             healthy: vec![false; n],
             primary_flag: vec![false; n],
-            epochs: vec![0; n],
             streaks: vec![0; n],
-            deadline: Duration::from_millis(deadline_ms.max(1)),
             current: 0,
             failovers: 0,
             stale_redirects: 0,
@@ -370,13 +290,12 @@ impl RegionRouter {
             .count()
     }
 
-    /// Probe one endpoint, refreshing its health, role and epoch.
+    /// Probe one endpoint, refreshing its health and role.
     pub fn probe(&mut self, idx: usize) -> bool {
         match self.call_idx(idx, &Request::Health) {
             Ok(Response::Health(h)) => {
                 self.healthy[idx] = true;
                 self.primary_flag[idx] = h.role == "primary";
-                self.epochs[idx] = h.epoch;
                 true
             }
             _ => {
@@ -414,13 +333,8 @@ impl RegionRouter {
         match resp.into_result()? {
             Response::Health(h) => {
                 self.healthy[idx] = true;
+                self.primary_flag.fill(false);
                 self.primary_flag[idx] = h.role == "primary";
-                self.epochs[idx] = h.epoch;
-                for (other, flag) in self.primary_flag.iter_mut().enumerate() {
-                    if other != idx {
-                        *flag = false;
-                    }
-                }
                 Ok(())
             }
             other => Err(IrisError::Decode {
@@ -614,13 +528,9 @@ impl RegionRouter {
     ///
     /// Any error from [`RegionRouter::update_demand`].
     pub fn reassert_acked_writes(&mut self) -> IrisResult<usize> {
-        let writes: Vec<((usize, usize), u32)> = self
-            .acked_writes
-            .iter()
-            .map(|(&pair, &circuits)| (pair, circuits))
-            .collect();
-        for ((a, b), circuits) in &writes {
-            self.update_demand(*a, *b, *circuits)?;
+        let writes = self.acked_pairs();
+        for &((a, b), circuits) in &writes {
+            self.update_demand(a, b, circuits)?;
         }
         Ok(writes.len())
     }
@@ -665,23 +575,13 @@ impl RegionRouter {
 
     fn mark_down(&mut self, idx: usize) {
         self.healthy[idx] = false;
-        self.clients[idx] = None;
+        self.links[idx].fail();
         self.streaks[idx] = 0;
     }
 
-    /// One call against endpoint `idx`, connecting (with the per-call
-    /// deadline armed and the binary codec negotiated) on demand.
+    /// One call against endpoint `idx`, over its link's session.
     fn call_idx(&mut self, idx: usize, req: &Request) -> IrisResult<Response> {
-        if self.clients[idx].is_none() {
-            let mut client = ServiceClient::connect(&self.endpoints[idx].addr)?;
-            client.set_deadline(Some(self.deadline))?;
-            let _ = client.hello(Codec::Binary);
-            self.clients[idx] = Some(client);
-        }
-        let client = self.clients[idx]
-            .as_mut()
-            .expect("client was just connected");
-        client.call(req)
+        call(self.links[idx].session(|_| Ok(()))?, req)
     }
 }
 

@@ -11,7 +11,9 @@
 //! `commit` is the write path behind it (mutator + group-commit
 //! syncer) and `replicate` the per-peer replication pump; [`state`],
 //! [`wal`] and [`recovery`] are what they publish, persist and replay;
-//! [`client`] and [`loadgen`] are the other end of the socket.
+//! [`client`] and [`loadgen`] are the other end of the socket. Every
+//! outbound connection — a client's, the router's, the pump's — is an
+//! [`iris_wire::Client`], re-dialled through an [`iris_wire::PeerLink`].
 //!
 //! The serving model is the crate's point:
 //!

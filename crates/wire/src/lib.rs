@@ -15,7 +15,10 @@
 //! non-blocking socket with its read and write buffers; [`server`] runs
 //! an acceptor and `N` shard event loops over such connections and
 //! hands every frame to a [`Handler`]. The control-plane server and the
-//! flowsim worker are two handlers on it.
+//! flowsim worker are two handlers on it. [`client`] is the other end:
+//! one blocking connection ([`Client`]) and one way to re-dial a peer
+//! ([`PeerLink`]), generic over a [`Protocol`]; the control-plane
+//! client, router and replicator and the flowsim coordinator sit on it.
 //!
 //! # Writing a handler
 //!
@@ -72,6 +75,37 @@
 //! [`Mailbox`]; see [`server`] for reply order, generations and
 //! deadlines.
 //!
+//! # Writing a client
+//!
+//! A [`Protocol`] names the two message types and says how to build a
+//! `Hello`, read its acknowledgement and find an error reply. With
+//! that, [`Client`] is a connection (`connect`, `hello`, `call`, or
+//! `send` once and `recv` per frame of a streamed reply) and
+//! [`PeerLink`] is a peer that may go away and come back:
+//!
+//! ```no_run
+//! # use iris_wire::{Backoff, PeerLink, Protocol};
+//! # fn run<P: Protocol>(request: P::Request) -> iris_errors::IrisResult<()> {
+//! let mut link = PeerLink::<P>::new("10.0.0.7:7400", None, Backoff::new(5, 500, 1));
+//! loop {
+//!     // The live connection, or a fresh one: connected, switched to
+//!     // binary, and resumed by the closure (a probe, a spec to load).
+//!     let outcome = link
+//!         .session(|_fresh| Ok(()))
+//!         .and_then(|client| client.call(&request, None));
+//!     match outcome {
+//!         Ok(_reply) => return Ok(()),
+//!         // Any failure: drop the socket, wait, start a new session.
+//!         Err(_) => std::thread::sleep(std::time::Duration::from_millis(link.fail())),
+//!     }
+//! }
+//! # }
+//! ```
+//!
+//! The link never sleeps and counts nothing: the caller decides how to
+//! wait out the delay and what a failure means. A session that opened
+//! starts the schedule over from its base.
+//!
 //! [`iris-service`]: ../iris_service/index.html
 
 #![forbid(unsafe_code)]
@@ -79,11 +113,13 @@
 
 mod backoff;
 pub mod bin;
+pub mod client;
 mod conn;
 pub mod frame;
 pub mod server;
 
 pub use backoff::Backoff;
+pub use client::{Client, PeerLink, Protocol};
 pub use conn::FramedConn;
 pub use server::{Conns, FrameServer, Handler, Mailbox, Outbox, Ticket};
 

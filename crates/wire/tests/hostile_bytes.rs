@@ -9,6 +9,8 @@
 //! error, never a panic — and never an allocation out of proportion to
 //! the payload, which a counting allocator checks rather than assumes.
 
+#[path = "common/counting.rs"]
+mod counting;
 // The sample values are the golden-frame suites' own: one per variant.
 #[path = "../../flowsim/tests/golden/mod.rs"]
 mod flowsim_golden;
@@ -19,45 +21,10 @@ use iris_control::messages::Command;
 use iris_errors::IrisResult;
 use iris_service::Response;
 use iris_wire::bin::{Reader, Wire};
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::fmt::Debug;
 
-thread_local! {
-    /// Largest single allocation this thread has requested since the
-    /// last reset.
-    static LARGEST_ALLOC: Cell<usize> = const { Cell::new(0) };
-}
-
-/// The system allocator, recording each thread's largest request.
-struct Counting;
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the bookkeeping touches only a
-// const-initialised thread-local `Cell` (no allocation, no unwinding).
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // `try_with`: the thread-local is gone while a thread tears down.
-        let _ = LARGEST_ALLOC.try_with(|max| max.set(max.get().max(layout.size())));
-        // SAFETY: the caller's obligations for `alloc` are passed on as-is.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = LARGEST_ALLOC.try_with(|max| max.set(max.get().max(new_size)));
-        // SAFETY: the caller's obligations for `realloc` are passed on as-is.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
-static ALLOCATOR: Counting = Counting;
+static ALLOCATOR: counting::Counting = counting::Counting;
 
 fn decode<T: Wire>(bytes: &[u8]) -> IrisResult<T> {
     let mut rd = Reader::new(bytes);
@@ -70,11 +37,11 @@ fn decode<T: Wire>(bytes: &[u8]) -> IrisResult<T> {
 /// allocation beyond a small multiple of the payload (an element's
 /// in-memory size can exceed its `MIN_LEN`, hence the factor).
 fn decode_hostile<T: Wire + Debug>(bytes: &[u8], case: &str) {
-    LARGEST_ALLOC.with(|max| max.set(0));
+    counting::reset_largest();
     if let Err(e) = decode::<T>(bytes) {
         assert_eq!(e.code(), "decode", "{case}: {e}");
     }
-    let largest = LARGEST_ALLOC.with(Cell::get);
+    let largest = counting::largest();
     assert!(
         largest <= 16 * bytes.len() + 1024,
         "{case}: a {}-byte payload drove a {largest}-byte allocation",

@@ -3,150 +3,18 @@
 //! generations, back-pressure, framing errors, half-close, the mailbox
 //! and deadlines.
 
-use iris_errors::IrisError;
+#[path = "common/toy.rs"]
+mod toy;
+
 use iris_poll::Poller;
 use iris_wire::frame::{
     append_frame, read_frame, write_frame, write_frame_traced, FrameEvent, MAX_FRAME_LEN,
 };
-use iris_wire::{server, Conns, FrameServer, FramedConn, Handler, Mailbox, Outbox, Ticket};
+use iris_wire::{FramedConn, Ticket};
 use std::io::{Read as _, Write as _};
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::sync::atomic::AtomicBool;
-use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Payload bytes of a `B` reply: the largest frame there is.
-const BIG: usize = MAX_FRAME_LEN;
-
-/// The toy protocol, by the first payload byte: `P` parks the reply and
-/// hands the ticket to the test, `D<ms>` parks it until a deadline, `M`
-/// answers with one frame per remaining byte, `B` answers with [`BIG`]
-/// bytes, anything else is echoed.
-struct Toy {
-    parked: Sender<(Ticket, Vec<u8>)>,
-    delayed: Vec<(Instant, Ticket)>,
-}
-
-fn framed(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::new();
-    append_frame(&mut out, payload).expect("small payload");
-    out
-}
-
-fn send(out: &mut Outbox<()>, payload: &[u8]) {
-    let sent = out.reply(|buf| {
-        buf.extend_from_slice(payload);
-        Ok(())
-    });
-    sent.expect("payload fits a frame");
-}
-
-impl Handler for Toy {
-    type Conn = ();
-    type Parked = ();
-    type Completion = Vec<u8>;
-
-    fn open(&mut self) {}
-
-    fn on_frame(&mut self, (): &mut (), out: &mut Outbox<()>, payload: &[u8], _: Option<u64>) {
-        match payload.split_first() {
-            Some((b'P', rest)) => {
-                let ticket = out.defer(());
-                self.parked
-                    .send((ticket, rest.to_vec()))
-                    .expect("test alive");
-            }
-            Some((b'D', ms)) => {
-                let ms: u64 = std::str::from_utf8(ms).unwrap().parse().unwrap();
-                let due = Instant::now() + Duration::from_millis(ms);
-                self.delayed.push((due, out.defer(())));
-            }
-            Some((b'M', rest)) => rest.chunks(1).for_each(|part| send(out, part)),
-            Some((b'B', _)) => send(out, &vec![b'x'; BIG]),
-            _ => send(out, payload),
-        }
-    }
-
-    fn on_bad_frame(&mut self, (): &mut (), out: &mut Outbox<()>, err: IrisError) {
-        send(out, format!("bad frame: {}", err.code()).as_bytes());
-    }
-
-    fn on_completion(&mut self, conns: &mut Conns<Self>, ticket: Ticket, body: Vec<u8>) {
-        conns.fill(ticket, |()| framed(&body));
-    }
-
-    fn on_mailbox_closed(&mut self, conns: &mut Conns<Self>) {
-        conns.fill_outstanding(|()| framed(b"mailbox closed"));
-    }
-
-    fn on_tick(&mut self, conns: &mut Conns<Self>, now: Instant) -> Option<Instant> {
-        self.delayed.retain(|&(due, ticket)| {
-            if now < due {
-                return true;
-            }
-            conns.fill(ticket, |()| framed(b"due"));
-            false
-        });
-        self.delayed.iter().map(|&(due, _)| due).min()
-    }
-}
-
-struct Rig {
-    server: FrameServer,
-    mailbox: Option<Mailbox<Vec<u8>>>,
-    parked: Receiver<(Ticket, Vec<u8>)>,
-}
-
-impl Rig {
-    /// One shard, so connection slots are reused predictably.
-    fn start() -> Self {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let (tx, parked) = mpsc::channel();
-        let toy = Toy {
-            parked: tx,
-            delayed: Vec::new(),
-        };
-        let stop = Arc::new(AtomicBool::new(false));
-        let (server, mailbox) = server::spawn(listener, stop, vec![toy], || {}).expect("spawn");
-        Self {
-            server,
-            mailbox: Some(mailbox),
-            parked,
-        }
-    }
-
-    fn connect(&self) -> TcpStream {
-        let peer = TcpStream::connect(self.server.local_addr()).expect("connect");
-        peer.set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        peer
-    }
-
-    fn next_parked(&self) -> (Ticket, Vec<u8>) {
-        self.parked
-            .recv_timeout(Duration::from_secs(10))
-            .expect("a parked request")
-    }
-
-    fn complete(&self, ticket: Ticket, body: &[u8]) {
-        let mailbox = self.mailbox.as_ref().expect("mailbox open");
-        mailbox.deliver([(ticket, body.to_vec())], false);
-    }
-}
-
-impl Drop for Rig {
-    fn drop(&mut self) {
-        self.server.shutdown();
-    }
-}
-
-fn recv(peer: &mut TcpStream) -> Vec<u8> {
-    match read_frame(peer).expect("a reply frame") {
-        FrameEvent::Frame(payload) => payload,
-        other => panic!("expected a frame, got {other:?}"),
-    }
-}
+use toy::{recv, Rig, BIG};
 
 fn expect_eof(peer: &mut TcpStream) {
     assert!(
