@@ -13,13 +13,16 @@
 //! failure scenario is covered, accumulating placements across scenarios
 //! (amplifiers installed for one scenario are reused by others).
 
-use crate::engine::ScenarioEngine;
+use crate::engine::{ScenarioEngine, SliceMemo};
 use crate::goals::DesignGoals;
 use crate::paths::DcPath;
+use crate::topology::hose_load;
 use iris_fibermap::Region;
-use iris_netgraph::{hose, NodeId};
+use iris_netgraph::{EdgeId, NodeId};
+use iris_telemetry::labeled;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
+use std::rc::Rc;
 
 /// Result of amplifier placement.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
@@ -58,11 +61,11 @@ impl AmpPlacement {
     #[must_use]
     pub fn feasible_splits(region: &Region, _goals: &DesignGoals, path: &DcPath) -> Vec<usize> {
         let budget = iris_optics::AMPLIFIER_GAIN_DB;
-        let with_oss: Vec<usize> = (1..path.nodes.len().saturating_sub(1))
-            .filter(|&at| {
-                let (pre, post) = path.split_losses_db(region, at);
-                pre <= budget + 1e-9 && post <= budget + 1e-9
-            })
+        let within = |(pre, post): (f64, f64)| pre <= budget + 1e-9 && post <= budget + 1e-9;
+        let prefix = path.prefix_km(region);
+        let interior = 1..path.nodes.len().saturating_sub(1);
+        let with_oss: Vec<usize> = (interior.clone())
+            .filter(|&at| within(path.split_losses_with(&prefix, at)))
             .collect();
         if !with_oss.is_empty() {
             return with_oss;
@@ -70,109 +73,122 @@ impl AmpPlacement {
         // Best achievable after maximal cut-throughs: only the amplifier
         // node's own OSS traversal (the loopback entry) is unavoidable.
         let fiber = iris_optics::FIBER_LOSS_DB_PER_KM;
-        let prefix = path.prefix_km(region);
-        (1..path.nodes.len().saturating_sub(1))
+        interior
             .filter(|&at| {
                 let pre = prefix[at] * fiber + iris_optics::OSS_LOSS_DB;
-                let post = (path.length_km - prefix[at]) * fiber;
-                pre <= budget + 1e-9 && post <= budget + 1e-9
+                within((pre, (path.length_km - prefix[at]) * fiber))
             })
             .collect()
     }
 }
 
+/// Pair sets mostly recur in neighbouring scenarios (which share a failed
+/// duct): emptying the load memo at this size loses few hits, not memory.
+const LOAD_MEMO_CAP: usize = 1024;
+
 /// Run Algorithm 2 over all failure scenarios of `goals`.
 ///
 /// Placements accumulate across scenarios in enumeration order, so this
-/// stage stays sequential; the scenario engine still removes the per-
-/// scenario all-pairs Dijkstra cost.
+/// stage stays sequential. It is delta-driven (docs/PLANNING.md): a
+/// scenario evaluates only the paths it re-routed, and when none of those
+/// needs amplification its pending set is a subset of the baseline's,
+/// which cannot change `amps_per_node` — the greedy is skipped.
 #[must_use]
 pub fn place_amplifiers(region: &Region, goals: &DesignGoals) -> AmpPlacement {
-    let caps: Vec<u64> = (0..region.dcs.len())
-        .map(|i| region.capacity_wavelengths(i))
-        .collect();
     let lambda = f64::from(region.wavelengths_per_fiber);
-
     let mut placement = AmpPlacement::default();
+    // Per distinct path, its amplifier locations (none: unsplittable);
+    // per distinct pair set, its hose load.
+    let mut located: SliceMemo<EdgeId, Rc<[NodeId]>> = SliceMemo::default();
+    let mut loads: SliceMemo<u32, f64> = SliceMemo::default();
+    let mut hose_load = hose_load(region);
+    // The no-failure scenario's pending paths by pair index; greedies skipped.
+    let (mut base, mut skipped) = (None::<Vec<(u32, Rc<[NodeId]>)>>, 0u64);
 
-    let mut engine = ScenarioEngine::new(region, goals);
-    engine.for_each_scenario(|scenario, view| {
-        // P <- long paths that require amplification.
-        let mut pending: Vec<&DcPath> = view.paths().filter(|p| p.needs_amplification()).collect();
+    ScenarioEngine::new(region, goals).for_each_scenario(|scenario, view| {
+        if loads.seen.len() >= LOAD_MEMO_CAP {
+            loads.seen.clear();
+        }
+        let mut long = |i: u32, path: Option<&DcPath>| {
+            let p = path.filter(|p| p.needs_amplification())?;
+            let splits = || AmpPlacement::feasible_splits(region, goals, p);
+            let locations = || splits().into_iter().map(|at| p.nodes[at]).collect();
+            Some((i, located.get(&p.edges, locations)))
+        };
+        let base = base.get_or_insert_with(|| {
+            let pairs = 0..view.pair_count() as u32;
+            pairs.filter_map(|i| long(i, view.baseline(i))).collect()
+        });
+        // P <- long paths that require amplification: the re-routed ones
+        // that do, and the baseline's that were not re-routed.
+        let reroutes = view.rerouted().iter();
+        let mut pending: Vec<_> = reroutes.filter_map(|&i| long(i, view.path(i))).collect();
+        let greedy = scenario.is_empty() || !pending.is_empty();
+        skipped += u64::from(!greedy);
+        let kept = |b: &&(u32, _)| view.rerouted().binary_search(&b.0).is_err();
+        pending.extend(base.iter().filter(kept).cloned());
+        pending.sort_unstable_by_key(|&(i, _)| i);
 
-        while !pending.is_empty() {
-            // S <- possible amplifier locations for all pending paths:
-            // location -> indices of pending paths it resolves.
-            let mut resolves: HashMap<NodeId, Vec<usize>> = HashMap::new();
-            for (i, p) in pending.iter().enumerate() {
-                for at in AmpPlacement::feasible_splits(region, goals, p) {
-                    resolves.entry(p.nodes[at]).or_default().push(i);
-                }
+        // S <- possible amplifier locations for all pending paths (one
+        // with none is never resolved): location -> pairs, both ascending.
+        let mut resolves: BTreeMap<NodeId, Vec<u32>> = BTreeMap::new();
+        for (i, locations) in &pending {
+            if locations.is_empty() {
+                placement.unresolved.push(UnresolvedPath {
+                    pair: view.pair(*i),
+                    scenario: scenario.to_vec(),
+                });
             }
-            if resolves.is_empty() {
-                for p in &pending {
-                    placement.unresolved.push(UnresolvedPath {
-                        pair: (p.a, p.b),
-                        scenario: scenario.to_vec(),
-                    });
-                }
-                break;
+            for &loc in locations.iter().filter(|_| greedy) {
+                resolves.entry(loc).or_default().push(*i);
             }
+        }
 
+        while !resolves.is_empty() {
             // Score each location: paths resolved per amplifier to be
-            // placed (Appendix A). Locations needing no new amplifiers
-            // score infinitely well and are taken first.
-            let mut best: Option<(NodeId, f64, u32, Vec<usize>)> = None;
-            let mut locations: Vec<(&NodeId, &Vec<usize>)> = resolves.iter().collect();
-            locations.sort_by_key(|(n, _)| **n); // deterministic order
-            for (&loc, resolved) in locations {
+            // placed (Appendix A). One needing no new amplifier scores
+            // infinitely well and, `>` being strict, wins outright.
+            let mut best: Option<(NodeId, f64, u32)> = None;
+            for (&loc, resolved) in &resolves {
                 // Worst-case fibers simultaneously amplified at `loc`:
                 // hose load of the resolved pairs, in fibers.
-                let pairs: Vec<(usize, usize)> = resolved
-                    .iter()
-                    .map(|&i| (pending[i].a, pending[i].b))
-                    .collect();
-                let noa = (hose::max_edge_load(&|dc| caps[dc], &pairs) / lambda).ceil() as u32;
+                let load = loads.get(resolved, || hose_load(view, resolved));
+                let noa = (load / lambda).ceil() as u32;
                 let noea = placement.amps_per_node.get(&loc).copied().unwrap_or(0);
                 let ntbp = noa.saturating_sub(noea);
-                let score = if ntbp == 0 {
-                    f64::INFINITY
-                } else {
-                    resolved.len() as f64 / f64::from(ntbp)
+                let score = match ntbp {
+                    0 => f64::INFINITY,
+                    _ => resolved.len() as f64 / f64::from(ntbp),
                 };
-                let better = match &best {
-                    None => true,
-                    Some((_, s, ..)) => score > *s,
-                };
-                if better {
-                    best = Some((loc, score, noa, resolved.clone()));
+                if best.is_none_or(|(_, s, _)| score > s) {
+                    best = Some((loc, score, noa));
+                }
+                if ntbp == 0 {
+                    break;
                 }
             }
-
-            // `resolves` is non-empty here, so a best location exists;
-            // degrade to "unresolved" instead of panicking if not.
-            let Some((loc, _, noa, resolved)) = best else {
-                for p in &pending {
-                    placement.unresolved.push(UnresolvedPath {
-                        pair: (p.a, p.b),
-                        scenario: scenario.to_vec(),
-                    });
-                }
-                break;
-            };
+            let (loc, _, noa) = best.expect("resolves is non-empty");
             let entry = placement.amps_per_node.entry(loc).or_insert(0);
             *entry = (*entry).max(noa);
             // Remove resolved paths from the pending set.
-            let resolved_set: std::collections::HashSet<usize> = resolved.into_iter().collect();
-            pending = pending
-                .into_iter()
-                .enumerate()
-                .filter(|(i, _)| !resolved_set.contains(i))
-                .map(|(_, p)| p)
-                .collect();
+            let resolved = resolves.remove(&loc).expect("scored above");
+            resolves.retain(|_, still| {
+                still.retain(|i| resolved.binary_search(i).is_err());
+                !still.is_empty()
+            });
         }
     });
 
+    located.flush(
+        &labeled("iris_planner_path_evals_total", "stage", "amplifiers"),
+        &labeled("iris_planner_path_memo_hits_total", "stage", "amplifiers"),
+    );
+    loads.flush(
+        "iris_planner_amp_hose_maxflow_total",
+        "iris_planner_amp_hose_memo_hits_total",
+    );
+    let skips = "iris_planner_placement_scenarios_skipped_total";
+    iris_telemetry::global().counter(skips).add(skipped);
     placement
 }
 

@@ -13,12 +13,15 @@
 //! resolved per fiber leased and accumulates across failure scenarios.
 
 use crate::amplifiers::AmpPlacement;
-use crate::engine::ScenarioEngine;
+use crate::engine::{ScenarioEngine, SliceMemo};
 use crate::goals::DesignGoals;
 use crate::paths::DcPath;
+use crate::topology::hose_load;
 use iris_fibermap::Region;
-use iris_netgraph::{hose, EdgeId, NodeId};
+use iris_netgraph::{EdgeId, NodeId};
+use iris_telemetry::labeled;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 
 /// One cut-through link: fiber spliced through `nodes[1..len-1]`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -110,25 +113,32 @@ pub fn segment_losses_db(
     amp_at: Option<usize>,
     cuts: &[CutThrough],
 ) -> Vec<f64> {
-    let fiber = iris_optics::FIBER_LOSS_DB_PER_KM;
-    let oss = iris_optics::OSS_LOSS_DB;
+    realized_losses(region, path, amp_at, cuts).0
+}
+
+/// [`segment_losses_db`], and how many switch points stay active.
+fn realized_losses(
+    region: &Region,
+    path: &DcPath,
+    amp_at: Option<usize>,
+    cuts: &[CutThrough],
+) -> (Vec<f64>, usize) {
+    let (fiber, oss) = (iris_optics::FIBER_LOSS_DB_PER_KM, iris_optics::OSS_LOSS_DB);
     let active = active_switch_points(path, amp_at, cuts);
-    let prefix = path.prefix_km(region);
-    match amp_at {
-        None => {
-            let switch = active.len() as f64 * oss;
-            vec![path.length_km * fiber + switch]
-        }
+    let losses = match amp_at {
+        None => vec![path.length_km * fiber + active.len() as f64 * oss],
         Some(a) => {
             // The amp location's own OSS sits on the prefix side.
             let pre_switch = active.iter().filter(|&&i| i <= a).count() as f64 * oss;
             let post_switch = active.iter().filter(|&&i| i > a).count() as f64 * oss;
+            let pre_km = path.prefix_km(region)[a];
             vec![
-                prefix[a] * fiber + pre_switch,
-                (path.length_km - prefix[a]) * fiber + post_switch,
+                pre_km * fiber + pre_switch,
+                (path.length_km - pre_km) * fiber + post_switch,
             ]
         }
-    }
+    };
+    (losses, active.len())
 }
 
 /// Pick the amplifier split for a path, preferring nodes that already
@@ -143,21 +153,15 @@ pub fn choose_amp_split(
     if !path.needs_amplification() {
         return None;
     }
-    let feasible = AmpPlacement::feasible_splits(region, goals, path);
-    feasible
-        .iter()
-        .copied()
+    let prefix = path.prefix_km(region);
+    let balance = |at: usize| {
+        let (pre, post) = path.split_losses_with(&prefix, at);
+        pre.max(post)
+    };
+    AmpPlacement::feasible_splits(region, goals, path)
+        .into_iter()
         .filter(|&at| amps.amps_per_node.contains_key(&path.nodes[at]))
-        .min_by(|&x, &y| {
-            let bx = balance(region, path, x);
-            let by = balance(region, path, y);
-            bx.partial_cmp(&by).expect("finite")
-        })
-}
-
-fn balance(region: &Region, path: &DcPath, at: usize) -> f64 {
-    let (pre, post) = path.split_losses_db(region, at);
-    pre.max(post)
+        .min_by(|&x, &y| balance(x).partial_cmp(&balance(y)).expect("finite"))
 }
 
 /// Does the realized path meet both the per-segment gain budget and the
@@ -169,127 +173,134 @@ fn path_ok(
     amp_at: Option<usize>,
     cuts: &[CutThrough],
 ) -> bool {
-    let segs = segment_losses_db(region, path, amp_at, cuts);
-    if segs
-        .iter()
-        .any(|&l| l > iris_optics::AMPLIFIER_GAIN_DB + 1e-9)
-    {
+    let (losses, active) = realized_losses(region, path, amp_at, cuts);
+    let budget = iris_optics::AMPLIFIER_GAIN_DB + 1e-9;
+    active <= goals.max_switch_hops && losses.iter().all(|&l| l <= budget)
+}
+
+/// Add `cut` to the plan, or raise the fiber count of the identical run
+/// already placed. Returns whether a cut was inserted — the one event
+/// that can change a [`path_ok`] verdict.
+fn commit(plan: &mut CutThroughPlan, cut: CutThrough) -> bool {
+    if let Some(existing) = plan.cuts.iter_mut().find(|c| c.nodes == cut.nodes) {
+        existing.fiber_pairs = existing.fiber_pairs.max(cut.fiber_pairs);
         return false;
     }
-    active_switch_points(path, amp_at, cuts).len() <= goals.max_switch_hops
+    plan.cuts.push(cut);
+    true
 }
 
 /// Place cut-throughs until every path in every scenario meets its
 /// budgets (or no candidate helps).
+///
+/// Delta-driven like amplifier placement: a path's amplifier split and
+/// its verdict under the cuts placed so far are worked out once, and a
+/// scenario looks only at the baseline's violating paths and its detours.
 #[must_use]
 pub fn place_cutthroughs(
     region: &Region,
     goals: &DesignGoals,
     amps: &AmpPlacement,
 ) -> CutThroughPlan {
-    let g = region.map.graph();
-    let caps: Vec<u64> = (0..region.dcs.len())
-        .map(|i| region.capacity_wavelengths(i))
-        .collect();
-    let lambda = f64::from(region.wavelengths_per_fiber);
-
+    let (g, lambda) = (region.map.graph(), f64::from(region.wavelengths_per_fiber));
     let mut plan = CutThroughPlan::default();
+    // Per distinct path: (amplifier split, within budget under `plan.cuts`).
+    let mut verdicts = SliceMemo::default();
+    // Baseline pairs over budget; `None` once a cut is inserted.
+    let mut base_bad: Option<Vec<u32>> = None;
+    let (mut hose_load, mut resolved) = (hose_load(region), Vec::new());
 
-    let mut engine = ScenarioEngine::new(region, goals);
-    engine.for_each_scenario(|scenario, view| {
-        let with_amp: Vec<(&DcPath, Option<usize>)> = view
-            .paths()
-            .map(|p| (p, choose_amp_split(region, goals, p, amps)))
+    ScenarioEngine::new(region, goals).for_each_scenario(|scenario, view| loop {
+        let mut judge = |p: &DcPath| {
+            verdicts.get(&p.edges, || {
+                let amp_at = choose_amp_split(region, goals, p, amps);
+                (amp_at, path_ok(region, goals, p, amp_at, &plan.cuts))
+            })
+        };
+        let bad = base_bad.get_or_insert_with(|| {
+            let over = |&i: &u32| view.baseline(i).is_some_and(|p| !judge(p).1);
+            (0..view.pair_count() as u32).filter(over).collect()
+        });
+        // Violating paths, in pair order: the baseline's and the detours.
+        let kept = |i: &&u32| view.rerouted().binary_search(i).is_err();
+        let mut violating: Vec<(u32, &DcPath, Option<usize>)> = (bad.iter().filter(kept))
+            .chain(view.rerouted())
+            .filter_map(|&i| {
+                let p = view.path(i)?;
+                let (amp_at, ok) = judge(p);
+                (!ok).then_some((i, p, amp_at))
+            })
             .collect();
+        if violating.is_empty() {
+            break;
+        }
+        violating.sort_unstable_by_key(|v| v.0);
 
-        loop {
-            let violating: Vec<&(&DcPath, Option<usize>)> = with_amp
-                .iter()
-                .filter(|(p, a)| !path_ok(region, goals, p, *a, &plan.cuts))
-                .collect();
-            if violating.is_empty() {
-                break;
-            }
-
-            // Candidate cut-throughs: contiguous interior runs of any
-            // violating path, not containing its amp node strictly inside.
-            #[allow(clippy::type_complexity)]
-            let mut candidates: std::collections::BTreeMap<
-                Vec<NodeId>,
-                (Vec<EdgeId>, f64),
-            > = std::collections::BTreeMap::new();
-            for (p, a) in &violating {
-                let n = p.nodes.len();
-                for i in 0..n.saturating_sub(2) {
-                    for j in (i + 2)..n {
-                        if let Some(amp) = a {
-                            if *amp > i && *amp < j {
-                                continue;
-                            }
-                        }
-                        let nodes = p.nodes[i..=j].to_vec();
-                        let edges = p.edges[i..j].to_vec();
-                        let len: f64 = edges.iter().map(|&e| g.edge(e).length_km).sum();
-                        candidates.entry(nodes).or_insert((edges, len));
+        // Candidate cut-throughs: contiguous interior runs of any
+        // violating path, not containing its amp node strictly inside.
+        let mut candidates: BTreeMap<Vec<NodeId>, (Vec<EdgeId>, f64)> = BTreeMap::new();
+        for (_, p, a) in &violating {
+            let n = p.nodes.len();
+            for i in 0..n.saturating_sub(2) {
+                for j in (i + 2)..n {
+                    if a.is_some_and(|amp| amp > i && amp < j) {
+                        continue;
                     }
-                }
-            }
-
-            // Score each candidate: violating paths it resolves per fiber
-            // pair leased (pairs x spans, since leases are per span).
-            #[allow(clippy::type_complexity)]
-            let mut best: Option<(Vec<NodeId>, Vec<EdgeId>, f64, u32, f64)> = None;
-            for (nodes, (edges, len)) in &candidates {
-                let trial = CutThrough {
-                    nodes: nodes.clone(),
-                    edges: edges.clone(),
-                    length_km: *len,
-                    fiber_pairs: 0,
-                };
-                let mut trial_cuts = plan.cuts.clone();
-                trial_cuts.push(trial);
-                let resolved: Vec<&(&DcPath, Option<usize>)> = violating
-                    .iter()
-                    .filter(|(p, a)| path_ok(region, goals, p, *a, &trial_cuts))
-                    .copied()
-                    .collect();
-                if resolved.is_empty() {
-                    continue;
-                }
-                let pairs: Vec<(usize, usize)> = resolved.iter().map(|(p, _)| (p.a, p.b)).collect();
-                let fibers =
-                    ((hose::max_edge_load(&|dc| caps[dc], &pairs) / lambda).ceil() as u32).max(1);
-                let cost = f64::from(fibers) * edges.len() as f64;
-                let score = resolved.len() as f64 / cost;
-                if best.as_ref().is_none_or(|(.., s)| score > *s) {
-                    best = Some((nodes.clone(), edges.clone(), *len, fibers, score));
-                }
-            }
-
-            match best {
-                Some((nodes, edges, length_km, fiber_pairs, _)) => {
-                    // Merge with an identical existing cut if present.
-                    if let Some(existing) = plan.cuts.iter_mut().find(|c| c.nodes == nodes) {
-                        existing.fiber_pairs = existing.fiber_pairs.max(fiber_pairs);
-                    } else {
-                        plan.cuts.push(CutThrough {
-                            nodes,
-                            edges,
-                            length_km,
-                            fiber_pairs,
-                        });
-                    }
-                }
-                None => {
-                    for (p, _) in violating {
-                        plan.unresolved.push((p.a, p.b, scenario.to_vec()));
-                    }
-                    break;
+                    let edges = p.edges[i..j].to_vec();
+                    let len: f64 = edges.iter().map(|&e| g.edge(e).length_km).sum();
+                    candidates
+                        .entry(p.nodes[i..=j].to_vec())
+                        .or_insert((edges, len));
                 }
             }
         }
+
+        // Score each candidate: violating paths it resolves per fiber
+        // pair leased (pairs x spans, since leases are per span). A
+        // candidate is tried in place, on the end of `plan.cuts`.
+        let mut best: Option<(CutThrough, f64)> = None;
+        for (nodes, (edges, length_km)) in candidates {
+            plan.cuts.push(CutThrough {
+                nodes,
+                edges,
+                length_km,
+                fiber_pairs: 0,
+            });
+            resolved.clear();
+            resolved.extend(
+                (violating.iter())
+                    .filter(|(_, p, a)| path_ok(region, goals, p, *a, &plan.cuts))
+                    .map(|v| v.0),
+            );
+            let mut trial = plan.cuts.pop().expect("pushed above");
+            if resolved.is_empty() {
+                continue;
+            }
+            let fibers = (hose_load(view, &resolved) / lambda).ceil() as u32;
+            trial.fiber_pairs = fibers.max(1);
+            let cost = f64::from(trial.fiber_pairs) * trial.edges.len() as f64;
+            let score = resolved.len() as f64 / cost;
+            if best.as_ref().is_none_or(|(_, s)| score > *s) {
+                best = Some((trial, score));
+            }
+        }
+
+        let Some((cut, _)) = best else {
+            for (_, p, _) in violating {
+                plan.unresolved.push((p.a, p.b, scenario.to_vec()));
+            }
+            break;
+        };
+        if commit(&mut plan, cut) {
+            base_bad = None;
+            verdicts.seen.clear();
+        }
     });
 
+    verdicts.flush(
+        &labeled("iris_planner_path_evals_total", "stage", "cutthroughs"),
+        &labeled("iris_planner_path_memo_hits_total", "stage", "cutthroughs"),
+    );
     plan
 }
 
@@ -335,6 +346,29 @@ mod tests {
         let (paths, _) = scenario_paths(&r, &goals, &[]);
         let amp_at = choose_amp_split(&r, &goals, &paths[0], &amps);
         assert!(path_ok(&r, &goals, &paths[0], amp_at, &plan.cuts));
+    }
+
+    #[test]
+    fn only_an_inserted_cut_voids_cached_verdicts() {
+        let r = many_hop_region();
+        let goals = DesignGoals::with_cuts(0);
+        let (paths, _) = scenario_paths(&r, &goals, &[]);
+        let p = &paths[0];
+        let run = |fiber_pairs| CutThrough {
+            nodes: p.nodes[1..=5].to_vec(),
+            edges: p.edges[1..5].to_vec(),
+            length_km: 20.0,
+            fiber_pairs,
+        };
+        let mut plan = CutThroughPlan::default();
+        assert!(!path_ok(&r, &goals, p, None, &plan.cuts), "8 hops");
+        // Inserting a cut changes the path's verdict, and says so ...
+        assert!(commit(&mut plan, run(1)));
+        assert!(path_ok(&r, &goals, p, None, &plan.cuts), "5 hops");
+        // ... raising its fiber count changes no verdict, and says so.
+        assert!(!commit(&mut plan, run(3)));
+        assert_eq!((plan.cuts.len(), plan.cuts[0].fiber_pairs), (1, 3));
+        assert!(path_ok(&r, &goals, p, None, &plan.cuts));
     }
 
     #[test]

@@ -29,65 +29,74 @@
 //! implemented once.
 
 use crate::goals::DesignGoals;
-use crate::paths::{scenario_mask, DcPath};
+use crate::paths::{route, scenario_mask, DcPath};
 use iris_fibermap::Region;
 use iris_netgraph::{DijkstraScratch, EdgeId, FailureScenarios};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Per-pair routing outcome in one scenario.
-#[derive(Debug, Clone, PartialEq)]
-enum PairState {
-    /// The unique shortest path, within the SLA.
-    Path(DcPath),
-    /// Disconnected or SLA-violating.
-    Infeasible,
-}
 
 #[derive(Debug, Clone)]
 struct PairSlot {
     a: usize,
     b: usize,
-    state: PairState,
+    /// The unique shortest path, `None` if disconnected or over the SLA.
+    path: Option<DcPath>,
 }
 
 /// A read-only view of all DC-pair routes in the current scenario,
-/// handed to [`ScenarioEngine::for_each_scenario`] callbacks.
+/// handed to [`ScenarioEngine::for_each_scenario`] callbacks. It also
+/// says which pairs the scenario re-routed: every other pair still has
+/// its baseline path, so a pass that keeps its answers for the baseline
+/// (the first, empty scenario) evaluates only those.
 #[derive(Debug, Clone, Copy)]
 pub struct ScenarioView<'a> {
     slots: &'a [PairSlot],
+    rerouted: &'a [u32],
+    stash: &'a [(u32, Option<DcPath>)],
 }
 
 impl<'a> ScenarioView<'a> {
+    /// Pair indices this scenario re-routed (their baseline path crosses
+    /// a failed duct), ascending. Empty in the no-failure scenario.
+    #[must_use]
+    pub fn rerouted(&self) -> &'a [u32] {
+        self.rerouted
+    }
+
+    /// Pair `idx`'s path in this scenario, `None` if infeasible.
+    #[must_use]
+    pub fn path(&self, idx: u32) -> Option<&'a DcPath> {
+        self.slots[idx as usize].path.as_ref()
+    }
+
+    /// Pair `idx`'s *baseline* path, whether or not this scenario
+    /// re-routed it; `None` if the pair is infeasible even without cuts.
+    #[must_use]
+    pub fn baseline(&self, idx: u32) -> Option<&'a DcPath> {
+        match self.rerouted.binary_search(&idx) {
+            Ok(k) => self.stash[k].1.as_ref(),
+            Err(_) => self.path(idx),
+        }
+    }
+
     /// The feasible DC-pair paths, ordered by `(a, b)` ascending —
     /// exactly the order (and contents) of
     /// [`crate::paths::scenario_paths`]'s first return value.
     pub fn paths(&self) -> impl Iterator<Item = &'a DcPath> + 'a {
-        self.slots.iter().filter_map(|s| match &s.state {
-            PairState::Path(p) => Some(p),
-            PairState::Infeasible => None,
-        })
+        self.slots.iter().filter_map(|s| s.path.as_ref())
     }
 
     /// Feasible paths together with their dense pair index (the engine's
     /// stable identifier for the unordered pair `(a, b)`).
     pub fn indexed_paths(&self) -> impl Iterator<Item = (u32, &'a DcPath)> + 'a {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| match &s.state {
-                PairState::Path(p) => Some((i as u32, p)),
-                PairState::Infeasible => None,
-            })
+        (self.slots.iter().enumerate()).filter_map(|(i, s)| Some((i as u32, s.path.as_ref()?)))
     }
 
     /// DC index pairs that are unreachable or SLA-violating in this
     /// scenario, ordered by `(a, b)` ascending — exactly
     /// [`crate::paths::scenario_paths`]'s second return value.
     pub fn unreachable(&self) -> impl Iterator<Item = (usize, usize)> + 'a {
-        self.slots.iter().filter_map(|s| match s.state {
-            PairState::Infeasible => Some((s.a, s.b)),
-            PairState::Path(_) => None,
-        })
+        (self.slots.iter().filter(|s| s.path.is_none())).map(|s| (s.a, s.b))
     }
 
     /// Number of DC pairs (feasible + infeasible).
@@ -120,7 +129,7 @@ pub struct ScenarioEngine<'r> {
     /// `edge_pairs[e]` — pair indices whose *baseline* path crosses `e`.
     edge_pairs: Vec<Vec<u32>>,
     /// Baseline states of pairs overlaid by the current scenario.
-    stash: Vec<(u32, PairState)>,
+    stash: Vec<(u32, Option<DcPath>)>,
     /// Scratch: pair indices invalidated by the current scenario.
     affected: Vec<u32>,
     affected_mark: Vec<bool>,
@@ -129,8 +138,6 @@ pub struct ScenarioEngine<'r> {
     pub cache_hits: u64,
     /// Pairs re-routed because a failed duct crossed their cached path.
     pub cache_invalidations: u64,
-    /// Scenarios processed.
-    pub scenarios_processed: u64,
 }
 
 impl<'r> ScenarioEngine<'r> {
@@ -148,59 +155,33 @@ impl<'r> ScenarioEngine<'r> {
         for a in 0..n {
             dijkstra.run(g, region.dcs[a], &base_mask);
             for b in (a + 1)..n {
-                let target = region.dcs[b];
-                let state = match dijkstra.path_edges(g, target) {
-                    Some(edges) => {
-                        let nodes = dijkstra.path_nodes(g, target).expect("reachable");
-                        let length_km = iris_netgraph::shortest::path_length_km(g, &edges);
-                        if length_km > goals.sla_km + 1e-9 {
-                            PairState::Infeasible
-                        } else {
-                            let idx = slots.len() as u32;
-                            for &e in &edges {
-                                edge_pairs[e].push(idx);
-                            }
-                            PairState::Path(DcPath {
-                                a,
-                                b,
-                                nodes,
-                                edges,
-                                length_km,
-                            })
-                        }
-                    }
-                    None => PairState::Infeasible,
-                };
-                slots.push(PairSlot { a, b, state });
+                let path = route(&dijkstra, region, goals, a, b);
+                for &e in path.iter().flat_map(|p| &p.edges) {
+                    edge_pairs[e].push(slots.len() as u32);
+                }
+                slots.push(PairSlot { a, b, path });
             }
         }
-        let n_pairs = slots.len();
         Self {
             region,
             goals,
             mask: base_mask,
+            affected_mark: vec![false; slots.len()],
             slots,
             edge_pairs,
             stash: Vec::new(),
             affected: Vec::new(),
-            affected_mark: vec![false; n_pairs],
             dijkstra,
             cache_hits: 0,
             cache_invalidations: 0,
-            scenarios_processed: 0,
         }
     }
 
     /// Run `f` once per failure scenario of `goals.max_cuts`, in the
     /// deterministic [`FailureScenarios`] order.
-    pub fn for_each_scenario(&mut self, mut f: impl FnMut(&[EdgeId], ScenarioView<'_>)) {
+    pub fn for_each_scenario(&mut self, f: impl FnMut(&[EdgeId], ScenarioView<'_>)) {
         let m = self.region.map.graph().edge_count();
-        for scenario in FailureScenarios::new(m, self.goals.max_cuts) {
-            self.apply(&scenario);
-            f(&scenario, ScenarioView { slots: &self.slots });
-            self.restore(&scenario);
-        }
-        self.flush_telemetry();
+        self.visit(FailureScenarios::new(m, self.goals.max_cuts), f);
     }
 
     /// Run `f` for an explicit scenario list (a chunk of the full
@@ -208,12 +189,26 @@ impl<'r> ScenarioEngine<'r> {
     pub fn for_scenarios(
         &mut self,
         scenarios: &[Vec<EdgeId>],
+        f: impl FnMut(&[EdgeId], ScenarioView<'_>),
+    ) {
+        self.visit(scenarios.iter(), f);
+    }
+
+    /// Overlay each scenario, show it to `f`, put the baseline back.
+    fn visit<S: AsRef<[EdgeId]>>(
+        &mut self,
+        scenarios: impl Iterator<Item = S>,
         mut f: impl FnMut(&[EdgeId], ScenarioView<'_>),
     ) {
         for scenario in scenarios {
-            self.apply(scenario);
-            f(scenario, ScenarioView { slots: &self.slots });
-            self.restore(scenario);
+            self.apply(scenario.as_ref());
+            let view = ScenarioView {
+                slots: &self.slots,
+                rerouted: &self.affected,
+                stash: &self.stash,
+            };
+            f(scenario.as_ref(), view);
+            self.restore();
         }
         self.flush_telemetry();
     }
@@ -222,7 +217,6 @@ impl<'r> ScenarioEngine<'r> {
     /// crosses a failed duct, stashing the baseline states for
     /// [`ScenarioEngine::restore`].
     fn apply(&mut self, failed: &[EdgeId]) {
-        self.scenarios_processed += 1;
         debug_assert!(self.affected.is_empty() && self.stash.is_empty());
         for &e in failed {
             for &p in &self.edge_pairs[e] {
@@ -247,34 +241,13 @@ impl<'r> ScenarioEngine<'r> {
         let mut current_source = usize::MAX;
         for i in 0..self.affected.len() {
             let p = self.affected[i];
-            let (a, b) = {
-                let s = &self.slots[p as usize];
-                (s.a, s.b)
-            };
+            let (a, b) = (self.slots[p as usize].a, self.slots[p as usize].b);
             if a != current_source {
                 self.dijkstra.run(g, self.region.dcs[a], &self.mask);
                 current_source = a;
             }
-            let target = self.region.dcs[b];
-            let state = match self.dijkstra.path_edges(g, target) {
-                Some(edges) => {
-                    let nodes = self.dijkstra.path_nodes(g, target).expect("reachable");
-                    let length_km = iris_netgraph::shortest::path_length_km(g, &edges);
-                    if length_km > self.goals.sla_km + 1e-9 {
-                        PairState::Infeasible
-                    } else {
-                        PairState::Path(DcPath {
-                            a,
-                            b,
-                            nodes,
-                            edges,
-                            length_km,
-                        })
-                    }
-                }
-                None => PairState::Infeasible,
-            };
-            let old = std::mem::replace(&mut self.slots[p as usize].state, state);
+            let detour = route(&self.dijkstra, self.region, self.goals, a, b);
+            let old = std::mem::replace(&mut self.slots[p as usize].path, detour);
             self.stash.push((p, old));
         }
         for &e in failed {
@@ -285,9 +258,9 @@ impl<'r> ScenarioEngine<'r> {
     /// Undo [`ScenarioEngine::apply`]: swap the stashed baseline states
     /// back in. No clones — the overlay is moved out, the baseline moved
     /// back.
-    fn restore(&mut self, _failed: &[EdgeId]) {
+    fn restore(&mut self) {
         for (p, old) in self.stash.drain(..) {
-            self.slots[p as usize].state = old;
+            self.slots[p as usize].path = old;
         }
         for p in self.affected.drain(..) {
             self.affected_mark[p as usize] = false;
@@ -308,12 +281,46 @@ impl<'r> ScenarioEngine<'r> {
     /// reset the local tallies.
     fn flush_telemetry(&mut self) {
         let t = iris_telemetry::global();
+        let (hits, invalidations) = (&mut self.cache_hits, &mut self.cache_invalidations);
         t.counter("iris_planner_paircache_hits_total")
-            .add(self.cache_hits);
+            .add(std::mem::take(hits));
         t.counter("iris_planner_paircache_invalidations_total")
-            .add(self.cache_invalidations);
-        self.cache_hits = 0;
-        self.cache_invalidations = 0;
+            .add(std::mem::take(invalidations));
+    }
+}
+
+/// A memo keyed by a slice: a set of DC pairs (ascending engine pair
+/// indices, so equal keys mean equal sets) or a path's duct sequence
+/// (which fixes its nodes and length) — across thousands of scenarios
+/// the same sets and detours recur constantly. `&[K]` lookups allocate
+/// nothing on a hit. One memo per pass or sweep chunk, dropped with it.
+#[derive(Default)]
+pub(crate) struct SliceMemo<K, V> {
+    /// Clear it when what the values depend on changes.
+    pub seen: HashMap<Box<[K]>, V>,
+    /// Values asked for.
+    pub lookups: u64,
+    /// Lookups the memo missed, i.e. evaluations.
+    pub evals: u64,
+}
+
+impl<K: Copy + Eq + std::hash::Hash, V: Clone> SliceMemo<K, V> {
+    pub fn get(&mut self, key: &[K], eval: impl FnOnce() -> V) -> V {
+        self.lookups += 1;
+        if let Some(known) = self.seen.get(key) {
+            return known.clone();
+        }
+        self.evals += 1;
+        let fresh = eval();
+        self.seen.insert(key.into(), fresh.clone());
+        fresh
+    }
+
+    /// Add the evaluations and the hits to the two named counters.
+    pub fn flush(&self, evals: &str, hits: &str) {
+        let t = iris_telemetry::global();
+        t.counter(evals).add(self.evals);
+        t.counter(hits).add(self.lookups - self.evals);
     }
 }
 
@@ -508,7 +515,7 @@ mod tests {
         let mut scenarios = 0u64;
         for scenario in FailureScenarios::new(m, goals.max_cuts) {
             engine.apply(&scenario);
-            engine.restore(&scenario);
+            engine.restore();
             scenarios += 1;
         }
         assert_eq!(scenarios, FailureScenarios::count_scenarios(m, 1));
@@ -556,7 +563,6 @@ mod tests {
             calls += 1;
         });
         assert_eq!(calls, 1);
-        assert_eq!(engine.scenarios_processed, 1);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use crate::goals::DesignGoals;
 use iris_fibermap::Region;
-use iris_netgraph::{dijkstra, shortest::path_length_km, EdgeId, NodeId};
+use iris_netgraph::{shortest::path_length_km, DijkstraScratch, EdgeId, NodeId};
 use serde::{Deserialize, Serialize};
 
 /// The shortest path between one DC pair in one failure scenario.
@@ -57,11 +57,16 @@ impl DcPath {
     /// Panics if `at` is not an interior index.
     #[must_use]
     pub fn split_losses_db(&self, region: &Region, at: usize) -> (f64, f64) {
+        self.split_losses_with(&self.prefix_km(region), at)
+    }
+
+    /// [`DcPath::split_losses_db`] given the path's own `prefix_km`, so
+    /// that a caller trying every split computes the prefix once.
+    pub(crate) fn split_losses_with(&self, prefix_km: &[f64], at: usize) -> (f64, f64) {
         assert!(
             at >= 1 && at + 1 < self.nodes.len(),
             "amplifier must sit at an interior node"
         );
-        let prefix_km = self.prefix_km(region);
         let fiber = iris_optics::FIBER_LOSS_DB_PER_KM;
         let oss = iris_optics::OSS_LOSS_DB;
         let pre = prefix_km[at] * fiber + at as f64 * oss;
@@ -112,6 +117,27 @@ pub fn scenario_mask(region: &Region, goals: &DesignGoals, failed: &[EdgeId]) ->
     mask
 }
 
+/// Pair `(a, b)`'s path after `dijkstra` ran from DC `a`: the shortest
+/// one, unless the pair is disconnected or that path is over the SLA.
+pub(crate) fn route(
+    dijkstra: &DijkstraScratch,
+    region: &Region,
+    goals: &DesignGoals,
+    a: usize,
+    b: usize,
+) -> Option<DcPath> {
+    let (g, target) = (region.map.graph(), region.dcs[b]);
+    let edges = dijkstra.path_edges(g, target)?;
+    let length_km = path_length_km(g, &edges);
+    (length_km <= goals.sla_km + 1e-9).then(|| DcPath {
+        a,
+        b,
+        nodes: dijkstra.path_nodes(g, target).expect("reachable"),
+        edges,
+        length_km,
+    })
+}
+
 /// All DC-pair shortest paths in the failure scenario `failed`.
 ///
 /// Pairs that are disconnected, or whose shortest path exceeds the SLA
@@ -122,37 +148,14 @@ pub fn scenario_paths(
     goals: &DesignGoals,
     failed: &[EdgeId],
 ) -> (Vec<DcPath>, Vec<(usize, usize)>) {
-    let g = region.map.graph();
     let mask = scenario_mask(region, goals, failed);
-    let n = region.dcs.len();
-    let mut paths = Vec::new();
-    let mut unreachable = Vec::new();
-    for a in 0..n {
-        let r = dijkstra(g, region.dcs[a], &mask);
-        for b in (a + 1)..n {
-            let target = region.dcs[b];
-            match r.path_edges(g, target) {
-                Some(edges) => {
-                    // path_edges succeeding means the target is reachable,
-                    // but degrade to "unreachable" rather than panic if the
-                    // node reconstruction ever disagrees.
-                    let Some(nodes) = r.path_nodes(g, target) else {
-                        unreachable.push((a, b));
-                        continue;
-                    };
-                    let length_km = path_length_km(g, &edges);
-                    if length_km > goals.sla_km + 1e-9 {
-                        unreachable.push((a, b));
-                    } else {
-                        paths.push(DcPath {
-                            a,
-                            b,
-                            nodes,
-                            edges,
-                            length_km,
-                        });
-                    }
-                }
+    let mut dijkstra = DijkstraScratch::new();
+    let (mut paths, mut unreachable) = (Vec::new(), Vec::new());
+    for a in 0..region.dcs.len() {
+        dijkstra.run(region.map.graph(), region.dcs[a], &mask);
+        for b in (a + 1)..region.dcs.len() {
+            match route(&dijkstra, region, goals, a, b) {
+                Some(path) => paths.push(path),
                 None => unreachable.push((a, b)),
             }
         }

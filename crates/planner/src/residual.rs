@@ -19,7 +19,7 @@
 
 use crate::engine::ScenarioEngine;
 use crate::goals::DesignGoals;
-use crate::paths::scenario_paths;
+use crate::paths::{scenario_paths, DcPath};
 use iris_fibermap::Region;
 
 /// Total residual fibers (not pairs) needed region-wide by pure fiber
@@ -32,22 +32,30 @@ pub fn residual_fiber_overhead(n_dcs: usize) -> usize {
 /// Residual fiber *pairs* to lease on each duct: for every unordered DC
 /// pair, one pair along its shortest path, taking the per-duct maximum
 /// across failure scenarios (the residual must exist on whatever path the
-/// pair is using).
+/// pair is using). A failure scenario only moves the pairs it re-routed
+/// off their baseline ducts onto their detours, so only those ducts'
+/// counts are looked at again.
 #[must_use]
 pub fn residual_pairs_per_edge(region: &Region, goals: &DesignGoals) -> Vec<u32> {
+    fn ducts(path: Option<&DcPath>) -> impl Iterator<Item = usize> + '_ {
+        path.into_iter().flat_map(|p| p.edges.iter().copied())
+    }
     let m = region.map.graph().edge_count();
-    let mut worst = vec![0u32; m];
-    let mut count = vec![0u32; m];
-    let mut engine = ScenarioEngine::new(region, goals);
-    engine.for_each_scenario(|_, view| {
-        count.fill(0);
-        for p in view.paths() {
-            for &e in &p.edges {
-                count[e] += 1;
-            }
+    // Pairs per duct: without failures, this scenario's change, the worst.
+    let (mut base, mut delta, mut worst) = (vec![0i32; m], vec![0i32; m], vec![0u32; m]);
+    ScenarioEngine::new(region, goals).for_each_scenario(|scenario, view| {
+        if scenario.is_empty() {
+            (view.paths().flat_map(|p| &p.edges)).for_each(|&e| base[e] += 1);
+            worst = base.iter().map(|&c| c as u32).collect();
         }
-        for e in 0..m {
-            worst[e] = worst[e].max(count[e]);
+        for &i in view.rerouted() {
+            ducts(view.baseline(i)).for_each(|e| delta[e] -= 1);
+            ducts(view.path(i)).for_each(|e| delta[e] += 1);
+        }
+        for &i in view.rerouted() {
+            for e in ducts(view.baseline(i)).chain(ducts(view.path(i))) {
+                worst[e] = worst[e].max((base[e] + std::mem::take(&mut delta[e])) as u32);
+            }
         }
     });
     worst

@@ -21,7 +21,6 @@ use crate::paths::{scenario_paths, DcPath};
 use iris_fibermap::{Region, SiteId, SiteKind};
 use iris_netgraph::{EdgeId, FailureScenarios, HoseScratch};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// A DC pair that cannot meet the goals in some failure scenario.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -90,16 +89,6 @@ impl Provisioning {
     }
 }
 
-/// Work counts of one [`sweep`], for the caller's telemetry.
-pub(crate) struct SweepStats {
-    /// Duct loads asked for (one per occupied duct per scenario).
-    pub lookups: u64,
-    /// Lookups the pair-set memo missed, i.e. load-model evaluations.
-    pub evals: u64,
-    /// Scenarios examined by each chunk, in chunk order.
-    pub chunk_scenarios: Vec<u64>,
-}
-
 /// Algorithm 1's sweep, generic over what "load of a pair set" means.
 ///
 /// For every ≤k-cut failure scenario, group the routed DC pairs by the
@@ -109,7 +98,8 @@ pub(crate) struct SweepStats {
 /// engine pair indices, resolvable through the [`ScenarioView`]) to a load
 /// in wavelengths. A load depends only on the pair set, so it is memoized
 /// by pair set — across thousands of scenarios the same sets recur
-/// constantly.
+/// constantly; each chunk's memo adds its evaluations and hits to the two
+/// `memo_counters`. Also returned: each chunk's scenario count, in order.
 ///
 /// The enumeration is split into `threads` contiguous chunks mapped
 /// through [`engine::par_map`]. All sweep state is chunk-local: the
@@ -123,8 +113,9 @@ pub(crate) fn sweep<L>(
     region: &Region,
     goals: &DesignGoals,
     threads: usize,
+    memo_counters: Option<[&str; 2]>,
     new_load: impl Fn() -> L + Sync,
-) -> (Provisioning, SweepStats)
+) -> (Provisioning, Vec<u64>)
 where
     L: FnMut(ScenarioView<'_>, &[u32]) -> f64,
 {
@@ -146,12 +137,8 @@ where
             infeasible: Vec::new(),
             scenarios_examined: chunk.len() as u64,
         };
-        let (mut lookups, mut evals) = (0u64, 0u64);
-        // Keyed by the pair-index set crossing a duct (pair indices are
-        // the engine's stable ids for DC pairs, so equal keys mean equal
-        // pair sets). Boxed-slice keys with `&[u32]` lookups avoid an
-        // allocation on every memo hit.
-        let mut memo: HashMap<Box<[u32]>, f64> = HashMap::new();
+        // Keyed by the pair-index set crossing a duct.
+        let mut memo = engine::SliceMemo::default();
         // pairs_on_edge[e] — pair indices crossing duct `e` in the current
         // scenario; `touched` lists the non-empty entries so clearing is
         // O(touched), not O(m).
@@ -177,24 +164,17 @@ where
             }
             for &e in &touched {
                 let pairs = pairs_on_edge[e].as_slice();
-                lookups += 1;
-                let load = if let Some(&l) = memo.get(pairs) {
-                    l
-                } else {
-                    evals += 1;
-                    let l = load_of(view, pairs);
-                    memo.insert(pairs.into(), l);
-                    l
-                };
-                if load > out.edge_capacity_wl[e] {
-                    out.edge_capacity_wl[e] = load;
-                }
+                let load = memo.get(pairs, || load_of(view, pairs));
+                out.edge_capacity_wl[e] = out.edge_capacity_wl[e].max(load);
             }
             for e in touched.drain(..) {
                 pairs_on_edge[e].clear();
             }
         });
-        (out, lookups, evals)
+        if let Some([evals, hits]) = memo_counters {
+            memo.flush(evals, hits);
+        }
+        out
     });
 
     let mut prov = Provisioning {
@@ -202,28 +182,26 @@ where
         infeasible: Vec::new(),
         scenarios_examined: 0,
     };
-    let mut stats = SweepStats {
-        lookups: 0,
-        evals: 0,
-        chunk_scenarios: Vec::with_capacity(results.len()),
-    };
-    for (chunk, lookups, evals) in results {
-        for (c, rc) in prov
-            .edge_capacity_wl
-            .iter_mut()
-            .zip(&chunk.edge_capacity_wl)
-        {
-            if *rc > *c {
-                *c = *rc;
-            }
-        }
+    let mut chunk_scenarios = Vec::with_capacity(results.len());
+    for chunk in results {
+        let worst = prov.edge_capacity_wl.iter_mut();
+        (worst.zip(&chunk.edge_capacity_wl)).for_each(|(c, rc)| *c = c.max(*rc));
         prov.infeasible.extend(chunk.infeasible);
         prov.scenarios_examined += chunk.scenarios_examined;
-        stats.lookups += lookups;
-        stats.evals += evals;
-        stats.chunk_scenarios.push(chunk.scenarios_examined);
+        chunk_scenarios.push(chunk.scenarios_examined);
     }
-    (prov, stats)
+    (prov, chunk_scenarios)
+}
+
+/// The hose load model: the worst load, in wavelengths, a traffic matrix
+/// within the per-DC capacities can put on a duct that `pairs` cross.
+pub(crate) fn hose_load(region: &Region) -> impl FnMut(ScenarioView<'_>, &[u32]) -> f64 + '_ {
+    let (mut hose, mut pair_buf) = (HoseScratch::new(), Vec::new());
+    move |view, pairs| {
+        pair_buf.clear();
+        pair_buf.extend(pairs.iter().map(|&i| view.pair(i)));
+        hose.max_edge_load(&|dc| region.capacity_wavelengths(dc), &pair_buf)
+    }
 }
 
 /// Run Algorithm 1 on a region with the default thread count
@@ -251,35 +229,22 @@ pub fn provision_with_threads(
     let telemetry = iris_telemetry::global();
     let wall =
         iris_telemetry::Span::enter_ms(telemetry.histogram("iris_planner_provision_wall_ms"));
-    let cap = |dc| region.capacity_wavelengths(dc);
-    let (prov, stats) = sweep(region, goals, threads, || {
-        let mut hose = HoseScratch::new();
-        let mut pair_buf: Vec<(usize, usize)> = Vec::new();
-        move |view: ScenarioView<'_>, pairs: &[u32]| {
-            pair_buf.clear();
-            pair_buf.extend(pairs.iter().map(|&i| view.pair(i)));
-            hose.max_edge_load(&cap, &pair_buf)
-        }
+    let memo_counters = [
+        "iris_planner_hose_maxflow_total",
+        "iris_planner_hose_memo_hits_total",
+    ];
+    let (prov, chunk_scenarios) = sweep(region, goals, threads, Some(memo_counters), || {
+        hose_load(region)
     });
 
-    for (i, &n) in stats.chunk_scenarios.iter().enumerate() {
-        telemetry
-            .counter(&iris_telemetry::labeled(
-                "iris_planner_sweep_thread_scenarios_total",
-                "thread",
-                &i.to_string(),
-            ))
-            .add(n);
+    for (i, &n) in chunk_scenarios.iter().enumerate() {
+        let name = "iris_planner_sweep_thread_scenarios_total";
+        let thread = iris_telemetry::labeled(name, "thread", &i.to_string());
+        telemetry.counter(&thread).add(n);
     }
     telemetry
         .counter("iris_planner_scenarios_total")
         .add(prov.scenarios_examined);
-    telemetry
-        .counter("iris_planner_hose_maxflow_total")
-        .add(stats.evals);
-    telemetry
-        .counter("iris_planner_hose_memo_hits_total")
-        .add(stats.lookups - stats.evals);
     wall.finish();
     prov
 }
@@ -290,7 +255,7 @@ pub fn provision_with_threads(
 #[must_use]
 pub fn provision_naive(region: &Region, goals: &DesignGoals) -> Provisioning {
     let cap = |dc| region.capacity_wavelengths(dc);
-    let (prov, _) = sweep(region, goals, engine::thread_count(), || {
+    let (prov, _) = sweep(region, goals, engine::thread_count(), None, || {
         move |view: ScenarioView<'_>, pairs: &[u32]| {
             pairs
                 .iter()
@@ -314,17 +279,25 @@ pub fn supports_matrix(
     prov: &Provisioning,
     demands: &[Vec<f64>],
 ) -> bool {
-    let (paths, _) = scenario_paths(region, goals, &[]);
-    let mut load = vec![0.0f64; region.map.graph().edge_count()];
-    for p in &paths {
-        let d = demands[p.a][p.b];
-        for &e in &p.edges {
-            load[e] += d;
-        }
-    }
+    let (_, load) = nominal_load(region, goals, |a, b| demands[a][b]);
     load.iter()
         .zip(&prov.edge_capacity_wl)
         .all(|(&l, &c)| l <= c + 1e-6)
+}
+
+/// The nominal-scenario shortest paths, and the load each duct carries
+/// when every DC pair `(a, b)` sends `demand(a, b)` over its path.
+pub(crate) fn nominal_load(
+    region: &Region,
+    goals: &DesignGoals,
+    demand: impl Fn(usize, usize) -> f64,
+) -> (Vec<DcPath>, Vec<f64>) {
+    let paths = nominal_paths(region, goals);
+    let mut load = vec![0.0f64; region.map.graph().edge_count()];
+    for p in &paths {
+        p.edges.iter().for_each(|&e| load[e] += demand(p.a, p.b));
+    }
+    (paths, load)
 }
 
 /// All nominal-scenario shortest paths (convenience for downstream

@@ -33,8 +33,7 @@
 
 use crate::engine::{self, ScenarioView};
 use crate::goals::DesignGoals;
-use crate::paths::scenario_paths;
-use crate::topology::{provision_with_threads, sweep, Provisioning};
+use crate::topology::{nominal_load, provision_with_threads, sweep, Provisioning};
 use iris_fibermap::Region;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -519,15 +518,7 @@ impl MatrixFamily {
             ..goals.clone()
         };
         let prov0 = provision_with_threads(region, &goals0, 1);
-        let (paths, _) = scenario_paths(region, &goals0, &[]);
-        let m_edges = region.map.graph().edge_count();
-        let mut load = vec![0.0f64; m_edges];
-        for p in &paths {
-            let d = base[pair_index(n, p.a, p.b)];
-            for &e in &p.edges {
-                load[e] += d;
-            }
-        }
+        let (_, load) = nominal_load(region, &goals0, |a, b| base[pair_index(n, a, b)]);
         let ratio = load
             .iter()
             .zip(&prov0.edge_capacity_wl)
@@ -677,7 +668,11 @@ pub fn provision_robust_with_threads(
         .collect();
     let demands_by_pair = demands_by_pair.as_slice();
 
-    let (prov, stats) = sweep(region, goals, threads, || {
+    let memo_counters = [
+        "iris_planner_robust_maxload_total",
+        "iris_planner_robust_memo_hits_total",
+    ];
+    let (prov, _) = sweep(region, goals, threads, Some(memo_counters), || {
         move |_: ScenarioView<'_>, pairs: &[u32]| {
             // Ascending pair-index sum per matrix: a fixed f64 addition
             // order, so the result (and therefore the whole sweep) is
@@ -692,12 +687,6 @@ pub fn provision_robust_with_threads(
     telemetry
         .counter("iris_planner_robust_scenarios_total")
         .add(prov.scenarios_examined);
-    telemetry
-        .counter("iris_planner_robust_maxload_total")
-        .add(stats.evals);
-    telemetry
-        .counter("iris_planner_robust_memo_hits_total")
-        .add(stats.lookups - stats.evals);
     wall.finish();
     prov
 }
@@ -719,15 +708,7 @@ pub fn shed_fraction(
     prov: &Provisioning,
     demands: &[Vec<f64>],
 ) -> f64 {
-    let (paths, _) = scenario_paths(region, goals, &[]);
-    let m = region.map.graph().edge_count();
-    let mut load = vec![0.0f64; m];
-    for p in &paths {
-        let d = demands[p.a][p.b];
-        for &e in &p.edges {
-            load[e] += d;
-        }
-    }
+    let (paths, load) = nominal_load(region, goals, |a, b| demands[a][b]);
     let scale: Vec<f64> = load
         .iter()
         .zip(&prov.edge_capacity_wl)
@@ -753,6 +734,7 @@ pub fn shed_fraction(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::paths::scenario_paths;
     use crate::topology::{provision, supports_matrix};
     use iris_fibermap::{synth, MetroParams, PlacementParams};
 
