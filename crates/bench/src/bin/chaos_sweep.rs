@@ -17,11 +17,6 @@ fn main() {
         n_dcs: 6,
         cuts: 1,
     };
-    println!(
-        "# chaos sweep: seed {}, {} scenarios, {} DCs, k={}",
-        cfg.seed, cfg.scenarios, cfg.n_dcs, cfg.cuts
-    );
-
     let report = match run_chaos(&cfg) {
         Ok(r) => r,
         Err(e) => {
@@ -29,44 +24,7 @@ fn main() {
             std::process::exit(2);
         }
     };
-
-    println!("\n# scenario  cuts  recovered  shed  retries  rollbacks  quarantined");
-    for o in &report.outcomes {
-        println!(
-            "{:>10}  {:>4}  {:>9}  {:>4}  {:>7}  {:>9}  {:>11}",
-            o.scenario,
-            o.recoveries,
-            o.fully_recovered,
-            o.shed_pairs,
-            o.retries,
-            o.rollbacks,
-            o.quarantined
-        );
-    }
-
-    let d = &report.recovery_ms;
-    println!(
-        "\n# recovery time (ms):  p50 {:.2}  p90 {:.2}  p99 {:.2}  max {:.2}  ({} recoveries)",
-        d.p50, d.p90, d.p99, d.max, d.samples
-    );
-    let d = &report.dark_ms;
-    println!(
-        "# dark time (ms):      p50 {:.2}  p90 {:.2}  p99 {:.2}  max {:.2}",
-        d.p50, d.p90, d.p99, d.max
-    );
-    let d = &report.fct_impact;
-    println!(
-        "# p99-FCT impact (x):  p50 {:.3}  p90 {:.3}  p99 {:.3}  max {:.3}",
-        d.p50, d.p90, d.p99, d.max
-    );
-    println!(
-        "# totals: {} retries, {} rollbacks, {} shed pairs; all <=k cuts recovered: {}",
-        report.total_retries,
-        report.total_rollbacks,
-        report.total_shed_pairs,
-        report.all_tolerated_cuts_recovered
-    );
-
+    print!("{report}");
     iris_bench::write_results(
         "chaos_sweep",
         &serde_json::to_value(&report).expect("serializable"),

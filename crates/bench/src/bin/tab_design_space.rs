@@ -46,9 +46,7 @@ fn main() {
 
         // Outcome 4: cost.
         let study = DesignStudy::run(&region, &goals);
-        let central_cost = central.total_transceivers() as f64
-            * (book.transceiver + book.electrical_port)
-            + central.total_fiber_pair_spans() as f64 * book.fiber_pair_span;
+        let central_cost = iris_cost::centralized_cost(&central, &book);
         let eps_rel = study.eps_cost.total() / central_cost;
         let iris_rel = study.iris_cost.total() / central_cost;
 

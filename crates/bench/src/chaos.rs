@@ -150,6 +150,62 @@ pub struct ChaosReport {
     pub all_tolerated_cuts_recovered: bool,
 }
 
+/// The sweep as `iris chaos` and the `chaos_sweep` bin print it: the
+/// per-scenario table, the three distributions, the totals.
+impl std::fmt::Display for ChaosReport {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let cfg = &self.config;
+        writeln!(
+            f,
+            "chaos sweep: seed {}, {} scenarios, {} DCs, k={} ({} ducts)",
+            cfg.seed, cfg.scenarios, cfg.n_dcs, cfg.cuts, self.ducts
+        )?;
+        writeln!(
+            f,
+            "\nscenario  cuts  recovered  shed  retries  rollbacks  quarantined"
+        )?;
+        for o in &self.outcomes {
+            writeln!(
+                f,
+                "{:>8}  {:>4}  {:>9}  {:>4}  {:>7}  {:>9}  {:>11}",
+                o.scenario,
+                o.recoveries,
+                o.fully_recovered,
+                o.shed_pairs,
+                o.retries,
+                o.rollbacks,
+                o.quarantined
+            )?;
+        }
+        let d = &self.recovery_ms;
+        writeln!(
+            f,
+            "\nrecovery time (ms):  p50 {:.2}  p90 {:.2}  p99 {:.2}  max {:.2}  ({} recoveries)",
+            d.p50, d.p90, d.p99, d.max, d.samples
+        )?;
+        let d = &self.dark_ms;
+        writeln!(
+            f,
+            "dark time (ms):      p50 {:.2}  p90 {:.2}  p99 {:.2}  max {:.2}",
+            d.p50, d.p90, d.p99, d.max
+        )?;
+        let d = &self.fct_impact;
+        writeln!(
+            f,
+            "p99-FCT impact (x):  p50 {:.3}  p90 {:.3}  p99 {:.3}  max {:.3}",
+            d.p50, d.p90, d.p99, d.max
+        )?;
+        writeln!(
+            f,
+            "totals: {} retries, {} rollbacks, {} shed pairs; all <=k cuts recovered: {}",
+            self.total_retries,
+            self.total_rollbacks,
+            self.total_shed_pairs,
+            self.all_tolerated_cuts_recovered
+        )
+    }
+}
+
 /// Modeled per-scenario fault-event count.
 const EVENTS_PER_SCENARIO: usize = 6;
 

@@ -1,164 +1,212 @@
-//! Minimal `--key value` option parsing (no external dependencies).
+//! `--key value` option parsing against one row of the command table
+//! (no external dependencies).
 
+use crate::spec::{Command, Value};
 use std::collections::BTreeMap;
 
-/// Parsed `--key value` options.
-#[derive(Debug, Default)]
+/// One invocation's options: what argv gave, read through the
+/// [`Command`] row that declares them and supplies their defaults.
+#[derive(Debug)]
 pub struct Options {
-    values: BTreeMap<String, String>,
+    row: &'static Command,
+    given: BTreeMap<&'static str, String>,
+    defaults: BTreeMap<&'static str, String>,
 }
 
 impl Options {
-    /// Parse a flat list of `--key value` pairs.
-    pub fn parse(argv: &[String]) -> Result<Self, String> {
-        Self::parse_with_flags(argv, &[])
-    }
-
-    /// Parse `--key value` pairs where the names in `flags` are boolean
-    /// switches: they take no value and read back as `true` via
-    /// [`Options::flag`]. An option given twice is an error, not a
-    /// silent last-one-wins.
-    pub fn parse_with_flags(argv: &[String], flags: &[&str]) -> Result<Self, String> {
-        let mut values = BTreeMap::new();
+    /// Parse `--key value` pairs (and the row's valueless switches). An
+    /// option the row does not declare is an error naming the accepted
+    /// set; an option given twice is an error, not a silent
+    /// last-one-wins.
+    pub fn parse(row: &'static Command, argv: &[String]) -> Result<Self, String> {
+        let mut given = BTreeMap::new();
         let mut it = argv.iter();
         while let Some(key) = it.next() {
             let Some(name) = key.strip_prefix("--") else {
                 return Err(format!("expected --option, found '{key}'"));
             };
-            let value = if flags.contains(&name) {
-                "true"
-            } else if let Some(value) = it.next() {
-                value
-            } else {
-                return Err(format!("--{name} requires a value"));
+            let Some(opt) = row.options().find(|o| o.name == name) else {
+                let accepted: Vec<String> =
+                    row.options().map(|o| format!("--{}", o.name)).collect();
+                return Err(format!(
+                    "unknown option --{name} for 'iris {}' (accepted: {})",
+                    row.name(),
+                    accepted.join(", ")
+                ));
             };
-            if values.insert(name.to_owned(), value.to_owned()).is_some() {
+            let value = match opt.value {
+                Value::Switch => String::new(),
+                _ => it
+                    .next()
+                    .ok_or_else(|| format!("--{name} requires a value"))?
+                    .clone(),
+            };
+            if given.insert(opt.name, value).is_some() {
                 return Err(format!("option --{name} given more than once"));
             }
         }
-        Ok(Self { values })
+        let defaults = (row.options())
+            .filter_map(|o| Some((o.name, o.fallback()?)))
+            .collect();
+        Ok(Self {
+            row,
+            given,
+            defaults,
+        })
     }
 
-    /// Whether a boolean switch (see [`Options::parse_with_flags`]) was
-    /// given.
+    /// A handler reading an option its row does not declare is a bug in
+    /// the table, not a user error.
+    fn declared(&self, name: &str) {
+        let declared = self.row.options().any(|o| o.name == name);
+        assert!(declared, "'iris {}' declares no --{name}", self.row.name());
+    }
+
+    /// Whether `--name` was on the command line (all there is to know
+    /// about a switch).
     pub fn flag(&self, name: &str) -> bool {
-        self.values.get(name).map(String::as_str) == Some("true")
+        self.declared(name);
+        self.given.contains_key(name)
     }
 
-    /// A required string option.
+    /// The option's value: what argv gave, else the row's default.
+    pub fn get(&self, name: &str) -> Option<&str> {
+        self.declared(name);
+        let value = self.given.get(name).or_else(|| self.defaults.get(name));
+        value.map(String::as_str)
+    }
+
+    /// [`Options::get`] for an option the handler cannot do without.
     pub fn required(&self, name: &str) -> Result<&str, String> {
-        self.values
-            .get(name)
-            .map(String::as_str)
+        self.get(name)
             .ok_or_else(|| format!("missing required option --{name}"))
     }
 
-    /// An optional string option.
-    pub fn get(&self, name: &str) -> Option<&str> {
-        self.values.get(name).map(String::as_str)
+    /// [`Options::required`], parsed as a number.
+    pub fn num<T: std::str::FromStr>(&self, name: &str) -> Result<T, String> {
+        let v = self.required(name)?;
+        v.parse()
+            .map_err(|_| format!("--{name}: cannot parse '{v}' as a number"))
     }
 
-    /// A numeric option with a default.
-    pub fn num<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
-        match self.values.get(name) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("--{name}: cannot parse '{v}' as a number")),
-        }
-    }
-
-    /// Reject any parsed option not in `allowed`, naming the offending
-    /// flag and listing what the subcommand accepts.
-    pub fn ensure_known(&self, subcommand: &str, allowed: &[&str]) -> Result<(), String> {
-        for key in self.values.keys() {
-            if !allowed.contains(&key.as_str()) {
-                let accepted = allowed
-                    .iter()
-                    .map(|a| format!("--{a}"))
-                    .collect::<Vec<_>>()
-                    .join(", ");
-                return Err(format!(
-                    "unknown option --{key} for 'iris {subcommand}' (accepted: {accepted})"
-                ));
-            }
-        }
-        Ok(())
+    /// [`Options::num`] for an option that may have no value.
+    pub fn num_opt<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        self.get(name).map(|_| self.num(name)).transpose()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::Opt;
+    use crate::spec::Value::{Literal, Optional, Required, Switch};
 
-    fn strs(v: &[&str]) -> Vec<String> {
-        v.iter().map(|s| (*s).to_owned()).collect()
+    const fn opt(name: &'static str, value: Value) -> Opt {
+        Opt {
+            name,
+            metavar: "V",
+            value,
+        }
+    }
+
+    /// Parse against an `iris simulate` that declares `opts`.
+    fn parse_row(opts: &'static [Opt], argv: &[&str]) -> Result<Options, String> {
+        let row = Box::leak(Box::new(Command {
+            path: &["simulate"],
+            aliases: &[],
+            mode: None,
+            opts,
+            telemetry: false,
+            prose: "",
+            run: |_| Ok(()),
+        }));
+        let argv: Vec<String> = argv.iter().map(|s| (*s).to_owned()).collect();
+        Options::parse(row, &argv)
+    }
+
+    fn parse(argv: &[&str]) -> Result<Options, String> {
+        const OPTS: &[Opt] = &[
+            opt("region", Required),
+            opt("seed", Literal("0")),
+            opt("dcs", Literal("5")),
+            opt("util", Literal("0.4")),
+            opt("out", Optional),
+            opt("crash", Switch),
+            opt("quick", Switch),
+        ];
+        parse_row(OPTS, argv)
     }
 
     #[test]
     fn parses_pairs() {
-        let o = Options::parse(&strs(&["--seed", "7", "--out", "r.json"])).unwrap();
+        let o = parse(&["--seed", "7", "--out", "r.json"]).unwrap();
         assert_eq!(o.required("seed").unwrap(), "7");
         assert_eq!(o.get("out"), Some("r.json"));
-        assert_eq!(o.get("missing"), None);
-        assert_eq!(o.num("seed", 0u64).unwrap(), 7);
-        assert_eq!(o.num("dcs", 5usize).unwrap(), 5);
+        assert_eq!(o.num::<u64>("seed").unwrap(), 7);
+        // Left out: the row's default, or nothing.
+        assert_eq!(o.num::<usize>("dcs").unwrap(), 5);
+        assert_eq!(parse(&[]).unwrap().get("out"), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "declares no --missing")]
+    fn reading_an_option_the_row_does_not_declare_is_a_bug() {
+        let _ = parse(&[]).unwrap().get("missing");
     }
 
     #[test]
     fn rejects_bare_values() {
-        assert!(Options::parse(&strs(&["seed", "7"])).is_err());
+        assert!(parse(&["seed", "7"]).is_err());
     }
 
     #[test]
     fn rejects_a_repeated_option_or_switch() {
-        let err = Options::parse(&strs(&["--seed", "1", "--seed", "2"])).unwrap_err();
+        let err = parse(&["--seed", "1", "--seed", "2"]).unwrap_err();
         assert!(err.contains("--seed given more than once"), "{err}");
-        let twice = strs(&["--crash", "--crash"]);
-        assert!(Options::parse_with_flags(&twice, &["crash"]).is_err());
+        assert!(parse(&["--crash", "--crash"]).is_err());
     }
 
     #[test]
     fn rejects_missing_value() {
-        assert!(Options::parse(&strs(&["--seed"])).is_err());
+        assert!(parse(&["--seed"]).is_err());
     }
 
     #[test]
     fn rejects_unparsable_number() {
-        let o = Options::parse(&strs(&["--util", "abc"])).unwrap();
-        let err = o.num("util", 0.4f64).unwrap_err();
+        let o = parse(&["--util", "abc"]).unwrap();
+        let err = o.num::<f64>("util").unwrap_err();
         assert!(err.contains("--util"), "{err}");
         assert!(err.contains("'abc'"), "{err}");
     }
 
     #[test]
     fn unknown_flag_names_itself_and_the_accepted_set() {
-        let o = Options::parse(&strs(&["--bogus", "1"])).unwrap();
-        let err = o.ensure_known("simulate", &["region", "util"]).unwrap_err();
+        let err = parse(&["--bogus", "1"]).unwrap_err();
         assert!(err.contains("--bogus"), "{err}");
         assert!(err.contains("simulate"), "{err}");
         assert!(err.contains("--region"), "{err}");
         assert!(err.contains("--util"), "{err}");
-        assert!(o.ensure_known("simulate", &["bogus"]).is_ok());
+        const BOGUS: &[Opt] = &[opt("bogus", Optional)];
+        assert!(parse_row(BOGUS, &["--bogus", "1"]).is_ok());
     }
 
     #[test]
     fn missing_required_is_an_error() {
-        let o = Options::parse(&[]).unwrap();
+        let o = parse(&[]).unwrap();
         assert!(o.required("region").is_err());
     }
 
     #[test]
     fn flags_take_no_value() {
-        let o = Options::parse_with_flags(&strs(&["--crash", "--seed", "9"]), &["crash"]).unwrap();
+        let o = parse(&["--crash", "--seed", "9"]).unwrap();
         assert!(o.flag("crash"));
-        assert_eq!(o.num("seed", 0u64).unwrap(), 9);
+        assert_eq!(o.num::<u64>("seed").unwrap(), 9);
         // Absent flags are false; a flag mid-argv must not swallow the
         // next option.
         assert!(!o.flag("quick"));
-        let o = Options::parse_with_flags(&strs(&["--seed", "9", "--crash"]), &["crash"]).unwrap();
+        let o = parse(&["--seed", "9", "--crash"]).unwrap();
         assert!(o.flag("crash"));
-        // Without the flag declaration the same argv is a parse error.
-        assert!(Options::parse(&strs(&["--crash"])).is_err());
+        // Declared with a value, the same argv is a parse error.
+        assert!(parse(&["--out"]).is_err());
     }
 }

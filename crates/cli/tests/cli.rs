@@ -409,3 +409,142 @@ fn wal_inspect_reports_a_healthy_log_and_exits_6_on_an_epoch_gap() {
     assert!(err.contains("epoch 4 does not follow epoch 2"), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// One `iris help` entry: the words naming the row (`wal inspect`), its
+/// mode switch if any, and the option names its synopsis lists.
+struct HelpRow {
+    words: Vec<String>,
+    mode: Option<String>,
+    options: Vec<String>,
+}
+
+impl HelpRow {
+    /// Take `tokens` in as synopsis words — `--mode`, `--name V`,
+    /// `[--name]`, `[--name V]` — or leave the row alone and say `false`
+    /// if they are something else (prose).
+    fn read_synopsis(&mut self, tokens: &[&str]) -> bool {
+        let is_option = |t: &str| t.starts_with("--") || t.starts_with("[--");
+        let (mut mode, mut options) = (None, Vec::new());
+        let mut it = tokens.iter().peekable();
+        while let Some(token) = it.next() {
+            if let Some(name) = token.strip_prefix("[--") {
+                if !name.ends_with(']') && !it.next().is_some_and(|v| v.ends_with(']')) {
+                    return false;
+                }
+                options.push(name.trim_end_matches(']').to_owned());
+            } else if let Some(name) = token.strip_prefix("--") {
+                if it.next_if(|v| !is_option(v)).is_some() {
+                    options.push(name.to_owned());
+                } else {
+                    mode = Some(name.to_owned());
+                }
+            } else {
+                return false;
+            }
+        }
+        self.mode = self.mode.take().or(mode);
+        self.options.extend(options);
+        true
+    }
+}
+
+/// Every entry of `iris help`, parsed back from the text.
+fn help_rows() -> Vec<HelpRow> {
+    let out = iris(&["help"]);
+    let text = String::from_utf8_lossy(&out.stdout).into_owned();
+    let mut rows = Vec::new();
+    let mut lines = text.lines().peekable();
+    while let Some(line) = lines.next() {
+        let Some(entry) = line.strip_prefix("  iris ") else {
+            continue;
+        };
+        let tokens: Vec<&str> = entry.split_whitespace().collect();
+        let named = tokens.iter().take_while(|t| !t.contains("--")).count();
+        let mut row = HelpRow {
+            words: tokens[..named].iter().map(|t| (*t).to_owned()).collect(),
+            mode: None,
+            options: Vec::new(),
+        };
+        assert!(row.read_synopsis(&tokens[named..]), "{line}");
+        // The synopsis runs on while a line is nothing but options.
+        while lines
+            .next_if(|more| row.read_synopsis(&more.split_whitespace().collect::<Vec<_>>()))
+            .is_some()
+        {}
+        rows.push(row);
+    }
+    rows
+}
+
+#[test]
+fn help_lists_every_option_each_chaos_mode_accepts() {
+    let rows = help_rows();
+    let chaos = |mode: &str| {
+        rows.iter()
+            .find(|r| r.words == ["chaos"] && r.mode.as_deref() == Some(mode))
+            .unwrap_or_else(|| panic!("help has no 'chaos --{mode}' entry"))
+    };
+    for option in ["cuts", "threads"] {
+        assert!(chaos("federation").options.iter().any(|o| o == option));
+    }
+    assert!(chaos("crash").options.iter().any(|o| o == "threads"));
+}
+
+#[test]
+fn every_row_accepts_exactly_the_options_help_lists_for_it() {
+    let help = iris(&["help"]);
+    let help = String::from_utf8_lossy(&help.stdout).into_owned();
+    let without_telemetry = help
+        .split_once("Every subcommand except ")
+        .and_then(|(_, rest)| rest.split_once(" also accepts --telemetry"))
+        .expect("the --telemetry paragraph")
+        .0;
+    let rows = help_rows();
+    assert!(rows.len() > 15, "{} rows parsed", rows.len());
+    for row in rows.iter().filter(|r| r.words[0] != "help") {
+        let mut args = row.words.clone();
+        args.extend(row.mode.iter().map(|m| format!("--{m}")));
+        args.extend(["--no-such-option".to_owned(), "1".to_owned()]);
+        let args: Vec<&str> = args.iter().map(String::as_str).collect();
+        let out = iris(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(err.contains("unknown option --no-such-option"), "{err}");
+        let accepted = err
+            .split_once("(accepted: ")
+            .and_then(|(_, list)| list.trim_end().strip_suffix(')'))
+            .unwrap_or_else(|| panic!("no accepted list: {err}"));
+        let mut listed: Vec<String> = row.mode.iter().chain(&row.options).cloned().collect();
+        if !without_telemetry.split(", ").any(|c| c == row.words[0]) {
+            listed.push("telemetry".to_owned());
+        }
+        let listed: Vec<String> = listed.iter().map(|o| format!("--{o}")).collect();
+        assert_eq!(accepted, listed.join(", "), "{args:?}");
+    }
+}
+
+#[test]
+fn a_command_prints_its_own_help_entry_and_succeeds() {
+    let by_word = iris(&["help", "plan"]);
+    assert!(by_word.status.success());
+    let entry = String::from_utf8_lossy(&by_word.stdout).into_owned();
+    assert!(entry.starts_with("  iris plan "), "{entry}");
+    assert!(entry.contains("--region FILE"), "{entry}");
+    assert!(entry.contains("bill of materials"), "{entry}");
+    assert!(!entry.contains("iris compare"), "{entry}");
+    for args in [
+        &["plan", "--help"][..],
+        &["plan", "-h"],
+        &["plan", "--cuts", "--help"],
+    ] {
+        let out = iris(args);
+        assert_eq!(out.status.code(), Some(0), "{args:?}");
+        assert_eq!(String::from_utf8_lossy(&out.stdout), entry, "{args:?}");
+    }
+    // A group word names every row below it.
+    let chaos = iris(&["chaos", "--help"]);
+    let chaos = String::from_utf8_lossy(&chaos.stdout).into_owned();
+    assert_eq!(chaos.matches("  iris chaos ").count(), 3, "{chaos}");
+    let out = iris(&["help", "frobnicate"]);
+    assert_eq!(out.status.code(), Some(1));
+}

@@ -2,7 +2,7 @@
 
 use crate::prices::PriceBook;
 use iris_planner::residual::HybridAggregation;
-use iris_planner::{EpsPlan, IrisPlan, OxcPlan};
+use iris_planner::{CentralizedPlan, EpsPlan, IrisPlan, OxcPlan};
 use serde::{Deserialize, Serialize};
 
 /// Itemized annual cost of a network design, $/year.
@@ -69,6 +69,15 @@ pub fn eps_cost(plan: &EpsPlan, book: &PriceBook) -> CostBreakdown {
         oxc_ports: 0.0,
         amplifiers: 0.0,
     }
+}
+
+/// Annual cost of the centralized hub-and-spoke design: transceivers at
+/// both ends of every access fiber with their switch ports, plus the
+/// fiber leases.
+#[must_use]
+pub fn centralized_cost(plan: &CentralizedPlan, book: &PriceBook) -> f64 {
+    plan.total_transceivers() as f64 * (book.transceiver + book.electrical_port)
+        + plan.total_fiber_pair_spans() as f64 * book.fiber_pair_span
 }
 
 /// Price a pure wavelength-switched (OXC) plan (§4.4 / Appendix B).

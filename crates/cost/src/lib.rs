@@ -16,6 +16,6 @@ pub mod accounting;
 pub mod ports;
 pub mod prices;
 
-pub use accounting::{eps_cost, hybrid_cost, iris_cost, oxc_cost, CostBreakdown};
+pub use accounting::{centralized_cost, eps_cost, hybrid_cost, iris_cost, oxc_cost, CostBreakdown};
 pub use ports::{fig7_costs, group_model_ports, Fig7Costs};
 pub use prices::PriceBook;

@@ -127,6 +127,15 @@ impl FlowSizeDist {
         ]
     }
 
+    /// The Fig. 18 workload whose [`name`](Self::name) is `name`
+    /// (`web1`, `web2`, `hadoop` or `cache`).
+    #[must_use]
+    pub fn by_name(name: &str) -> Option<Self> {
+        Self::all_paper_workloads()
+            .into_iter()
+            .find(|w| w.name == name)
+    }
+
     /// Inverse-transform sample of a flow size in bytes.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         let u: f64 = rng.random_range(0.0..1.0);
@@ -194,6 +203,14 @@ mod tests {
                 prev = q;
             }
         }
+    }
+
+    #[test]
+    fn by_name_finds_exactly_the_paper_workloads() {
+        for dist in FlowSizeDist::all_paper_workloads() {
+            assert_eq!(FlowSizeDist::by_name(&dist.name), Some(dist));
+        }
+        assert_eq!(FlowSizeDist::by_name("nope"), None);
     }
 
     #[test]
