@@ -20,13 +20,8 @@ fn main() {
     let region = iris_bench::simple_region(3, 8);
     let goals = DesignGoals::with_cuts(0);
     let prov = provision(&region, &goals);
-    let raw = SimTopology::from_provisioning(&region, &goals, &prov, 1.0);
-    let max_cap = raw
-        .links
-        .iter()
-        .map(|l| l.capacity_gbps)
-        .fold(0.0f64, f64::max);
-    let topo = SimTopology::from_provisioning(&region, &goals, &prov, 2.0 / max_cap);
+    let scale = SimTopology::scale_for_largest_link(&region, &prov, 2.0);
+    let topo = SimTopology::from_provisioning(&region, &goals, &prov, scale);
 
     let duration = 30.0;
     let run = |events: Vec<CapacityEvent>| {

@@ -236,7 +236,10 @@ pub fn run_chaos(cfg: &ChaosConfig) -> IrisResult<ChaosReport> {
         });
     }
     let base = base_allocation(&region, &goals);
-    let topo = scaled_topology(&region, &goals, &prov);
+    // Scaled the way `iris simulate` scales it (largest link 2 Gbps),
+    // so short sims produce contention.
+    let scale = SimTopology::scale_for_largest_link(&region, &prov, 2.0);
+    let topo = SimTopology::from_provisioning(&region, &goals, &prov, scale);
     let domain = FaultDomain {
         sites: region.map.graph().node_count(),
         ducts: region.map.graph().edge_count(),
@@ -280,18 +283,6 @@ fn base_allocation(region: &Region, goals: &DesignGoals) -> Allocation {
         .iter()
         .map(|p| ((p.a, p.b), 1))
         .collect()
-}
-
-/// The paired-simulation topology, scaled the way `iris simulate` scales
-/// it (bottleneck link ≈ 2 Gbps so short sims produce contention).
-fn scaled_topology(region: &Region, goals: &DesignGoals, prov: &Provisioning) -> SimTopology {
-    let raw = SimTopology::from_provisioning(region, goals, prov, 1.0);
-    let max_cap = raw
-        .links
-        .iter()
-        .map(|l| l.capacity_gbps)
-        .fold(0.0f64, f64::max);
-    SimTopology::from_provisioning(region, goals, prov, 2.0 / max_cap)
 }
 
 #[allow(clippy::too_many_arguments)]

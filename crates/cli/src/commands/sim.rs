@@ -4,7 +4,7 @@ use super::{comma_list, family_spec, load, write_report};
 use crate::args::Options;
 use iris_core::prelude::*;
 use iris_errors::IrisResult;
-use iris_planner::{provision, Provisioning};
+use iris_planner::provision;
 use iris_simnet::traffic::ChangeModel;
 use iris_simnet::workloads::FlowSizeDist;
 
@@ -12,18 +12,6 @@ use iris_simnet::workloads::FlowSizeDist;
 fn workload(opts: &Options) -> Result<FlowSizeDist, String> {
     let name = opts.required("workload")?;
     FlowSizeDist::by_name(name).ok_or_else(|| format!("unknown workload '{name}'"))
-}
-
-/// The capacity scale that makes the plan's largest link 2 Gbps (the
-/// fig17 topology).
-fn base_scale(region: &Region, goals: &DesignGoals, prov: &Provisioning) -> f64 {
-    let raw = SimTopology::from_provisioning(region, goals, prov, 1.0);
-    let max_cap = raw
-        .links
-        .iter()
-        .map(|l| l.capacity_gbps)
-        .fold(0.0f64, f64::max);
-    2.0 / max_cap
 }
 
 /// `iris simulate` — paired FCT comparison.
@@ -35,7 +23,8 @@ pub fn simulate(opts: &Options) -> IrisResult<()> {
     let workload = workload(opts)?;
     let goals = DesignGoals::with_cuts(0);
     let prov = provision(&region, &goals);
-    let scale = base_scale(&region, &goals, &prov);
+    // The fig17 topology: the plan's largest link at 2 Gbps.
+    let scale = SimTopology::scale_for_largest_link(&region, &prov, 2.0);
     let topo = SimTopology::from_provisioning(&region, &goals, &prov, scale);
     let (result, manifest) = iris_simnet::experiment::run_comparison_recorded(
         &topo,
@@ -127,7 +116,7 @@ pub fn simd(opts: &Options) -> IrisResult<()> {
     let region = iris_bench::simple_region(3, dcs);
     let goals = DesignGoals::with_cuts(0);
     let prov = provision(&region, &goals);
-    let base_scale = base_scale(&region, &goals, &prov);
+    let base_scale = SimTopology::scale_for_largest_link(&region, &prov, 2.0);
     let base = SimTopology::from_provisioning(&region, &goals, &prov, base_scale);
 
     let spec_for = |topo: &SimTopology, fabric: FabricModel, interval: f64| WorkSpec {

@@ -11,9 +11,10 @@ use iris_simnet::experiment::fct_quantile;
 use iris_simnet::traffic::ChangeModel;
 use iris_simnet::workloads::FlowSizeDist;
 use iris_simnet::{SimTopology, TrafficMatrix};
-use iris_wire::frame::{read_frame, write_frame, FrameEvent};
-use iris_wire::Codec;
+use iris_wire::frame::append_frame;
+use iris_wire::{recv_frame, Codec};
 use proptest::prelude::*;
+use std::io::Write as _;
 use std::net::TcpListener;
 
 fn spec(n_dcs: usize, seed: u64, utilization: f64, duration_s: f64) -> WorkSpec {
@@ -210,14 +211,17 @@ fn a_lone_endpoint_that_drops_its_connection_is_redialled_and_reloaded() {
         // The first connection gets through the handshake and the spec,
         // then dies under its first job.
         let (mut sock, _) = listener.accept().expect("accept");
+        let mut unread = Vec::new();
         let mut exchange = |codec: Codec, reply: Option<WorkerResponse>| {
-            let FrameEvent::Frame(payload) = read_frame(&mut sock).expect("a request") else {
+            let Some(frame) = recv_frame(&mut sock, &mut unread).expect("a request") else {
                 panic!("the coordinator hung up first");
             };
             if let Some(reply) = reply {
-                write_frame(&mut sock, &encode_response(codec, &reply).unwrap()).unwrap();
+                let mut framed = Vec::new();
+                append_frame(&mut framed, &encode_response(codec, &reply).unwrap()).unwrap();
+                sock.write_all(&framed).unwrap();
             }
-            decode_request(codec, &payload).expect("a well-formed request")
+            decode_request(codec, &frame.payload).expect("a well-formed request")
         };
         let ack = WorkerResponse::HelloOk {
             codec: "binary".to_owned(),

@@ -104,24 +104,49 @@ pub enum Request {
 }
 
 impl Request {
+    /// Every operation name, in [`Request::op_index`] order, then
+    /// `invalid`: the telemetry label of a request that did not decode.
+    pub const OPS: [&'static str; 14] = [
+        "get_plan",
+        "get_plan_at",
+        "get_topology",
+        "query_path",
+        "update_demand",
+        "report_fiber_cut",
+        "health",
+        "metrics_snapshot",
+        "trace_dump",
+        "hello",
+        "replicate",
+        "sync_state",
+        "promote",
+        "invalid",
+    ];
+
+    /// This operation's place in [`Request::OPS`].
+    #[must_use]
+    pub fn op_index(&self) -> usize {
+        match self {
+            Request::GetPlan => 0,
+            Request::GetPlanAt { .. } => 1,
+            Request::GetTopology => 2,
+            Request::QueryPath { .. } => 3,
+            Request::UpdateDemand { .. } => 4,
+            Request::ReportFiberCut { .. } => 5,
+            Request::Health => 6,
+            Request::MetricsSnapshot => 7,
+            Request::TraceDump { .. } => 8,
+            Request::Hello { .. } => 9,
+            Request::Replicate { .. } => 10,
+            Request::SyncState { .. } => 11,
+            Request::Promote => 12,
+        }
+    }
+
     /// Stable snake_case operation name, used as the telemetry label.
     #[must_use]
     pub fn op(&self) -> &'static str {
-        match self {
-            Request::GetPlan => "get_plan",
-            Request::GetPlanAt { .. } => "get_plan_at",
-            Request::GetTopology => "get_topology",
-            Request::QueryPath { .. } => "query_path",
-            Request::UpdateDemand { .. } => "update_demand",
-            Request::ReportFiberCut { .. } => "report_fiber_cut",
-            Request::Health => "health",
-            Request::MetricsSnapshot => "metrics_snapshot",
-            Request::TraceDump { .. } => "trace_dump",
-            Request::Hello { .. } => "hello",
-            Request::Replicate { .. } => "replicate",
-            Request::SyncState { .. } => "sync_state",
-            Request::Promote => "promote",
-        }
+        Self::OPS[self.op_index()]
     }
 
     /// Whether the request goes through the mutator queue.
@@ -479,6 +504,55 @@ mod tests {
         }
         .is_write());
         assert!(!Request::GetPlan.is_write());
+    }
+
+    #[test]
+    fn every_variant_has_its_own_slot_in_the_op_table() {
+        let (s, n) = (String::new, 0);
+        let all = [
+            (Request::GetPlan, "get_plan"),
+            (
+                Request::GetPlanAt {
+                    min_epoch: n,
+                    wait_ms: n,
+                },
+                "get_plan_at",
+            ),
+            (Request::GetTopology, "get_topology"),
+            (Request::QueryPath { a: 0, b: 1 }, "query_path"),
+            (
+                Request::UpdateDemand {
+                    a: 0,
+                    b: 1,
+                    circuits: 1,
+                },
+                "update_demand",
+            ),
+            (Request::ReportFiberCut { cuts: vec![] }, "report_fiber_cut"),
+            (Request::Health, "health"),
+            (Request::MetricsSnapshot, "metrics_snapshot"),
+            (Request::TraceDump { max_events: n }, "trace_dump"),
+            (Request::Hello { codec: s() }, "hello"),
+            (
+                Request::Replicate {
+                    source_region: n,
+                    batch: s(),
+                },
+                "replicate",
+            ),
+            (
+                Request::SyncState {
+                    source_region: n,
+                    state: s(),
+                },
+                "sync_state",
+            ),
+            (Request::Promote, "promote"),
+        ];
+        for (slot, (req, name)) in all.iter().enumerate() {
+            assert_eq!((req.op_index(), req.op()), (slot, *name));
+        }
+        assert_eq!(Request::OPS[all.len()..], ["invalid"]);
     }
 
     #[test]

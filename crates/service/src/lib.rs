@@ -93,10 +93,7 @@ pub mod wal;
 pub use api::{Request, Response, SlowRequestInfo, TraceDumpInfo, TraceEventInfo};
 pub use client::{RegionEndpoint, RegionRouter, ServiceClient};
 pub use codec::Codec;
-pub use frame::{
-    read_frame, read_frame_traced, write_frame, write_frame_traced, FrameEvent, MAX_FRAME_LEN,
-    TRACE_FLAG,
-};
+pub use frame::{MAX_FRAME_LEN, TRACE_FLAG};
 pub use loadgen::{run_loadgen, GeoPopulation, LoadReport, LoadgenConfig};
 pub use recovery::{recover, ControlMachine, CutReply, ReplayStats};
 pub use server::{serve, ServiceConfig, ServiceHandle};

@@ -474,7 +474,8 @@ impl LoadConn {
         during_recovery: bool,
     ) -> IrisResult<()> {
         let codec = self.codec;
-        self.io.queue_frame(|buf| codec.encode_into(req, buf))?;
+        self.io
+            .queue_frame(None, |buf| codec.encode_into(req, buf))?;
         self.inflight.push_back(Inflight {
             op,
             req: req.is_write().then(|| req.clone()),

@@ -155,7 +155,7 @@ pub(crate) struct Published {
 /// Frame `resp` (length prefix + payload) in `codec`, appending to
 /// `out`. `out` is untouched on error.
 fn frame_response(codec: Codec, resp: &Response, out: &mut Vec<u8>) -> IrisResult<()> {
-    append_frame_with(out, |buf| codec.encode_into(resp, buf))
+    append_frame_with(out, None, |buf| codec.encode_into(resp, buf))
 }
 
 /// What every publication repeats: the static plan summary (`epoch` is
@@ -487,34 +487,11 @@ pub fn serve(region: Region, config: &ServiceConfig) -> IrisResult<ServiceHandle
     })
 }
 
-/// Telemetry labels for every operation a connection can carry
-/// (`invalid` covers undecodable requests).
-const OPS: [&str; 14] = [
-    "get_plan",
-    "get_plan_at",
-    "get_topology",
-    "query_path",
-    "update_demand",
-    "report_fiber_cut",
-    "health",
-    "metrics_snapshot",
-    "trace_dump",
-    "hello",
-    "replicate",
-    "sync_state",
-    "promote",
-    "invalid",
-];
-
-fn op_idx(op: &str) -> usize {
-    OPS.iter().position(|&o| o == op).unwrap_or(OPS.len() - 1)
-}
-
 /// Per-shard cached telemetry handles: registry lookups hash the metric
 /// name, so the hot path resolves them once per shard instead of once
 /// per request.
 struct ShardMetrics {
-    /// `(requests_total, latency_ms)` per op, [`OPS`] order.
+    /// `(requests_total, latency_ms)` per op, [`Request::OPS`] order.
     ops: Vec<(Arc<Counter>, Arc<Histogram>)>,
     shard_requests: Arc<Counter>,
     connections: Arc<Counter>,
@@ -527,7 +504,7 @@ impl ShardMetrics {
         let t = iris_telemetry::global();
         let shard_label = shard.to_string();
         Self {
-            ops: OPS
+            ops: Request::OPS
                 .iter()
                 .map(|op| {
                     (
@@ -556,7 +533,8 @@ impl ShardMetrics {
 /// request arrived in and what the latency record needs.
 struct Parked {
     codec: Codec,
-    op: &'static str,
+    /// The request's [`Request::op_index`].
+    op: usize,
     start: Instant,
     trace_id: u64,
 }
@@ -607,12 +585,13 @@ impl Handler for ShardHandler {
                 // Decode errors keep the connection: the frame was
                 // well-formed, so the stream stays in sync.
                 deliver(out, &Response::Error(e), *codec);
-                self.record("invalid", start, trace_id);
+                let invalid = Request::OPS.len() - 1;
+                self.record(invalid, start, trace_id);
                 return;
             }
         };
-        let op = req.op();
-        let span = iris_telemetry::trace::root_span(trace_id, op);
+        let op = req.op_index();
+        let span = iris_telemetry::trace::root_span(trace_id, Request::OPS[op]);
         let parked = Parked {
             codec: *codec,
             op,
@@ -846,10 +825,11 @@ impl ShardHandler {
         });
     }
 
-    fn record(&self, op: &'static str, start: Instant, trace_id: u64) {
+    /// Count one answered request; `op` indexes [`Request::OPS`].
+    fn record(&self, op: usize, start: Instant, trace_id: u64) {
         let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
-        iris_telemetry::trace::note_if_slow(op, elapsed_ms, trace_id);
-        let (count, latency) = &self.metrics.ops[op_idx(op)];
+        iris_telemetry::trace::note_if_slow(Request::OPS[op], elapsed_ms, trace_id);
+        let (count, latency) = &self.metrics.ops[op];
         count.inc();
         latency.record(elapsed_ms);
         self.metrics.shard_requests.inc();

@@ -8,8 +8,9 @@ use iris_errors::IrisError;
 use iris_fibermap::{synth, MetroParams, PlacementParams, Region};
 use iris_service::api::{Request, Response, TraceDumpInfo};
 use iris_service::codec::{decode_request, decode_response, encode_request, encode_response};
-use iris_service::frame::{read_frame, FrameEvent, MAX_FRAME_LEN};
+use iris_service::frame::MAX_FRAME_LEN;
 use iris_service::{serve, Codec, ServiceClient, ServiceConfig, ServiceHandle};
+use iris_wire::recv_frame;
 use proptest::prelude::*;
 use std::io::Write as _;
 use std::net::TcpStream;
@@ -175,18 +176,19 @@ fn oversized_frames_are_rejected_without_killing_the_server() {
         .expect("fits")
         .to_be_bytes();
     raw.write_all(&prefix).expect("write hostile prefix");
-    match read_frame(&mut raw).expect("error reply") {
-        FrameEvent::Frame(bytes) => {
-            let resp = decode_response(Codec::Json, &bytes).expect("json error frame");
+    let mut unread = Vec::new();
+    match recv_frame(&mut raw, &mut unread).expect("error reply") {
+        Some(frame) => {
+            let resp = decode_response(Codec::Json, &frame.payload).expect("json error frame");
             assert!(
                 matches!(resp, Response::Error(IrisError::Decode { .. })),
                 "expected a Decode error, got {resp:?}"
             );
         }
-        other => panic!("expected an error frame, got {other:?}"),
+        None => panic!("expected an error frame, got a close"),
     }
     assert!(
-        matches!(read_frame(&mut raw), Ok(FrameEvent::Eof) | Err(_)),
+        matches!(recv_frame(&mut raw, &mut unread), Ok(None) | Err(_)),
         "the hostile connection should be closed"
     );
     // A fresh, well-behaved connection is unaffected.
@@ -209,7 +211,7 @@ fn truncated_frames_get_no_reply() {
     raw.write_all(&[0u8; 10]).expect("partial payload");
     raw.shutdown(std::net::Shutdown::Write).expect("half-close");
     assert!(
-        matches!(read_frame(&mut raw), Ok(FrameEvent::Eof) | Err(_)),
+        matches!(recv_frame(&mut raw, &mut Vec::new()), Ok(None) | Err(_)),
         "a truncated frame must never produce a reply"
     );
     let mut client = client_for(&handle);
@@ -237,16 +239,17 @@ fn requests_sent_before_a_half_close_are_answered() {
         let mut raw = TcpStream::connect(&addr).expect("raw connect");
         raw.write_all(&bytes).expect("three pipelined requests");
         raw.shutdown(std::net::Shutdown::Write).expect("half-close");
+        let mut unread = Vec::new();
         for reply in 0..3 {
-            match read_frame(&mut raw) {
-                Ok(FrameEvent::Frame(payload)) => assert!(matches!(
-                    decode_response(Codec::Json, &payload).expect("json reply"),
+            match recv_frame(&mut raw, &mut unread) {
+                Ok(Some(frame)) => assert!(matches!(
+                    decode_response(Codec::Json, &frame.payload).expect("json reply"),
                     Response::Health(_)
                 )),
                 other => panic!("connection {round}, reply {reply}: got {other:?}"),
             }
         }
-        assert!(matches!(read_frame(&mut raw), Ok(FrameEvent::Eof)));
+        assert!(matches!(recv_frame(&mut raw, &mut unread), Ok(None)));
     }
     handle.shutdown();
 }

@@ -5,8 +5,9 @@ use iris_errors::IrisError;
 use iris_fibermap::{synth, MetroParams, PlacementParams, Region};
 use iris_service::api::{Request, Response};
 use iris_service::codec::{decode_request, encode_request};
-use iris_service::frame::{read_frame, write_frame, FrameEvent};
+use iris_service::frame::append_frame;
 use iris_service::{serve, Codec, ServiceClient, ServiceConfig};
+use iris_wire::recv_frame;
 use proptest::prelude::*;
 use std::time::{Duration, Instant};
 
@@ -495,14 +496,10 @@ proptest! {
         // whole wire path a real request takes.
         let payload = encode_request(Codec::Json, &request).expect("encode");
         let mut wire = Vec::new();
-        write_frame(&mut wire, &payload).expect("frame");
-        let mut cursor = std::io::Cursor::new(wire);
-        let event = read_frame(&mut cursor).expect("read");
-        let bytes = match event {
-            FrameEvent::Frame(bytes) => bytes,
-            other => panic!("expected a frame, got {other:?}"),
-        };
-        prop_assert_eq!(decode_request(Codec::Json, &bytes).expect("decode"), request);
-        prop_assert_eq!(read_frame(&mut cursor).expect("eof"), FrameEvent::Eof);
+        append_frame(&mut wire, &payload).expect("frame");
+        let (mut cursor, mut unread) = (std::io::Cursor::new(wire), Vec::new());
+        let frame = recv_frame(&mut cursor, &mut unread).expect("read").expect("a frame");
+        prop_assert_eq!(decode_request(Codec::Json, &frame.payload).expect("decode"), request);
+        prop_assert_eq!(recv_frame(&mut cursor, &mut unread).expect("eof"), None);
     }
 }

@@ -128,6 +128,16 @@ impl SimTopology {
         }
     }
 
+    /// The `scale` at which [`SimTopology::from_provisioning`] gives the
+    /// plan's largest link `largest_gbps`. FCT ratios do not depend on
+    /// the scale; a largest link of ~2 Gbps makes short runs contend.
+    #[must_use]
+    pub fn scale_for_largest_link(region: &Region, prov: &Provisioning, largest_gbps: f64) -> f64 {
+        let unscaled = prov.edge_capacity_wl.iter();
+        let largest = unscaled.map(|&wl| wl * region.gbps_per_wavelength);
+        largest_gbps / largest.fold(0.0f64, f64::max)
+    }
+
     /// A synthetic hub-and-spoke topology: `n_dcs` spokes of
     /// `spoke_gbps` each through one hub (each pair's route is its two
     /// spokes). Handy for unit tests and quick studies.

@@ -202,87 +202,6 @@ impl Snapshot {
         ])
     }
 
-    /// Rebuild a snapshot from its [`Snapshot::to_json`] form.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the first missing or mistyped field.
-    pub fn from_json(v: &Value) -> Result<Self, String> {
-        let section = |key: &str| -> Result<Vec<(String, Value)>, String> {
-            v.get(key)
-                .and_then(Value::as_object)
-                .cloned()
-                .ok_or_else(|| format!("snapshot is missing object '{key}'"))
-        };
-        let num = |entry: &Value, ctx: &str| -> Result<f64, String> {
-            entry
-                .as_f64()
-                .ok_or_else(|| format!("non-numeric field in {ctx}"))
-        };
-        let mut counters = BTreeMap::new();
-        for (name, value) in section("counters")? {
-            counters.insert(
-                name.clone(),
-                value
-                    .as_u64()
-                    .ok_or_else(|| format!("counter '{name}' is not a u64"))?,
-            );
-        }
-        let mut gauges = BTreeMap::new();
-        for (name, value) in section("gauges")? {
-            gauges.insert(
-                name.clone(),
-                value
-                    .as_i64()
-                    .ok_or_else(|| format!("gauge '{name}' is not an i64"))?,
-            );
-        }
-        let mut histograms = BTreeMap::new();
-        for (name, value) in section("histograms")? {
-            histograms.insert(
-                name.clone(),
-                HistogramSummary {
-                    count: value
-                        .get("count")
-                        .and_then(Value::as_u64)
-                        .ok_or_else(|| format!("histogram '{name}' missing count"))?,
-                    sum: num(&value["sum"], &name)?,
-                    mean: num(&value["mean"], &name)?,
-                    min: num(&value["min"], &name)?,
-                    max: num(&value["max"], &name)?,
-                    p50: num(&value["p50"], &name)?,
-                    p90: num(&value["p90"], &name)?,
-                    p99: num(&value["p99"], &name)?,
-                    // Absent in pre-bucket sidecars; tolerate both.
-                    buckets: match value.get("buckets").and_then(Value::as_array) {
-                        None => Vec::new(),
-                        Some(entries) => {
-                            let mut buckets = Vec::with_capacity(entries.len());
-                            for entry in entries {
-                                let pair =
-                                    entry.as_array().filter(|p| p.len() == 2).ok_or_else(|| {
-                                        format!("histogram '{name}' has a malformed bucket")
-                                    })?;
-                                buckets.push((
-                                    num(&pair[0], &name)?,
-                                    pair[1].as_u64().ok_or_else(|| {
-                                        format!("histogram '{name}' bucket count is not a u64")
-                                    })?,
-                                ));
-                            }
-                            buckets
-                        }
-                    },
-                },
-            );
-        }
-        Ok(Snapshot {
-            counters,
-            gauges,
-            histograms,
-        })
-    }
-
     /// The snapshot in Prometheus text exposition format. Histograms
     /// are exported as real cumulative `_bucket`/`_sum`/`_count`
     /// series under one `# TYPE … histogram` header (empty buckets

@@ -3,13 +3,17 @@
 //! re-dialled, both generic over a [`Protocol`]. Neither sleeps, counts
 //! or traces: a caller takes the delay [`PeerLink::fail`] returns,
 //! waits it out its own way (or not at all) and keeps its own counters.
+//! [`recv_frame`] is the one blocking read loop, over any byte stream:
+//! `Client` runs it on its socket, a test on a `Cursor` or its own end
+//! of a connection.
 
 use crate::bin::Wire;
-use crate::frame::{read_frame, write_frame_traced, FrameEvent};
+use crate::frame::{append_frame_with, parse_frame, truncated, ParsedFrame};
 use crate::{Backoff, Codec};
 use iris_errors::{IrisError, IrisResult};
 use serde::{Deserialize, Serialize};
 use std::fmt::Debug;
+use std::io::{ErrorKind, Read, Write as _};
 use std::marker::PhantomData;
 use std::net::TcpStream;
 use std::time::Duration;
@@ -38,6 +42,10 @@ pub trait Protocol {
 #[derive(Debug)]
 pub struct Client<P: Protocol> {
     stream: TcpStream,
+    /// What the socket returned beyond the last reply taken.
+    rbuf: Vec<u8>,
+    /// The request frame being sent; kept for its capacity.
+    wbuf: Vec<u8>,
     codec: Codec,
     /// Per-reply deadline; `None` blocks for as long as it takes.
     deadline: Option<Duration>,
@@ -59,6 +67,8 @@ impl<P: Protocol> Client<P> {
         stream.set_nodelay(true).ok();
         Ok(Self {
             stream,
+            rbuf: Vec::new(),
+            wbuf: Vec::new(),
             codec: Codec::Json,
             deadline: None,
             pending: "unsent",
@@ -66,9 +76,10 @@ impl<P: Protocol> Client<P> {
         })
     }
 
-    /// Bound every later reply: when none starts within `deadline`,
-    /// [`Client::recv`] fails with [`IrisError::Timeout`] instead of
-    /// stalling on a hung or partitioned peer.
+    /// Bound every later reply: when the peer sends nothing for
+    /// `deadline`, before or in the middle of a reply, [`Client::recv`]
+    /// fails with [`IrisError::Timeout`] instead of stalling on a hung
+    /// or partitioned peer.
     ///
     /// # Errors
     ///
@@ -90,8 +101,11 @@ impl<P: Protocol> Client<P> {
     }
 
     /// The socket and its codec, for a caller that goes non-blocking.
+    /// Call it between exchanges, with every reply received: bytes the
+    /// client has read and not yet handed out do not come along.
     #[must_use]
     pub fn into_parts(self) -> (TcpStream, Codec) {
+        debug_assert!(self.rbuf.is_empty(), "into_parts in mid-reply");
         (self.stream, self.codec)
     }
 
@@ -121,10 +135,15 @@ impl<P: Protocol> Client<P> {
     /// [`IrisError::Io`] on socket failure, [`IrisError::InvalidInput`]
     /// for a request larger than a frame.
     pub fn send(&mut self, req: &P::Request, trace: Option<u64>) -> IrisResult<()> {
-        let mut payload = Vec::new();
-        self.codec.encode_into(req, &mut payload)?;
+        let codec = self.codec;
+        self.wbuf.clear();
+        append_frame_with(&mut self.wbuf, trace, |buf| codec.encode_into(req, buf))?;
         self.pending = P::op(req);
-        write_frame_traced(&mut self.stream, &payload, trace)
+        self.stream
+            .write_all(&self.wbuf)
+            .map_err(|e| IrisError::Io {
+                detail: format!("frame write failed: {e}"),
+            })
     }
 
     /// Wait for the next reply frame. A request answered with several
@@ -137,23 +156,16 @@ impl<P: Protocol> Client<P> {
     /// of replying, [`IrisError::Decode`] for a malformed or oversized
     /// frame (refused before it is allocated).
     pub fn recv(&mut self) -> IrisResult<P::Response> {
-        loop {
-            match (read_frame(&mut self.stream)?, self.deadline) {
-                (FrameEvent::Frame(bytes), _) => return self.codec.decode(&bytes, P::REPLY),
-                (FrameEvent::Idle, Some(deadline)) => {
-                    return Err(IrisError::Timeout {
-                        what: format!("{} call", self.pending),
-                        after_ms: deadline.as_millis() as u64,
-                    })
-                }
-                // Cannot happen: no deadline, no socket read timeout.
-                (FrameEvent::Idle, None) => {}
-                (FrameEvent::Eof, _) => {
-                    return Err(IrisError::Io {
-                        detail: "peer closed the connection before replying".to_owned(),
-                    })
-                }
-            }
+        match recv_frame(&mut self.stream, &mut self.rbuf) {
+            Ok(Some(frame)) => self.codec.decode(&frame.payload, P::REPLY),
+            Ok(None) => Err(IrisError::Io {
+                detail: "peer closed the connection before replying".to_owned(),
+            }),
+            Err(IrisError::Timeout { .. }) => Err(IrisError::Timeout {
+                what: format!("{} call", self.pending),
+                after_ms: self.deadline.map_or(0, |d| d.as_millis() as u64),
+            }),
+            Err(e) => Err(e),
         }
     }
 
@@ -162,6 +174,53 @@ impl<P: Protocol> Client<P> {
     pub fn call(&mut self, req: &P::Request, trace: Option<u64>) -> IrisResult<P::Response> {
         self.send(req, trace)?;
         self.recv()
+    }
+}
+
+/// Bytes one `read` of [`recv_frame`] asks for.
+const RECV_CHUNK: usize = 16 * 1024;
+
+/// Block on `r` until `buf` starts with a complete frame, and take it
+/// out of `buf`. `buf` belongs to the stream: it holds whatever arrived
+/// behind the frame until the next call. `Ok(None)` is the peer closing
+/// between frames.
+///
+/// The buffer grows by what the stream delivered, never by what a
+/// prefix announced. A `read` that times out fails the call even with a
+/// frame half arrived (the timeout is per `read`, so a long frame that
+/// keeps arriving is not cut short); the stream is then mid-frame and
+/// of no further use.
+///
+/// # Errors
+///
+/// [`IrisError::Decode`] for an oversized announced length or a stream
+/// that ends inside a frame; [`IrisError::Timeout`] (`after_ms` 0: the
+/// stream's owner knows its timeout) for a `read` that timed out;
+/// [`IrisError::Io`] for any other failure.
+pub fn recv_frame<R: Read>(r: &mut R, buf: &mut Vec<u8>) -> IrisResult<Option<ParsedFrame>> {
+    let mut chunk = [0u8; RECV_CHUNK];
+    loop {
+        if let Some(frame) = parse_frame(buf)? {
+            buf.drain(..frame.consumed);
+            return Ok(Some(frame));
+        }
+        match r.read(&mut chunk) {
+            Ok(0) if buf.is_empty() => return Ok(None),
+            Ok(0) => return Err(truncated(buf)),
+            Ok(n) => buf.extend_from_slice(&chunk[..n]),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                return Err(IrisError::Timeout {
+                    what: "frame read".to_owned(),
+                    after_ms: 0,
+                })
+            }
+            Err(e) => {
+                return Err(IrisError::Io {
+                    detail: format!("frame read failed: {e}"),
+                })
+            }
+        }
     }
 }
 

@@ -124,16 +124,17 @@ impl FramedConn {
     }
 
     /// Queue one frame whose payload `encode` writes straight into the
-    /// write buffer.
+    /// write buffer, with `trace` in its header if `Some`.
     ///
     /// # Errors
     ///
     /// As [`append_frame_with`]; nothing is queued on error.
     pub fn queue_frame(
         &mut self,
+        trace: Option<u64>,
         encode: impl FnOnce(&mut Vec<u8>) -> IrisResult<()>,
     ) -> IrisResult<()> {
-        append_frame_with(&mut self.wbuf, encode)
+        append_frame_with(&mut self.wbuf, trace, encode)
     }
 
     /// Write queued bytes until the socket would block.

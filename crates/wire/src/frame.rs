@@ -2,26 +2,26 @@
 //!
 //! Every message on the wire is one frame: a 4-byte big-endian length
 //! followed by that many bytes of codec payload. Frames are bounded by
-//! [`MAX_FRAME_LEN`]; the reader checks the prefix *before* allocating,
-//! so a hostile or corrupted length cannot drive an allocation. All
-//! fault paths are typed [`IrisError`]s — a truncated prefix, an
-//! oversized frame and a payload cut off mid-frame each name exactly
-//! what was wrong.
+//! [`MAX_FRAME_LEN`], checked as soon as the prefix is there, so a
+//! hostile or corrupted length cannot drive an allocation.
+//!
+//! There is one decoder, [`parse_frame`], over bytes already in memory,
+//! and one encoder, [`append_frame_with`], into a buffer the caller
+//! then writes. This module does no I/O: a non-blocking connection
+//! ([`crate::FramedConn`]) fills its buffer when the poller says so, and
+//! the one blocking loop ([`crate::client::recv_frame`]) fills its own
+//! until the decoder finds a frame.
 //!
 //! ## Trace header
 //!
 //! A frame may carry an optional 8-byte trace id between the prefix
 //! and the payload, announced by [`TRACE_FLAG`] — the top bit of the
-//! length prefix, which a legacy frame can never set because
-//! [`MAX_FRAME_LEN`] keeps real lengths far below it. The extension
-//! is backward compatible in both directions: frames written without
-//! a trace id are byte-identical to the legacy format, and
-//! [`read_frame`] (the legacy entry point) accepts both forms,
-//! discarding the id. Use [`write_frame_traced`]/[`read_frame_traced`]
-//! to propagate ids.
+//! length prefix, which a length can never set because
+//! [`MAX_FRAME_LEN`] keeps real lengths far below it. A frame written
+//! without an id is `[len | payload]` and nothing else; either side of
+//! a connection may attach one.
 
 use iris_errors::{IrisError, IrisResult};
-use std::io::{ErrorKind, Read, Write};
 
 /// Largest accepted frame payload, bytes. Far above any real request or
 /// response (a full metrics snapshot is a few KiB) while keeping a
@@ -32,127 +32,6 @@ pub const MAX_FRAME_LEN: usize = 1 << 20;
 /// prefix and the payload. Disjoint from any legal length: payloads
 /// are bounded by [`MAX_FRAME_LEN`] `= 1 << 20`.
 pub const TRACE_FLAG: u32 = 1 << 31;
-
-/// One read attempt's outcome on a framed stream.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FrameEvent {
-    /// A complete frame payload.
-    Frame(Vec<u8>),
-    /// The peer closed the stream cleanly between frames.
-    Eof,
-    /// A read timeout elapsed before any byte of the next frame arrived
-    /// (only with a socket read timeout set; callers poll a shutdown
-    /// flag and retry).
-    Idle,
-}
-
-/// Write `payload` as one frame and flush.
-///
-/// # Errors
-///
-/// [`IrisError::InvalidInput`] if the payload exceeds [`MAX_FRAME_LEN`];
-/// [`IrisError::Io`] on socket failure.
-pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> IrisResult<()> {
-    write_frame_traced(w, payload, None)
-}
-
-/// Write `payload` as one frame, attaching the trace-id header when
-/// `trace_id` is `Some`, and flush. With `None` the wire bytes are
-/// identical to the legacy (pre-tracing) format.
-///
-/// # Errors
-///
-/// [`IrisError::InvalidInput`] if the payload exceeds [`MAX_FRAME_LEN`];
-/// [`IrisError::Io`] on socket failure.
-pub fn write_frame_traced<W: Write>(
-    w: &mut W,
-    payload: &[u8],
-    trace_id: Option<u64>,
-) -> IrisResult<()> {
-    let mut len = checked_len(payload.len())?;
-    if trace_id.is_some() {
-        len |= TRACE_FLAG;
-    }
-    let io_err = |e: std::io::Error| IrisError::Io {
-        detail: format!("frame write failed: {e}"),
-    };
-    // Prefix and trace header go out as ONE write: with NODELAY a
-    // separate 8-byte write would cost an extra syscall and TCP
-    // segment per traced frame.
-    match trace_id {
-        Some(id) => {
-            let mut head = [0u8; 12];
-            head[..4].copy_from_slice(&len.to_be_bytes());
-            head[4..].copy_from_slice(&id.to_be_bytes());
-            w.write_all(&head).map_err(io_err)?;
-        }
-        None => w.write_all(&len.to_be_bytes()).map_err(io_err)?,
-    }
-    w.write_all(payload).map_err(io_err)?;
-    w.flush().map_err(io_err)
-}
-
-/// Read the next frame. A clean EOF between frames is [`FrameEvent::Eof`];
-/// a read timeout before the first byte is [`FrameEvent::Idle`]. Once a
-/// frame has started, timeouts keep reading (the peer is mid-send) and a
-/// disconnect mid-frame is a typed decode error.
-///
-/// # Errors
-///
-/// [`IrisError::Decode`] for a truncated length prefix, an oversized
-/// announced length (checked before allocating) or a payload cut off
-/// mid-frame; [`IrisError::Io`] for other socket failures.
-pub fn read_frame<R: Read>(r: &mut R) -> IrisResult<FrameEvent> {
-    read_frame_traced(r).map(|(event, _)| event)
-}
-
-/// Read the next frame along with its trace id, if the peer attached
-/// one. Headerless (legacy) frames decode exactly as before with a
-/// `None` id. See [`read_frame`] for the event semantics.
-///
-/// # Errors
-///
-/// As [`read_frame`], plus [`IrisError::Decode`] for a frame whose
-/// announced trace header is cut off.
-pub fn read_frame_traced<R: Read>(r: &mut R) -> IrisResult<(FrameEvent, Option<u64>)> {
-    let mut prefix = [0u8; 4];
-    match read_fill(r, &mut prefix, true)? {
-        Fill::Complete => {}
-        Fill::Empty => return Ok((FrameEvent::Eof, None)),
-        Fill::Idle => return Ok((FrameEvent::Idle, None)),
-        Fill::Partial(got) => {
-            return Err(IrisError::Decode {
-                detail: format!("truncated length prefix: wanted 4 bytes, got {got}"),
-            })
-        }
-    }
-    let raw = u32::from_be_bytes(prefix);
-    let traced = raw & TRACE_FLAG != 0;
-    let len = (raw & !TRACE_FLAG) as usize;
-    if len > MAX_FRAME_LEN {
-        // Reject before allocating (or reading a header the peer may
-        // never send): the announced length is attacker- or
-        // corruption-controlled.
-        return Err(IrisError::Decode {
-            detail: format!("frame length {len} exceeds the {MAX_FRAME_LEN}-byte maximum"),
-        });
-    }
-    let trace_id = if traced {
-        let mut header = [0u8; 8];
-        match read_fill(r, &mut header, false)? {
-            Fill::Complete => {}
-            Fill::Empty | Fill::Idle | Fill::Partial(_) => unreachable!("eof_ok is false"),
-        }
-        Some(u64::from_be_bytes(header))
-    } else {
-        None
-    };
-    let mut payload = vec![0u8; len];
-    match read_fill(r, &mut payload, false)? {
-        Fill::Complete => Ok((FrameEvent::Frame(payload), trace_id)),
-        Fill::Empty | Fill::Idle | Fill::Partial(_) => unreachable!("eof_ok is false"),
-    }
-}
 
 /// One frame parsed out of an in-memory read buffer by [`parse_frame`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -166,12 +45,26 @@ pub struct ParsedFrame {
     pub consumed: usize,
 }
 
-/// Try to parse one complete frame from the front of `buf` — the
-/// non-blocking twin of [`read_frame_traced`] for event-loop servers
-/// that accumulate socket reads in a per-connection buffer. Returns
-/// `Ok(None)` while the frame is still incomplete; the same wire format
-/// (and the same before-allocation length check) as the blocking
-/// reader, so the two interoperate byte-for-byte.
+/// What a length prefix announces: the bytes before the payload (4, or
+/// 12 with a trace id) and the payload's length. `None` until `buf`
+/// holds the prefix.
+fn header(buf: &[u8]) -> IrisResult<Option<(usize, usize)>> {
+    let Some(prefix) = buf.get(..4) else {
+        return Ok(None);
+    };
+    let raw = u32::from_be_bytes(prefix.try_into().expect("4-byte slice"));
+    let len = (raw & !TRACE_FLAG) as usize;
+    if len > MAX_FRAME_LEN {
+        return Err(IrisError::Decode {
+            detail: format!("frame length {len} exceeds the {MAX_FRAME_LEN}-byte maximum"),
+        });
+    }
+    Ok(Some((if raw & TRACE_FLAG == 0 { 4 } else { 12 }, len)))
+}
+
+/// Try to parse one complete frame from the front of `buf`, where a
+/// connection accumulates what its socket returns. Returns `Ok(None)`
+/// while the frame is still incomplete.
 ///
 /// # Errors
 ///
@@ -179,47 +72,54 @@ pub struct ParsedFrame {
 /// [`MAX_FRAME_LEN`] — detected as soon as the 4 prefix bytes are
 /// present, before the payload is buffered or allocated.
 pub fn parse_frame(buf: &[u8]) -> IrisResult<Option<ParsedFrame>> {
-    let Some(prefix) = buf.get(..4) else {
+    let Some((head, len)) = header(buf)? else {
         return Ok(None);
     };
-    let raw = u32::from_be_bytes(prefix.try_into().expect("4-byte slice"));
-    let traced = raw & TRACE_FLAG != 0;
-    let len = (raw & !TRACE_FLAG) as usize;
-    if len > MAX_FRAME_LEN {
-        return Err(IrisError::Decode {
-            detail: format!("frame length {len} exceeds the {MAX_FRAME_LEN}-byte maximum"),
-        });
-    }
-    let header_len = if traced { 12 } else { 4 };
-    let Some(rest) = buf.get(header_len..header_len + len) else {
+    let Some(payload) = buf.get(head..head + len) else {
         return Ok(None);
     };
-    let trace_id = traced.then(|| u64::from_be_bytes(buf[4..12].try_into().expect("8-byte slice")));
+    let trace_id =
+        (head == 12).then(|| u64::from_be_bytes(buf[4..12].try_into().expect("8-byte slice")));
     Ok(Some(ParsedFrame {
-        payload: rest.to_vec(),
+        payload: payload.to_vec(),
         trace_id,
-        consumed: header_len + len,
+        consumed: head + len,
     }))
 }
 
+/// The error for a stream that ended with `buf`, an incomplete frame,
+/// still unparsed.
+pub(crate) fn truncated(buf: &[u8]) -> IrisError {
+    let detail = match header(buf) {
+        Ok(Some((head, len))) => {
+            let (wanted, got) = match buf.len().checked_sub(head) {
+                Some(got) => (len, got),
+                None => (8, buf.len() - 4),
+            };
+            format!("truncated frame payload: wanted {wanted} bytes, got {got}")
+        }
+        _ => format!("truncated length prefix: wanted 4 bytes, got {}", buf.len()),
+    };
+    IrisError::Decode { detail }
+}
+
 /// Append a length prefix + `payload` (no trace header) to an in-memory
-/// write buffer — the event-loop counterpart of [`write_frame`].
+/// write buffer.
 ///
 /// # Errors
 ///
 /// [`IrisError::InvalidInput`] if the payload exceeds [`MAX_FRAME_LEN`]
 /// (nothing is appended).
 pub fn append_frame(out: &mut Vec<u8>, payload: &[u8]) -> IrisResult<()> {
-    let len = checked_len(payload.len())?;
-    out.extend_from_slice(&len.to_be_bytes());
-    out.extend_from_slice(payload);
-    Ok(())
+    append_frame_with(out, None, |buf| {
+        buf.extend_from_slice(payload);
+        Ok(())
+    })
 }
 
-/// Append one frame (no trace header) whose payload `fill` writes
-/// straight into `out` — [`append_frame`] without the intermediate
-/// payload buffer. The length prefix is reserved first and patched once
-/// the payload's size is known.
+/// Append one frame whose payload `fill` writes straight into `out`,
+/// with `trace` in its header if `Some`. The length prefix is reserved
+/// first and patched once the payload's size is known.
 ///
 /// # Errors
 ///
@@ -228,13 +128,19 @@ pub fn append_frame(out: &mut Vec<u8>, payload: &[u8]) -> IrisResult<()> {
 /// truncated back to its length on entry.
 pub fn append_frame_with(
     out: &mut Vec<u8>,
+    trace: Option<u64>,
     fill: impl FnOnce(&mut Vec<u8>) -> IrisResult<()>,
 ) -> IrisResult<()> {
     let start = out.len();
     out.extend_from_slice(&[0u8; 4]);
-    match fill(out).and_then(|()| checked_len(out.len() - start - 4)) {
+    if let Some(id) = trace {
+        out.extend_from_slice(&id.to_be_bytes());
+    }
+    let body = out.len();
+    match fill(out).and_then(|()| checked_len(out.len() - body)) {
         Ok(len) => {
-            out[start..start + 4].copy_from_slice(&len.to_be_bytes());
+            let flag = if trace.is_some() { TRACE_FLAG } else { 0 };
+            out[start..start + 4].copy_from_slice(&(len | flag).to_be_bytes());
             Ok(())
         }
         Err(e) => {
@@ -256,90 +162,57 @@ fn checked_len(len: usize) -> IrisResult<u32> {
     Ok(u32::try_from(len).expect("bounded by MAX_FRAME_LEN"))
 }
 
-enum Fill {
-    Complete,
-    /// EOF before the first byte (only when `eof_ok`).
-    Empty,
-    /// Timeout before the first byte (only when `eof_ok`).
-    Idle,
-    /// EOF after `n` bytes (only when `eof_ok`; mid-payload EOF errors).
-    Partial(usize),
-}
-
-/// Fill `buf`, tolerating interrupted and timed-out reads. With `eof_ok`
-/// (the length prefix), a clean EOF or timeout at offset 0 is reported
-/// instead of erroring; without it (the payload), any shortfall is a
-/// decode error naming the byte counts.
-fn read_fill<R: Read>(r: &mut R, buf: &mut [u8], eof_ok: bool) -> IrisResult<Fill> {
-    let mut got = 0usize;
-    while got < buf.len() {
-        match r.read(&mut buf[got..]) {
-            Ok(0) => {
-                if eof_ok {
-                    return Ok(if got == 0 {
-                        Fill::Empty
-                    } else {
-                        Fill::Partial(got)
-                    });
-                }
-                return Err(IrisError::Decode {
-                    detail: format!(
-                        "truncated frame payload: wanted {} bytes, got {got}",
-                        buf.len()
-                    ),
-                });
-            }
-            Ok(n) => got += n,
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                if eof_ok && got == 0 {
-                    return Ok(Fill::Idle);
-                }
-                // Mid-frame: the peer has started sending; keep waiting.
-            }
-            Err(e) => {
-                return Err(IrisError::Io {
-                    detail: format!("frame read failed: {e}"),
-                })
-            }
-        }
-    }
-    Ok(Fill::Complete)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::recv_frame;
     use std::io::Cursor;
 
     fn frame_bytes(payload: &[u8]) -> Vec<u8> {
         let mut out = Vec::new();
-        write_frame(&mut out, payload).expect("in-memory write");
+        append_frame(&mut out, payload).expect("in-memory write");
         out
+    }
+
+    fn traced_bytes(payload: &[u8], id: u64) -> Vec<u8> {
+        let mut out = Vec::new();
+        append_frame_with(&mut out, Some(id), |buf| {
+            buf.extend_from_slice(payload);
+            Ok(())
+        })
+        .expect("in-memory write");
+        out
+    }
+
+    /// What the blocking loop makes of a stream that is `bytes`, then EOF.
+    fn recv_all(bytes: Vec<u8>) -> IrisResult<Vec<ParsedFrame>> {
+        let (mut r, mut buf, mut frames) = (Cursor::new(bytes), Vec::new(), Vec::new());
+        while let Some(frame) = recv_frame(&mut r, &mut buf)? {
+            frames.push(frame);
+        }
+        Ok(frames)
+    }
+
+    fn payloads(bytes: Vec<u8>) -> Vec<Vec<u8>> {
+        let frames = recv_all(bytes).unwrap();
+        frames.into_iter().map(|f| f.payload).collect()
     }
 
     #[test]
     fn round_trips_a_payload() {
         let bytes = frame_bytes(b"{\"Health\":null}");
-        let mut r = Cursor::new(bytes);
-        assert_eq!(
-            read_frame(&mut r).unwrap(),
-            FrameEvent::Frame(b"{\"Health\":null}".to_vec())
-        );
-        assert_eq!(read_frame(&mut r).unwrap(), FrameEvent::Eof);
+        assert_eq!(payloads(bytes), [b"{\"Health\":null}"]);
     }
 
     #[test]
     fn empty_stream_is_clean_eof() {
-        let mut r = Cursor::new(Vec::<u8>::new());
-        assert_eq!(read_frame(&mut r).unwrap(), FrameEvent::Eof);
+        assert_eq!(recv_all(Vec::new()).unwrap(), []);
     }
 
     #[test]
     fn malformed_length_prefix_is_a_decode_error() {
         // Two of the four prefix bytes, then EOF.
-        let mut r = Cursor::new(vec![0u8, 1]);
-        let err = read_frame(&mut r).unwrap_err();
+        let err = recv_all(vec![0u8, 1]).unwrap_err();
         assert_eq!(err.code(), "decode");
         assert!(err.to_string().contains("length prefix"), "{err}");
     }
@@ -347,12 +220,10 @@ mod tests {
     #[test]
     fn oversized_frame_is_rejected_before_allocation() {
         // Announce 4 GiB-ish; only the 4 prefix bytes are on the wire,
-        // so if the reader tried to allocate it would also hang waiting
-        // for a payload that never comes.
+        // so a reader that waited for the payload would never return.
         let mut bytes = (u32::MAX).to_be_bytes().to_vec();
         bytes.extend_from_slice(b"junk");
-        let mut r = Cursor::new(bytes);
-        let err = read_frame(&mut r).unwrap_err();
+        let err = recv_all(bytes).unwrap_err();
         assert_eq!(err.code(), "decode");
         assert!(err.to_string().contains("exceeds"), "{err}");
     }
@@ -360,7 +231,7 @@ mod tests {
     #[test]
     fn oversized_write_is_rejected() {
         let mut out = Vec::new();
-        let err = write_frame(&mut out, &vec![0u8; MAX_FRAME_LEN + 1]).unwrap_err();
+        let err = append_frame(&mut out, &vec![0u8; MAX_FRAME_LEN + 1]).unwrap_err();
         assert_eq!(err.code(), "invalid-input");
         assert!(out.is_empty(), "nothing written for a rejected frame");
     }
@@ -369,8 +240,7 @@ mod tests {
     fn truncated_payload_is_a_decode_error() {
         let mut bytes = frame_bytes(b"hello world");
         bytes.truncate(4 + 5); // prefix + 5 of 11 payload bytes
-        let mut r = Cursor::new(bytes);
-        let err = read_frame(&mut r).unwrap_err();
+        let err = recv_all(bytes).unwrap_err();
         assert_eq!(err.code(), "decode");
         let msg = err.to_string();
         assert!(msg.contains("wanted 11"), "{msg}");
@@ -379,100 +249,57 @@ mod tests {
 
     #[test]
     fn traced_frame_round_trips_id_and_payload() {
-        let mut bytes = Vec::new();
-        write_frame_traced(
-            &mut bytes,
-            b"{\"Health\":null}",
-            Some(0xDEAD_BEEF_0042_1337),
-        )
-        .unwrap();
-        assert_eq!(bytes[0] & 0x80, 0x80, "trace flag set in the prefix");
-        let mut r = Cursor::new(bytes);
-        let (event, trace_id) = read_frame_traced(&mut r).unwrap();
-        assert_eq!(event, FrameEvent::Frame(b"{\"Health\":null}".to_vec()));
-        assert_eq!(trace_id, Some(0xDEAD_BEEF_0042_1337));
-        assert_eq!(read_frame_traced(&mut r).unwrap(), (FrameEvent::Eof, None));
+        let bytes = traced_bytes(b"{\"Health\":null}", 0xDEAD_BEEF_0042_1337);
+        // The header every earlier writer of this format produced:
+        // flag | 15, then the id, big-endian.
+        let header = [
+            0x80, 0, 0, 15, 0xDE, 0xAD, 0xBE, 0xEF, 0x00, 0x42, 0x13, 0x37,
+        ];
+        assert_eq!(bytes[..12], header);
+        assert_eq!(&bytes[12..], b"{\"Health\":null}");
+        let frame = parse_frame(&bytes).unwrap().expect("complete frame");
+        assert_eq!(frame.payload, b"{\"Health\":null}");
+        assert_eq!(frame.trace_id, Some(0xDEAD_BEEF_0042_1337));
+        assert_eq!(recv_all(bytes).unwrap(), [frame]);
     }
 
     #[test]
     fn untraced_write_is_byte_identical_to_the_legacy_format() {
-        // An old client's frame is exactly [len BE | payload]; the new
-        // writer must produce those bytes when no trace id is attached,
-        // and both readers must agree on what they mean.
+        // A frame without a trace id is exactly [len BE | payload].
         let payload = b"{\"GetPlan\":null}";
-        let mut new_writer = Vec::new();
-        write_frame_traced(&mut new_writer, payload, None).unwrap();
         let mut legacy = (payload.len() as u32).to_be_bytes().to_vec();
         legacy.extend_from_slice(payload);
-        assert_eq!(new_writer, legacy, "no header, no flag, same bytes");
-
-        let (event, trace_id) = read_frame_traced(&mut Cursor::new(legacy.clone())).unwrap();
-        assert_eq!(event, FrameEvent::Frame(payload.to_vec()));
-        assert_eq!(trace_id, None, "legacy frames carry no trace id");
+        assert_eq!(frame_bytes(payload), legacy, "no header, no flag");
+        let frame = parse_frame(&legacy).unwrap().expect("complete frame");
         assert_eq!(
-            read_frame(&mut Cursor::new(legacy)).unwrap(),
-            FrameEvent::Frame(payload.to_vec())
-        );
-    }
-
-    #[test]
-    fn legacy_reader_accepts_traced_frames() {
-        // An old server (read_frame) receiving a new client's traced
-        // frame sees the same payload; the id is simply discarded.
-        let mut bytes = Vec::new();
-        write_frame_traced(&mut bytes, b"ping", Some(7)).unwrap();
-        assert_eq!(
-            read_frame(&mut Cursor::new(bytes)).unwrap(),
-            FrameEvent::Frame(b"ping".to_vec())
+            (frame.payload.as_slice(), frame.trace_id),
+            (&payload[..], None)
         );
     }
 
     #[test]
     fn truncated_trace_header_is_a_decode_error() {
-        let mut bytes = Vec::new();
-        write_frame_traced(&mut bytes, b"ping", Some(7)).unwrap();
+        let mut bytes = traced_bytes(b"ping", 7);
         bytes.truncate(4 + 3); // prefix + 3 of 8 header bytes
-        let err = read_frame_traced(&mut Cursor::new(bytes)).unwrap_err();
+        let err = recv_all(bytes).unwrap_err();
         assert_eq!(err.code(), "decode");
+        assert!(err.to_string().contains("wanted 8 bytes, got 3"), "{err}");
     }
 
     #[test]
     fn oversized_traced_length_is_rejected_before_the_header() {
         // A corrupted prefix with the trace flag set and an absurd
-        // length must fail on the length check, not stall waiting for
-        // a trace header that will never arrive.
-        let bytes = (TRACE_FLAG | (MAX_FRAME_LEN as u32 + 1))
-            .to_be_bytes()
-            .to_vec();
-        let err = read_frame_traced(&mut Cursor::new(bytes)).unwrap_err();
+        // length must fail on the length check, at 4 bytes, not wait
+        // for a trace header that will never arrive.
+        let bytes = (TRACE_FLAG | (MAX_FRAME_LEN as u32 + 1)).to_be_bytes();
+        let err = parse_frame(&bytes).unwrap_err();
         assert_eq!(err.code(), "decode");
         assert!(err.to_string().contains("exceeds"), "{err}");
     }
 
     #[test]
-    fn parse_frame_matches_the_blocking_reader_byte_for_byte() {
-        let mut bytes = Vec::new();
-        write_frame_traced(&mut bytes, b"traced", Some(0x1122_3344_5566_7788)).unwrap();
-        write_frame(&mut bytes, b"plain").unwrap();
-
-        let first = parse_frame(&bytes).unwrap().expect("complete frame");
-        assert_eq!(first.payload, b"traced");
-        assert_eq!(first.trace_id, Some(0x1122_3344_5566_7788));
-        assert_eq!(first.consumed, 12 + 6);
-
-        let second = parse_frame(&bytes[first.consumed..])
-            .unwrap()
-            .expect("complete frame");
-        assert_eq!(second.payload, b"plain");
-        assert_eq!(second.trace_id, None);
-        assert_eq!(second.consumed, 4 + 5);
-        assert_eq!(first.consumed + second.consumed, bytes.len());
-    }
-
-    #[test]
     fn parse_frame_waits_on_every_incomplete_prefix() {
-        let mut bytes = Vec::new();
-        write_frame_traced(&mut bytes, b"payload", Some(9)).unwrap();
+        let bytes = traced_bytes(b"payload", 9);
         // Every strict prefix of the wire bytes must yield "not yet",
         // never an error or a short payload.
         for cut in 0..bytes.len() {
@@ -501,14 +328,6 @@ mod tests {
         assert_eq!((a.payload.as_slice(), a.consumed), (&b"abc"[..], 7));
         let b = parse_frame(&buf[a.consumed..]).unwrap().expect("second");
         assert_eq!((b.payload.as_slice(), b.consumed), (&b""[..], 4));
-
-        let mut oversized = Vec::new();
-        let err = append_frame(&mut oversized, &vec![0u8; MAX_FRAME_LEN + 1]).unwrap_err();
-        assert_eq!(err.code(), "invalid-input");
-        assert!(
-            oversized.is_empty(),
-            "nothing appended for a rejected frame"
-        );
     }
 
     #[test]
@@ -516,7 +335,7 @@ mod tests {
         let mut direct = vec![0xAA];
         append_frame(&mut direct, b"abc").unwrap();
         let mut filled = vec![0xAA];
-        append_frame_with(&mut filled, |buf| {
+        append_frame_with(&mut filled, None, |buf| {
             buf.extend_from_slice(b"abc");
             Ok(())
         })
@@ -524,8 +343,8 @@ mod tests {
         assert_eq!(filled, direct);
 
         // A failing fill and an oversized payload both leave `out` as
-        // it was on entry.
-        let err = append_frame_with(&mut filled, |buf| {
+        // it was on entry, trace header or not.
+        let err = append_frame_with(&mut filled, Some(1), |buf| {
             buf.extend_from_slice(b"partial");
             Err(IrisError::Decode {
                 detail: "nope".into(),
@@ -534,7 +353,7 @@ mod tests {
         .unwrap_err();
         assert_eq!(err.code(), "decode");
         assert_eq!(filled, direct);
-        let err = append_frame_with(&mut filled, |buf| {
+        let err = append_frame_with(&mut filled, None, |buf| {
             buf.resize(buf.len() + MAX_FRAME_LEN + 1, 0);
             Ok(())
         })
@@ -547,17 +366,18 @@ mod tests {
     fn back_to_back_frames_parse_in_order() {
         let mut bytes = frame_bytes(b"one");
         bytes.extend(frame_bytes(b""));
-        bytes.extend(frame_bytes(b"three"));
-        let mut r = Cursor::new(bytes);
-        assert_eq!(
-            read_frame(&mut r).unwrap(),
-            FrameEvent::Frame(b"one".to_vec())
-        );
-        assert_eq!(read_frame(&mut r).unwrap(), FrameEvent::Frame(Vec::new()));
-        assert_eq!(
-            read_frame(&mut r).unwrap(),
-            FrameEvent::Frame(b"three".to_vec())
-        );
-        assert_eq!(read_frame(&mut r).unwrap(), FrameEvent::Eof);
+        bytes.extend(traced_bytes(b"three", 0x1122_3344_5566_7788));
+        let wire_len = bytes.len();
+        let frames = recv_all(bytes).unwrap();
+        let seen = frames.iter().map(|f| (f.payload.as_slice(), f.trace_id));
+        let sent: [(&[u8], _); 3] = [
+            (b"one", None),
+            (b"", None),
+            (b"three", Some(0x1122_3344_5566_7788)),
+        ];
+        assert!(seen.eq(sent), "{frames:?}");
+        let consumed: Vec<usize> = frames.iter().map(|f| f.consumed).collect();
+        assert_eq!(consumed, [4 + 3, 4, 12 + 5]);
+        assert_eq!(consumed.iter().sum::<usize>(), wire_len);
     }
 }

@@ -27,8 +27,9 @@
 //!
 //! ```
 //! use iris_errors::IrisError;
-//! use iris_wire::frame::{read_frame, write_frame, FrameEvent};
-//! use iris_wire::{server, Handler, Outbox};
+//! use iris_wire::frame::append_frame;
+//! use iris_wire::{recv_frame, server, Handler, Outbox};
+//! use std::io::Write as _;
 //! use std::net::{TcpListener, TcpStream};
 //! use std::sync::{atomic::AtomicBool, Arc};
 //!
@@ -64,8 +65,11 @@
 //! let (mut server, _mailbox) = server::spawn(listener, stop, vec![Echo, Echo], || {}).unwrap();
 //!
 //! let mut peer = TcpStream::connect(server.local_addr()).unwrap();
-//! write_frame(&mut peer, b"ping").unwrap();
-//! assert_eq!(read_frame(&mut peer).unwrap(), FrameEvent::Frame(b"ping".to_vec()));
+//! let (mut ping, mut unread) = (Vec::new(), Vec::new());
+//! append_frame(&mut ping, b"ping").unwrap();
+//! peer.write_all(&ping).unwrap();
+//! let echo = recv_frame(&mut peer, &mut unread).unwrap().expect("a frame");
+//! assert_eq!(echo.payload, b"ping");
 //! server.shutdown();
 //! ```
 //!
@@ -119,7 +123,7 @@ pub mod frame;
 pub mod server;
 
 pub use backoff::Backoff;
-pub use client::{Client, PeerLink, Protocol};
+pub use client::{recv_frame, Client, PeerLink, Protocol};
 pub use conn::FramedConn;
 pub use server::{Conns, FrameServer, Handler, Mailbox, Outbox, Ticket};
 

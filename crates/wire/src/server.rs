@@ -158,10 +158,10 @@ impl<P> Outbox<P> {
     /// [`crate::frame::MAX_FRAME_LEN`]; nothing is queued on error.
     pub fn reply(&mut self, encode: impl FnOnce(&mut Vec<u8>) -> IrisResult<()>) -> IrisResult<()> {
         if self.queue.is_empty() {
-            return self.io.queue_frame(encode);
+            return self.io.queue_frame(None, encode);
         }
         let mut framed = Vec::new();
-        append_frame_with(&mut framed, encode)?;
+        append_frame_with(&mut framed, None, encode)?;
         self.queue.push_back(Slot::Ready(framed));
         Ok(())
     }

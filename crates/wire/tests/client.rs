@@ -9,14 +9,14 @@ mod counting;
 mod toy;
 
 use iris_errors::{IrisError, IrisResult};
-use iris_wire::frame::{read_frame, write_frame, FrameEvent, MAX_FRAME_LEN};
+use iris_wire::frame::MAX_FRAME_LEN;
 use iris_wire::{wire_enum, Backoff, Client, Codec, PeerLink, Protocol};
 use serde::{Deserialize, Serialize};
-use std::io::Write as _;
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
+use std::sync::mpsc;
 use std::thread::JoinHandle;
-use std::time::Duration;
-use toy::{recv, Rig};
+use std::time::{Duration, Instant};
+use toy::{Peer, Rig};
 
 #[global_allocator]
 static ALLOCATOR: counting::Counting = counting::Counting;
@@ -91,10 +91,10 @@ fn link_to(addr: &str, deadline_ms: u64, backoff: Backoff) -> PeerLink<Toy> {
 
 /// A peer that is a script: it accepts one connection and runs `script`
 /// on it. Joining the handle re-raises the script's assertions.
-fn scripted(script: impl FnOnce(TcpStream) + Send + 'static) -> (String, JoinHandle<()>) {
+fn scripted(script: impl FnOnce(Peer) + Send + 'static) -> (String, JoinHandle<()>) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("local addr").to_string();
-    let peer = std::thread::spawn(move || script(listener.accept().expect("accept").0));
+    let peer = std::thread::spawn(move || script(Peer::new(listener.accept().expect("accept").0)));
     (addr, peer)
 }
 
@@ -114,14 +114,14 @@ fn the_codec_switches_after_the_ack_and_survives_a_switch_back() {
     // the codec it replaces.
     let (addr, peer) = scripted(|mut sock| {
         for first_byte in [b'{', b'T', b'H', b'{'] {
-            let frame = recv(&mut sock);
+            let frame = sock.recv();
             assert_eq!(
                 frame[0],
                 first_byte,
                 "{:?}",
                 String::from_utf8_lossy(&frame)
             );
-            write_frame(&mut sock, &frame).unwrap();
+            sock.send(&frame).unwrap();
         }
     });
     let mut client = Client::<Toy>::connect(&addr).unwrap();
@@ -135,12 +135,12 @@ fn the_codec_switches_after_the_ack_and_survives_a_switch_back() {
 #[test]
 fn hello_adopts_the_codec_the_peer_acknowledged_not_the_one_requested() {
     let (addr, peer) = scripted(|mut sock| {
-        recv(&mut sock);
-        write_frame(&mut sock, br#"{"Hello":{"codec":"json"}}"#).unwrap();
-        recv(&mut sock);
-        write_frame(&mut sock, br#"{"Hello":{"codec":"morse"}}"#).unwrap();
-        recv(&mut sock);
-        write_frame(&mut sock, br#"{"Text":{"text":"not an ack"}}"#).unwrap();
+        sock.recv();
+        sock.send(br#"{"Hello":{"codec":"json"}}"#).unwrap();
+        sock.recv();
+        sock.send(br#"{"Hello":{"codec":"morse"}}"#).unwrap();
+        sock.recv();
+        sock.send(br#"{"Text":{"text":"not an ack"}}"#).unwrap();
     });
     let mut client = Client::<Toy>::connect(&addr).unwrap();
     client.hello(Codec::Binary).unwrap();
@@ -175,11 +175,45 @@ fn a_silent_peer_is_a_timeout_naming_the_call() {
 }
 
 #[test]
+fn a_reply_that_starts_and_stalls_is_a_timeout_naming_the_call() {
+    let (addr, peer) = scripted(|mut sock| {
+        sock.recv();
+        sock.send_raw(&100u32.to_be_bytes());
+        sock.send_raw(b"ten bytes.");
+        // Neither the rest nor a close: wait for the client to give up.
+        let _ = sock.try_recv();
+    });
+    // The call runs on a thread of its own so that a client which waits
+    // for the other 90 bytes fails this test instead of blocking it.
+    let (done, outcome) = mpsc::channel();
+    std::thread::spawn(move || {
+        let mut client = Client::<Toy>::connect(&addr).unwrap();
+        client
+            .set_deadline(Some(Duration::from_millis(250)))
+            .unwrap();
+        let started = Instant::now();
+        let result = client.call(&Msg::Park, None);
+        let _ = done.send((result, started.elapsed()));
+    });
+    let (result, took) = outcome
+        .recv_timeout(Duration::from_secs(5))
+        .expect("the call outlived its deadline twenty times over");
+    match result.unwrap_err() {
+        IrisError::Timeout { what, after_ms } => {
+            assert_eq!((what.as_str(), after_ms), ("park call", 250));
+        }
+        other => panic!("expected a timeout, got {other:?}"),
+    }
+    assert!(took < Duration::from_millis(500), "gave up after {took:?}");
+    peer.join().unwrap();
+}
+
+#[test]
 fn a_peer_that_leaves_mid_reply_is_an_io_error() {
     // One frame of a three-frame reply, then a clean close.
     let (addr, peer) = scripted(|mut sock| {
-        recv(&mut sock);
-        write_frame(&mut sock, br#""One""#).unwrap();
+        sock.recv();
+        sock.send(br#""One""#).unwrap();
     });
     let mut client = Client::<Toy>::connect(&addr).unwrap();
     client.send(&Msg::Spell { a: 1, b: 2, c: 3 }, None).unwrap();
@@ -190,9 +224,9 @@ fn a_peer_that_leaves_mid_reply_is_an_io_error() {
 
     // A close in the middle of a frame is the frame layer's typed error.
     let (addr, peer) = scripted(|mut sock| {
-        recv(&mut sock);
-        sock.write_all(&100u32.to_be_bytes()).unwrap();
-        sock.write_all(b"ten bytes.").unwrap();
+        sock.recv();
+        sock.send_raw(&100u32.to_be_bytes());
+        sock.send_raw(b"ten bytes.");
     });
     let mut client = Client::<Toy>::connect(&addr).unwrap();
     let err = client.call(&text("anyone?"), None).unwrap_err();
@@ -204,11 +238,11 @@ fn a_peer_that_leaves_mid_reply_is_an_io_error() {
 #[test]
 fn an_oversized_reply_prefix_is_refused_before_anything_is_allocated() {
     let (addr, peer) = scripted(|mut sock| {
-        recv(&mut sock);
+        sock.recv();
         let prefix = u32::try_from(MAX_FRAME_LEN + 1).unwrap().to_be_bytes();
-        sock.write_all(&prefix).unwrap();
+        sock.send_raw(&prefix);
         // Stay until the client has made up its mind and hung up.
-        let _ = read_frame(&mut sock);
+        let _ = sock.try_recv();
     });
     let mut client = Client::<Toy>::connect(&addr).unwrap();
     client.send(&text("how big?"), None).unwrap();
@@ -329,16 +363,16 @@ fn a_late_hello_ack_is_a_failed_session_and_is_never_seen_again() {
     let peer = std::thread::spawn(move || {
         // First connection: the ack comes 600 ms late, to whoever is
         // still there.
-        let (mut slow, _) = listener.accept().expect("first accept");
-        let hello = recv(&mut slow);
+        let mut slow = Peer::new(listener.accept().expect("first accept").0);
+        let hello = slow.recv();
         let late = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(600));
-            let _ = write_frame(&mut slow, &hello);
+            let _ = slow.send(&hello);
         });
         // Second connection: a prompt echo.
-        let (mut prompt, _) = listener.accept().expect("second accept");
-        while let Ok(FrameEvent::Frame(frame)) = read_frame(&mut prompt) {
-            write_frame(&mut prompt, &frame).unwrap();
+        let mut prompt = Peer::new(listener.accept().expect("second accept").0);
+        while let Ok(Some(frame)) = prompt.try_recv() {
+            prompt.send(&frame.payload).unwrap();
         }
         late.join().unwrap();
     });

@@ -3,9 +3,10 @@
 //! each uses its own subset of the rig.
 #![allow(dead_code)]
 
-use iris_errors::IrisError;
-use iris_wire::frame::{append_frame, read_frame, FrameEvent, MAX_FRAME_LEN};
-use iris_wire::{server, Conns, FrameServer, Handler, Mailbox, Outbox, Ticket};
+use iris_errors::{IrisError, IrisResult};
+use iris_wire::frame::{append_frame, ParsedFrame, MAX_FRAME_LEN};
+use iris_wire::{recv_frame, server, Conns, FrameServer, Handler, Mailbox, Outbox, Ticket};
+use std::io::Write as _;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
@@ -131,11 +132,11 @@ impl Rig {
         self.opened.load(Ordering::SeqCst)
     }
 
-    pub fn connect(&self) -> TcpStream {
-        let peer = TcpStream::connect(self.server.local_addr()).expect("connect");
-        peer.set_read_timeout(Some(Duration::from_secs(10)))
+    pub fn connect(&self) -> Peer {
+        let sock = TcpStream::connect(self.server.local_addr()).expect("connect");
+        sock.set_read_timeout(Some(Duration::from_secs(10)))
             .unwrap();
-        peer
+        Peer::new(sock)
     }
 
     pub fn next_parked(&self) -> (Ticket, Vec<u8>) {
@@ -156,10 +157,39 @@ impl Drop for Rig {
     }
 }
 
-/// The next frame a test's own socket receives.
-pub fn recv(sock: &mut TcpStream) -> Vec<u8> {
-    match read_frame(sock).expect("a frame") {
-        FrameEvent::Frame(payload) => payload,
-        other => panic!("expected a frame, got {other:?}"),
+/// A test's own end of a connection, speaking raw frames: a blocking
+/// socket and what it has read beyond the last frame taken.
+pub struct Peer {
+    pub sock: TcpStream,
+    unread: Vec<u8>,
+}
+
+impl Peer {
+    pub fn new(sock: TcpStream) -> Self {
+        let unread = Vec::new();
+        Self { sock, unread }
+    }
+
+    /// Write `payload` as one frame.
+    pub fn send(&mut self, payload: &[u8]) -> std::io::Result<()> {
+        self.sock.write_all(&framed(payload))
+    }
+
+    /// Write `bytes` as they are.
+    pub fn send_raw(&mut self, bytes: &[u8]) {
+        self.sock
+            .write_all(bytes)
+            .expect("a socket that takes bytes");
+    }
+
+    /// The next frame, or `None` once the other side has closed.
+    pub fn try_recv(&mut self) -> IrisResult<Option<ParsedFrame>> {
+        recv_frame(&mut self.sock, &mut self.unread)
+    }
+
+    /// The next frame's payload.
+    pub fn recv(&mut self) -> Vec<u8> {
+        let frame = self.try_recv().expect("a frame");
+        frame.expect("a frame, not a close").payload
     }
 }

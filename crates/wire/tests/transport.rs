@@ -7,18 +7,16 @@
 mod toy;
 
 use iris_poll::Poller;
-use iris_wire::frame::{
-    append_frame, read_frame, write_frame, write_frame_traced, FrameEvent, MAX_FRAME_LEN,
-};
+use iris_wire::frame::{append_frame, append_frame_with, MAX_FRAME_LEN};
 use iris_wire::{FramedConn, Ticket};
 use std::io::{Read as _, Write as _};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
-use toy::{recv, Rig, BIG};
+use toy::{Peer, Rig, BIG};
 
-fn expect_eof(peer: &mut TcpStream) {
+fn expect_eof(peer: &mut Peer) {
     assert!(
-        matches!(read_frame(peer), Ok(FrameEvent::Eof) | Err(_)),
+        matches!(peer.try_recv(), Ok(None) | Err(_)),
         "the server should have closed this connection"
     );
 }
@@ -28,34 +26,34 @@ fn pipelined_replies_keep_request_order_when_filled_out_of_order() {
     let rig = Rig::start();
     let mut peer = rig.connect();
     for req in [&b"Pa"[..], b"Pb", b"echo", b"Pc"] {
-        write_frame(&mut peer, req).unwrap();
+        peer.send(req).unwrap();
     }
     let tickets: Vec<Ticket> = (0..3).map(|_| rig.next_parked().0).collect();
     // Newest first: nothing may leave before the oldest is filled.
     rig.complete(tickets[2], b"C");
     rig.complete(tickets[1], b"B");
     rig.complete(tickets[0], b"A");
-    let got: Vec<Vec<u8>> = (0..4).map(|_| recv(&mut peer)).collect();
+    let got: Vec<Vec<u8>> = (0..4).map(|_| peer.recv()).collect();
     assert_eq!(got, [&b"A"[..], b"B", b"echo", b"C"]);
     // Filling a ticket twice changes nothing.
     rig.complete(tickets[0], b"again");
-    write_frame(&mut peer, b"after").unwrap();
-    assert_eq!(recv(&mut peer), b"after");
+    peer.send(b"after").unwrap();
+    assert_eq!(peer.recv(), b"after");
 }
 
 #[test]
 fn a_fill_for_a_recycled_slot_is_dropped() {
     let rig = Rig::start();
     let mut first = rig.connect();
-    write_frame(&mut first, b"P").unwrap();
-    first.shutdown(Shutdown::Write).unwrap();
+    first.send(b"P").unwrap();
+    first.sock.shutdown(Shutdown::Write).unwrap();
     let (stale, _) = rig.next_parked();
     rig.complete(stale, b"first");
-    assert_eq!(recv(&mut first), b"first");
+    assert_eq!(first.recv(), b"first");
     expect_eof(&mut first); // the slot is free from here on
 
     let mut second = rig.connect();
-    write_frame(&mut second, b"P").unwrap();
+    second.send(b"P").unwrap();
     let (fresh, _) = rig.next_parked();
     assert_eq!(
         (fresh.token, fresh.seq),
@@ -65,9 +63,9 @@ fn a_fill_for_a_recycled_slot_is_dropped() {
     assert!(fresh.gen > stale.gen, "under a new generation");
     rig.complete(stale, b"for the connection that left");
     rig.complete(fresh, b"second");
-    assert_eq!(recv(&mut second), b"second");
-    write_frame(&mut second, b"after").unwrap();
-    assert_eq!(recv(&mut second), b"after");
+    assert_eq!(second.recv(), b"second");
+    second.send(b"after").unwrap();
+    assert_eq!(second.recv(), b"after");
 }
 
 #[test]
@@ -75,20 +73,20 @@ fn a_slow_reader_loses_nothing_and_stalls_nobody() {
     let rig = Rig::start();
     let mut slow = rig.connect();
     for _ in 0..8 {
-        write_frame(&mut slow, b"B").unwrap();
+        slow.send(b"B").unwrap();
     }
-    write_frame(&mut slow, b"tail").unwrap();
+    slow.send(b"tail").unwrap();
     // 8 MiB are now owed to a peer that is not reading; the shard
     // still serves its other connections.
     let mut other = rig.connect();
-    write_frame(&mut other, b"hello").unwrap();
-    assert_eq!(recv(&mut other), b"hello");
+    other.send(b"hello").unwrap();
+    assert_eq!(other.recv(), b"hello");
     for _ in 0..8 {
-        let big = recv(&mut slow);
+        let big = slow.recv();
         assert_eq!(big.len(), BIG);
         assert!(big.iter().all(|&b| b == b'x'));
     }
-    assert_eq!(recv(&mut slow), b"tail");
+    assert_eq!(slow.recv(), b"tail");
 }
 
 #[test]
@@ -97,11 +95,11 @@ fn an_oversized_prefix_gets_one_error_frame_and_closes_that_connection_only() {
     let mut good = rig.connect();
     let mut hostile = rig.connect();
     let prefix = u32::try_from(MAX_FRAME_LEN + 1).unwrap().to_be_bytes();
-    hostile.write_all(&prefix).unwrap();
-    assert_eq!(recv(&mut hostile), b"bad frame: decode");
+    hostile.send_raw(&prefix);
+    assert_eq!(hostile.recv(), b"bad frame: decode");
     expect_eof(&mut hostile);
-    write_frame(&mut good, b"still here").unwrap();
-    assert_eq!(recv(&mut good), b"still here");
+    good.send(b"still here").unwrap();
+    assert_eq!(good.recv(), b"still here");
 }
 
 #[test]
@@ -116,10 +114,10 @@ fn frames_sent_before_a_half_close_are_answered() {
         // A frame the peer never finishes is dropped without a reply.
         bytes.extend_from_slice(&100u32.to_be_bytes());
         bytes.extend_from_slice(b"partial");
-        peer.write_all(&bytes).unwrap();
-        peer.shutdown(Shutdown::Write).unwrap();
+        peer.send_raw(&bytes);
+        peer.sock.shutdown(Shutdown::Write).unwrap();
         for want in [&b"one"[..], b"two", b"three"] {
-            assert_eq!(recv(&mut peer), want);
+            assert_eq!(peer.recv(), want);
         }
         expect_eof(&mut peer);
     }
@@ -130,15 +128,15 @@ fn a_closed_mailbox_fails_outstanding_tickets_with_the_handlers_error() {
     let mut rig = Rig::start();
     let mut peer = rig.connect();
     for req in [&b"Pa"[..], b"echo", b"Pb"] {
-        write_frame(&mut peer, req).unwrap();
+        peer.send(req).unwrap();
     }
     rig.next_parked();
     rig.next_parked();
     rig.mailbox = None;
-    let got: Vec<Vec<u8>> = (0..3).map(|_| recv(&mut peer)).collect();
+    let got: Vec<Vec<u8>> = (0..3).map(|_| peer.recv()).collect();
     assert_eq!(got, [&b"mailbox closed"[..], b"echo", b"mailbox closed"]);
-    write_frame(&mut peer, b"after").unwrap();
-    assert_eq!(recv(&mut peer), b"after");
+    peer.send(b"after").unwrap();
+    assert_eq!(peer.recv(), b"after");
 }
 
 #[test]
@@ -148,11 +146,11 @@ fn one_request_may_be_answered_with_several_frames() {
     // Behind a parked reply the frames queue; with nothing parked they
     // go straight to the write buffer. Same order either way.
     for req in [&b"P"[..], b"Mabc", b"end"] {
-        write_frame(&mut peer, req).unwrap();
+        peer.send(req).unwrap();
     }
     rig.complete(rig.next_parked().0, b"first");
-    write_frame(&mut peer, b"Mxy").unwrap();
-    let got: Vec<Vec<u8>> = (0..7).map(|_| recv(&mut peer)).collect();
+    peer.send(b"Mxy").unwrap();
+    let got: Vec<Vec<u8>> = (0..7).map(|_| peer.recv()).collect();
     assert_eq!(got, [&b"first"[..], b"a", b"b", b"c", b"end", b"x", b"y"]);
 }
 
@@ -164,8 +162,8 @@ fn a_parked_deadline_sets_the_shards_sleep() {
     // reply would come 40 ms late.
     let lateness = (0..5).map(|_| {
         let sent = Instant::now();
-        write_frame(&mut peer, b"D10").unwrap();
-        assert_eq!(recv(&mut peer), b"due");
+        peer.send(b"D10").unwrap();
+        assert_eq!(peer.recv(), b"due");
         let took = sent.elapsed();
         assert!(
             took >= Duration::from_millis(10),
@@ -195,9 +193,13 @@ fn wait_ready(poller: &Poller, timeout_ms: u64) -> Vec<iris_poll::Event> {
 #[test]
 fn next_frame_waits_on_every_prefix_fed_a_byte_at_a_time() {
     let mut wire = Vec::new();
-    write_frame_traced(&mut wire, b"first", Some(0x0102_0304_0506_0708)).unwrap();
+    append_frame_with(&mut wire, Some(0x0102_0304_0506_0708), |buf| {
+        buf.extend_from_slice(b"first");
+        Ok(())
+    })
+    .unwrap();
     let first_len = wire.len();
-    write_frame(&mut wire, b"second frame").unwrap();
+    append_frame(&mut wire, b"second frame").unwrap();
 
     let (mut writer, reader) = socket_pair();
     let mut conn = FramedConn::new(reader).unwrap();

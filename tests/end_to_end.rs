@@ -84,13 +84,8 @@ fn planned_region_simulates_without_slowdown_catastrophe() {
     let region = make_region(7, 5);
     let goals = DesignGoals::with_cuts(0);
     let prov = provision(&region, &goals);
-    let raw = SimTopology::from_provisioning(&region, &goals, &prov, 1.0);
-    let max_cap = raw
-        .links
-        .iter()
-        .map(|l| l.capacity_gbps)
-        .fold(0.0f64, f64::max);
-    let topo = SimTopology::from_provisioning(&region, &goals, &prov, 2.0 / max_cap);
+    let scale = SimTopology::scale_for_largest_link(&region, &prov, 2.0);
+    let topo = SimTopology::from_provisioning(&region, &goals, &prov, scale);
     let result = run_comparison(
         &topo,
         &ExperimentConfig {

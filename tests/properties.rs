@@ -327,12 +327,52 @@ proptest! {
         let cmd = Command::SetCross { switch, input, output };
         for codec in [Codec::Json, Codec::Binary] {
             let mut wire = Vec::new();
-            append_frame_with(&mut wire, |buf| codec.encode_into(&cmd, buf)).unwrap();
+            append_frame_with(&mut wire, None, |buf| codec.encode_into(&cmd, buf)).unwrap();
             let frame = parse_frame(&wire).unwrap().unwrap();
             prop_assert_eq!(frame.consumed, wire.len());
             let decoded: Command = codec.decode(&frame.payload, "command").unwrap();
             prop_assert_eq!(&decoded, &cmd);
         }
+    }
+
+    #[test]
+    fn the_read_loop_reassembles_frames_from_any_chunking(
+        frames in proptest::collection::vec(
+            (proptest::collection::vec(any::<u8>(), 0..40), any::<bool>(), any::<u64>()),
+            0..8,
+        ),
+        chunk in 1usize..64,
+    ) {
+        use iris_wire::frame::append_frame_with;
+        use iris_wire::recv_frame;
+        /// A stream that hands out at most `chunk` bytes per `read`.
+        struct Trickle<'a>(&'a [u8], usize);
+        impl std::io::Read for Trickle<'_> {
+            fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+                let n = self.0.len().min(self.1).min(out.len());
+                let (now, later) = self.0.split_at(n);
+                out[..n].copy_from_slice(now);
+                self.0 = later;
+                Ok(n)
+            }
+        }
+        let mut wire = Vec::new();
+        let mut sent = Vec::new();
+        for (payload, traced, id) in frames {
+            let trace = traced.then_some(id);
+            append_frame_with(&mut wire, trace, |buf| {
+                buf.extend_from_slice(&payload);
+                Ok(())
+            })
+            .unwrap();
+            sent.push((payload, trace));
+        }
+        let (mut stream, mut unread, mut seen) = (Trickle(&wire, chunk), Vec::new(), Vec::new());
+        while let Some(frame) = recv_frame(&mut stream, &mut unread).unwrap() {
+            seen.push((frame.payload, frame.trace_id));
+        }
+        prop_assert_eq!(seen, sent);
+        prop_assert!(unread.is_empty(), "clean EOF leaves nothing behind");
     }
 }
 
