@@ -23,10 +23,10 @@ use iris_netgraph::{EdgeId, HoseScratch};
 use iris_planner::goals::DesignGoals;
 use iris_planner::paths::scenario_paths;
 use iris_planner::topology::Provisioning;
-use iris_telemetry::{labeled, Span};
-use parking_lot::RwLock;
+use iris_telemetry::{labeled, read_lock, write_lock, Span};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::RwLock;
 
 /// A fiber allocation: circuits (fiber counts) per unordered DC pair.
 pub type Allocation = BTreeMap<(usize, usize), u32>;
@@ -271,7 +271,7 @@ impl Controller {
             .map(|p| ((p.a, p.b), p.oss_traversals().max(1) as u32))
             .collect();
         let controller = Self::new(switches, hops);
-        *controller.paths_per_pair.write() = nominal
+        *write_lock(&controller.paths_per_pair) = nominal
             .iter()
             .map(|p| ((p.a, p.b), p.edges.clone()))
             .collect();
@@ -288,19 +288,19 @@ impl Controller {
     /// The current allocation.
     #[must_use]
     pub fn allocation(&self) -> Allocation {
-        self.allocation.read().clone()
+        read_lock(&self.allocation).clone()
     }
 
     /// Number of managed switches.
     #[must_use]
     pub fn switch_count(&self) -> usize {
-        self.switches.read().len()
+        read_lock(&self.switches).len()
     }
 
     /// Sites currently quarantined.
     #[must_use]
     pub fn quarantined(&self) -> Vec<usize> {
-        self.quarantine.read().iter().copied().collect()
+        read_lock(&self.quarantine).iter().copied().collect()
     }
 
     /// The duct sequence each pair's circuit currently rides (updated by
@@ -308,12 +308,12 @@ impl Controller {
     /// for hand-built controllers that never populated path state.
     #[must_use]
     pub fn current_paths(&self) -> BTreeMap<(usize, usize), Vec<EdgeId>> {
-        self.paths_per_pair.read().clone()
+        read_lock(&self.paths_per_pair).clone()
     }
 
     /// Return a repaired site to service.
     pub fn clear_quarantine(&self, site: usize) {
-        self.quarantine.write().remove(&site);
+        write_lock(&self.quarantine).remove(&site);
     }
 
     /// Reconfigure to `target`, producing the command stream and timing
@@ -350,7 +350,7 @@ impl Controller {
     ) -> ReconfigReport {
         let telemetry = iris_telemetry::global();
         let wall = Span::enter_ms(telemetry.histogram("iris_control_reconfigure_wall_ms"));
-        let current = self.allocation.read().clone();
+        let current = read_lock(&self.allocation).clone();
         let mut plan = diff_allocations(&current, target);
         for &pair in reroute {
             if plan.affected_pairs.contains(&pair) {
@@ -427,14 +427,14 @@ impl Controller {
         // batched actuation; sites run in parallel. The intended mapping
         // is recorded so verification can compare against reality.
         let active: Vec<usize> = {
-            let quarantine = self.quarantine.read();
-            (0..self.switches.read().len())
+            let quarantine = read_lock(&self.quarantine);
+            (0..read_lock(&self.switches).len())
                 .filter(|s| !quarantine.contains(s))
                 .collect()
         };
         let mut intended: BTreeMap<usize, (usize, usize)> = BTreeMap::new();
         {
-            let mut switches = self.switches.write();
+            let mut switches = write_lock(&self.switches);
             for &site in &active {
                 let sw = &mut switches[site];
                 // Abstract port mapping: circuit slots cycle through
@@ -523,7 +523,7 @@ impl Controller {
             let mut round: Vec<DeviceHealth> = Vec::with_capacity(active.len());
             let mut degraded: Vec<usize> = Vec::new();
             {
-                let switches = self.switches.read();
+                let switches = read_lock(&self.switches);
                 for &site in &active {
                     commands.push(Command::HealthCheck { site: site as u32 });
                     let want = intended[&site];
@@ -554,7 +554,7 @@ impl Controller {
             push(&mut timeline, "backoff", elapsed, elapsed + backoff);
             elapsed += backoff;
             {
-                let mut switches = self.switches.write();
+                let mut switches = write_lock(&self.switches);
                 for &site in &degraded {
                     let (input, output) = intended[&site];
                     if inj
@@ -585,12 +585,12 @@ impl Controller {
         // 6. Commit or roll back, then undrain.
         match &outcome {
             ReconfigOutcome::Converged => {
-                *self.allocation.write() = target.clone();
+                *write_lock(&self.allocation) = target.clone();
             }
             ReconfigOutcome::RolledBack { failed_sites } => {
                 telemetry.counter("iris_control_rollback_total").inc();
                 {
-                    let mut quarantine = self.quarantine.write();
+                    let mut quarantine = write_lock(&self.quarantine);
                     for &site in failed_sites {
                         if quarantine.insert(site) {
                             telemetry.counter("iris_control_quarantine_total").inc();
@@ -619,7 +619,7 @@ impl Controller {
         // rounds and resends extend every affected pair's outage.
         let penalty_ms = total_ms - (actuation_ms.max(retune_ms) + settle_ms + relock_ms);
         {
-            let hops_map = self.hops_per_pair.read();
+            let hops_map = read_lock(&self.hops_per_pair);
             for &(a, b) in &plan.affected_pairs {
                 let hops = hops_map.get(&(a, b)).copied().unwrap_or(1);
                 let staggered = actuation_ms * f64::from(hops.clamp(1, 2));
@@ -769,8 +769,8 @@ impl Controller {
         // be physically rerouted (torn down and re-actuated on the
         // surviving path), and the dark-time hop accounting refreshed.
         let reroute: Vec<(usize, usize)> = {
-            let mut hops = self.hops_per_pair.write();
-            let mut stored = self.paths_per_pair.write();
+            let mut hops = write_lock(&self.hops_per_pair);
+            let mut stored = write_lock(&self.paths_per_pair);
             let mut moved = Vec::new();
             for p in &paths {
                 let pair = (p.a, p.b);

@@ -4,11 +4,13 @@
 //! Shards enqueue [`WriteOp`]s on the bounded queue. The mutator pops a
 //! write, gathers the coalesce window, applies the batch through the
 //! [`ControlMachine`] (which appends it to the WAL *without* fsyncing)
-//! and hands the result to the syncer. The syncer drains every batch
-//! produced while the previous fsync was in flight, makes them all
-//! durable with *one* fsync, publishes the newest snapshot, and only
-//! then sends each write's [`DeferredReply`] back to the shard holding
-//! its [`Ticket`]: acknowledge-after-durable, fsyncs amortized.
+//! and hands the result to the syncer, at most [`HANDOFF_DEPTH`] batch
+//! ahead of its fsync (later writes wait in the queue for the next
+//! drain). The syncer drains every batch produced while the previous
+//! fsync was in flight, makes them all durable with *one* fsync,
+//! publishes the newest snapshot, and only then sends each write's
+//! [`DeferredReply`] back to the shard holding its [`Ticket`]:
+//! acknowledge-after-durable, fsyncs amortized.
 
 use crate::recovery::{ControlMachine, CutReply};
 use crate::replicate::{ReplEntry, REPL_LOG_CAP};
@@ -17,12 +19,16 @@ use crate::state::StateSnapshot;
 use crate::wal::{PersistedSnapshot, WalBatch, WalStats, WalSyncHandle};
 use iris_errors::IrisError;
 use iris_netgraph::EdgeId;
+use iris_telemetry::write_lock;
 use iris_wire::{Mailbox, Ticket};
 use std::collections::BTreeMap;
-use std::sync::atomic::Ordering;
-use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, Receiver, SyncSender};
+use std::sync::{Arc, PoisonError};
 use std::time::{Duration, Instant};
+
+/// Applied batches the mutator may queue behind the group fsync in flight.
+pub(crate) const HANDOFF_DEPTH: usize = 1;
 
 /// One queued write.
 pub(crate) struct WriteOp {
@@ -169,9 +175,9 @@ impl SyncMsg {
 pub(crate) fn mutator_loop(
     mut machine: ControlMachine<'_>,
     rx: &Receiver<WriteOp>,
-    shared: &Shared,
+    shutdown: &AtomicBool,
     window: Duration,
-    sync_tx: &Sender<SyncMsg>,
+    sync_tx: &SyncSender<SyncMsg>,
     boot_snap: Arc<StateSnapshot>,
 ) {
     machine.set_deferred_sync(true);
@@ -185,13 +191,13 @@ pub(crate) fn mutator_loop(
         let fatal = msg.fatal;
         let sent = sync_tx.send(msg).is_ok();
         if fatal {
-            shared.shutdown.store(true, Ordering::SeqCst);
+            shutdown.store(true, Ordering::SeqCst);
         }
         sent && !fatal
     };
 
     loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
+        if shutdown.load(Ordering::SeqCst) {
             return;
         }
         let first = match rx.recv_timeout(Duration::from_millis(20)) {
@@ -242,10 +248,10 @@ pub(crate) fn mutator_loop(
         }
         if !update_dests.is_empty() || !cut_dests.is_empty() {
             // Every batch gets its own trace: the root span covers the
-            // apply path, with queue-wait and coalesce recorded as
-            // sibling windows preceding it. The group fsync + publish
-            // land under a `group_commit` root in the same trace,
-            // emitted by the syncer.
+            // apply path, with queue-wait and coalesce windows before it
+            // and commit-wait (the handoff to a busy syncer) after. The
+            // group fsync + publish land under a `group_commit` root in
+            // the same trace, emitted by the syncer.
             let batch_trace = iris_telemetry::trace::mint_trace_id();
             let batch_span = iris_telemetry::trace::root_span(batch_trace, "write_batch");
             iris_telemetry::trace::emit_window("queue_wait", first_enqueued, popped);
@@ -272,9 +278,11 @@ pub(crate) fn mutator_loop(
                     SyncMsg::failed(update_dests, &e, batch_trace)
                 }
             };
+            let applied = Instant::now();
             if !send(msg) {
                 return;
             }
+            iris_telemetry::trace::emit_window("commit_wait", applied, Instant::now());
             drop(batch_span);
             iris_telemetry::trace::note_if_slow(
                 "write_batch",
@@ -409,7 +417,7 @@ pub(crate) fn syncer_loop(
             let _publish = iris_telemetry::trace::span("publish");
             match shared.facts.publish(Arc::clone(&next)) {
                 Ok(p) => {
-                    *shared.published.write() = Arc::new(p);
+                    *write_lock(&shared.published) = Arc::new(p);
                     shared.cell.store(next);
                     published_now = true;
                 }
@@ -422,7 +430,8 @@ pub(crate) fn syncer_loop(
         // replicator threads must never ship a batch that could still
         // evaporate in a crash.
         if !fatal {
-            let mut log = shared.repl_log.lock();
+            let log = shared.repl_log.lock();
+            let mut log = log.unwrap_or_else(PoisonError::into_inner);
             for msg in &mut group {
                 if let Some(entry) = msg.repl_entry.take() {
                     log.push_back(entry);
@@ -455,5 +464,108 @@ pub(crate) fn syncer_loop(
             mailbox.deliver(None, true);
             return;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::recovery::recover;
+    use crate::wal::DurableState;
+    use iris_control::Controller;
+    use iris_fibermap::{synth, MetroParams, PlacementParams};
+    use iris_planner::{plan_iris, DesignGoals};
+    use std::sync::mpsc::TrySendError;
+
+    /// A stalled group fsync — a handoff receiver nobody drains — stops
+    /// the mutator once the handoff is full, so writes back up into the
+    /// bounded queue until `try_send` is `Full`, which the shard answers
+    /// with `IrisError::Overloaded`. An unbounded handoff would let the
+    /// mutator keep popping and the queue never fill.
+    #[test]
+    fn a_stalled_fsync_stops_the_mutator_and_fills_the_queue() {
+        let region = synth::place_dcs(
+            synth::generate_metro(&MetroParams {
+                seed: 7,
+                ..MetroParams::default()
+            }),
+            &PlacementParams {
+                seed: 24,
+                n_dcs: 4,
+                ..PlacementParams::default()
+            },
+        );
+        let goals = DesignGoals::with_cuts(1);
+        let plan = plan_iris(&region, &goals);
+        let controller = Controller::for_region(&region, &goals);
+        let provisioning = &plan.provisioning;
+        let (boot, cuts, _) = recover(
+            &region,
+            &goals,
+            provisioning,
+            &controller,
+            &DurableState::empty(),
+        )
+        .unwrap();
+        let boot = Arc::new(boot);
+        let shutdown = AtomicBool::new(false);
+        let &(a, b) = boot.allocation.keys().next().expect("a seeded pair");
+        let machine =
+            ControlMachine::new(&region, &goals, provisioning, &controller, cuts, None, 0);
+
+        const QUEUE: usize = 4;
+        std::thread::scope(|s| {
+            // Both channel ends the test holds live in this closure, so a
+            // failed assertion drops them and releases the mutator.
+            let (tx, rx) = mpsc::sync_channel(QUEUE);
+            let (sync_tx, sync_rx) = mpsc::sync_channel(HANDOFF_DEPTH);
+            let shutdown = &shutdown;
+            let mutator = s.spawn(move || {
+                mutator_loop(machine, &rx, shutdown, Duration::ZERO, &sync_tx, boot);
+            });
+            // One write per pause, so a mutator that is free pops each on
+            // its own. Each batch it can take before stalling holds at
+            // most a full queue, so a bounded handoff fills the queue
+            // within 3 × QUEUE writes.
+            let mut accepted = 0;
+            let full = loop {
+                if accepted > 3 * QUEUE {
+                    break false;
+                }
+                let op = WriteOp {
+                    kind: WriteKind::Update {
+                        a,
+                        b,
+                        circuits: accepted as u32 + 2,
+                    },
+                    dest: Ticket {
+                        shard: 0,
+                        token: 0,
+                        gen: 0,
+                        seq: accepted as u64,
+                    },
+                    enqueued: Instant::now(),
+                };
+                match tx.try_send(op) {
+                    Ok(()) => accepted += 1,
+                    Err(TrySendError::Full(_)) => break true,
+                    Err(TrySendError::Disconnected(_)) => panic!("the mutator exited"),
+                }
+                std::thread::sleep(Duration::from_millis(20));
+            };
+            assert!(full, "{accepted} writes in and the queue never filled");
+
+            // Release the mutator: it hands over what it holds and stops.
+            shutdown.store(true, Ordering::SeqCst);
+            let handed: Vec<SyncMsg> = sync_rx.iter().collect();
+            mutator.join().expect("mutator thread");
+            assert!(
+                handed.len() <= HANDOFF_DEPTH + 1,
+                "{} batches handed to a stalled syncer",
+                handed.len()
+            );
+            let popped: usize = handed.iter().map(|m| m.batch_len).sum();
+            assert_eq!(popped + QUEUE, accepted, "the mutator stopped popping");
+        });
     }
 }

@@ -10,7 +10,7 @@ use iris_errors::{IrisError, IrisResult};
 use iris_telemetry::{labeled, Counter};
 use iris_wire::PeerLink;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError};
 use std::time::Duration;
 
 /// Published batches the primary keeps in memory for incremental
@@ -154,6 +154,7 @@ impl Pump<'_> {
         }
         let entry = {
             let log = shared.repl_log.lock();
+            let log = log.unwrap_or_else(PoisonError::into_inner);
             log.iter().find(|e| e.epoch == *next_epoch).cloned()
         };
         if let Some(entry) = entry {

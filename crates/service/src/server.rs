@@ -32,7 +32,7 @@ use crate::api::{
 };
 use crate::codec::{self, Codec};
 use crate::commit::{
-    mutator_loop, syncer_loop, DeferredReply, ReplOp, SyncMsg, WriteKind, WriteOp,
+    mutator_loop, syncer_loop, DeferredReply, ReplOp, SyncMsg, WriteKind, WriteOp, HANDOFF_DEPTH,
 };
 use crate::frame::append_frame_with;
 use crate::recovery::{self, ControlMachine, CutReply, ReplayStats};
@@ -43,15 +43,14 @@ use iris_control::Controller;
 use iris_errors::{IrisError, IrisResult};
 use iris_fibermap::Region;
 use iris_planner::{plan_iris, DesignGoals};
-use iris_telemetry::{labeled, Counter, Gauge, Histogram};
+use iris_telemetry::{labeled, read_lock, Counter, Gauge, Histogram};
 use iris_wire::{Conns, FrameServer, Handler, Outbox, Ticket};
-use parking_lot::{Mutex, RwLock};
 use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, SyncSender, TrySendError};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -66,8 +65,9 @@ pub struct ServiceConfig {
     /// Bounded mutator-queue capacity; a full queue answers writes with
     /// [`IrisError::Overloaded`].
     pub queue_capacity: usize,
-    /// How long the mutator waits after the first write of a batch to
-    /// gather (and coalesce) more, ms.
+    /// Extra hold time after a batch's first write to gather (and
+    /// coalesce) more, ms; default 0. With the default a batch is
+    /// whatever queued while the previous group fsync was in flight.
     pub coalesce_window_ms: u64,
     /// Durability directory. When set, every applied write batch is
     /// appended to a write-ahead log here and group-committed (one
@@ -106,7 +106,7 @@ impl Default for ServiceConfig {
             addr: "127.0.0.1:7117".to_owned(),
             cuts: 1,
             queue_capacity: 64,
-            coalesce_window_ms: 2,
+            coalesce_window_ms: 0,
             wal_dir: None,
             snapshot_every: 64,
             trace: true,
@@ -433,7 +433,7 @@ pub fn serve(region: Region, config: &ServiceConfig) -> IrisResult<ServiceHandle
     });
 
     let (tx, rx) = mpsc::sync_channel::<WriteOp>(config.queue_capacity.max(1));
-    let (sync_tx, sync_rx) = mpsc::channel::<SyncMsg>();
+    let (sync_tx, sync_rx) = mpsc::sync_channel::<SyncMsg>(HANDOFF_DEPTH);
     let handlers = (0..config.effective_shards())
         .map(|shard| ShardHandler {
             shared: Arc::clone(&shared),
@@ -465,7 +465,7 @@ pub fn serve(region: Region, config: &ServiceConfig) -> IrisResult<ServiceHandle
                 wal,
                 snapshot_every,
             );
-            mutator_loop(machine, &rx, &shared, window, &sync_tx, boot_snap);
+            mutator_loop(machine, &rx, &shared.shutdown, window, &sync_tx, boot_snap);
         })
     };
     let syncer = {
@@ -674,7 +674,7 @@ impl Handler for ShardHandler {
 
 impl ShardHandler {
     fn published(&self) -> Arc<Published> {
-        Arc::clone(&*self.shared.published.read())
+        Arc::clone(&read_lock(&self.shared.published))
     }
 
     /// Answer `req`, or park its reply. Returns whether it was answered
@@ -860,7 +860,7 @@ impl ShardHandler {
         match normalize_pair(a, b, self.shared.facts.plan.dcs) {
             Err(e) => Response::Error(e),
             Ok((a, b)) => {
-                let snap = Arc::clone(&self.shared.published.read().snap);
+                let snap = Arc::clone(&self.published().snap);
                 match snap.paths.get(&(a, b)) {
                     Some(p) => Response::Path(PathInfo {
                         a,
@@ -893,7 +893,7 @@ impl ShardHandler {
     }
 
     fn health_response(&self) -> Response {
-        let snap = Arc::clone(&self.shared.published.read().snap);
+        let snap = Arc::clone(&self.published().snap);
         let primary = self.shared.is_primary.load(Ordering::SeqCst);
         Response::Health(HealthInfo {
             region: self.shared.region,

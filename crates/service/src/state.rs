@@ -11,10 +11,10 @@
 
 use crate::api::{AllocEntry, RecoverySummary};
 use iris_netgraph::EdgeId;
-use parking_lot::RwLock;
+use iris_telemetry::{read_lock, write_lock};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 
 /// The surviving route one DC pair's circuit rides.
 #[derive(Debug, Clone, PartialEq)]
@@ -154,12 +154,12 @@ impl SnapshotCell {
     /// The current snapshot. Cheap: one `Arc` clone under a read lock.
     #[must_use]
     pub fn load(&self) -> Arc<StateSnapshot> {
-        Arc::clone(&self.current.read())
+        Arc::clone(&read_lock(&self.current))
     }
 
     /// Publish `next` as the current snapshot.
     pub fn store(&self, next: Arc<StateSnapshot>) {
-        *self.current.write() = next;
+        *write_lock(&self.current) = next;
     }
 }
 

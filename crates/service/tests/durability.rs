@@ -6,7 +6,11 @@
 
 use iris_fibermap::{synth, MetroParams, PlacementParams, Region};
 use iris_service::api::{Request, Response};
+use iris_service::codec::{decode_response, encode_request};
+use iris_service::frame::append_frame;
 use iris_service::{serve, ServiceClient, ServiceConfig};
+use iris_wire::recv_frame;
+use std::io::Write;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -36,7 +40,6 @@ fn config(dir: Option<&PathBuf>, snapshot_every: u64) -> ServiceConfig {
     ServiceConfig {
         addr: "127.0.0.1:0".to_owned(),
         cuts: 1,
-        coalesce_window_ms: 0,
         wal_dir: dir.map(|d| d.display().to_string()),
         snapshot_every,
         ..ServiceConfig::default()
@@ -247,5 +250,60 @@ fn compaction_mid_sequence_recovers_identically() {
     );
     second.shutdown();
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Send `writes` demand updates for one pair down one connection in a
+/// single burst, then read every reply; returns how many were accepted.
+fn pipelined_updates(addr: &str, (a, b): (usize, usize), writes: u32) -> u64 {
+    let client = ServiceClient::connect_retry(addr, 20, 25).expect("connect");
+    let (mut sock, codec) = client.into_parts();
+    let mut burst = Vec::new();
+    for circuits in 2..2 + writes {
+        let req = Request::UpdateDemand { a, b, circuits };
+        append_frame(&mut burst, &encode_request(codec, &req).unwrap()).unwrap();
+    }
+    sock.write_all(&burst).expect("pipelined writes");
+    let mut unread = Vec::new();
+    let accepted = (0..writes).filter(|_| {
+        let frame = recv_frame(&mut sock, &mut unread)
+            .unwrap()
+            .expect("a reply");
+        let reply = decode_response(codec, &frame.payload).unwrap();
+        matches!(reply, Response::DemandAccepted { .. })
+    });
+    accepted.count() as u64
+}
+
+#[test]
+fn group_commit_batches_pipelined_writes_with_no_window() {
+    // The default config has no coalesce window: batching comes only
+    // from writes queueing while the previous group fsync is in flight.
+    let dir = wal_dir("batching");
+    let mut handle = serve(region(34, 5), &config(Some(&dir), 0)).expect("serve");
+    let mut client = client_for(&handle);
+    let topo = match client.call(&Request::GetTopology).unwrap() {
+        Response::Topology(t) => t,
+        other => panic!("expected Topology, got {other:?}"),
+    };
+    let addr = handle.local_addr().to_string();
+    let acked: u64 = std::thread::scope(|s| {
+        let writers: Vec<_> = topo.allocation[..4]
+            .iter()
+            .map(|e| s.spawn(|| pipelined_updates(&addr, (e.a, e.b), 50)))
+            .collect();
+        writers.into_iter().map(|w| w.join().unwrap()).sum()
+    });
+    let records = match client.call(&Request::Health).unwrap() {
+        Response::Health(h) => h.wal_records,
+        other => panic!("expected Health, got {other:?}"),
+    };
+    assert!(acked > 0, "no write was accepted");
+    assert!(
+        records * 2 < acked,
+        "{records} WAL records for {acked} acknowledged writes: group commit did not batch"
+    );
+    drop(client);
+    handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

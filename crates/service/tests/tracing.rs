@@ -132,6 +132,7 @@ fn write_batches_carry_a_complete_stage_breakdown() {
         "queue_wait",
         "coalesce",
         "apply",
+        "commit_wait",
         "wal_append",
         "group_commit",
         "wal_fsync",
@@ -156,7 +157,7 @@ fn write_batches_carry_a_complete_stage_breakdown() {
         .find(|e| e.stage == "write_batch")
         .expect("root span");
     assert_eq!(root.parent_id, 0, "write_batch is a trace root");
-    for child in ["queue_wait", "coalesce", "apply"] {
+    for child in ["queue_wait", "coalesce", "apply", "commit_wait"] {
         let e = evs.iter().find(|e| e.stage == child).unwrap();
         assert_eq!(
             e.parent_id, root.span_id,

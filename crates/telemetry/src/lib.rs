@@ -29,6 +29,17 @@ pub use registry::{global, HistogramSummary, Registry, Snapshot};
 pub use span::Span;
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+/// Read-lock `lock`, ignoring poisoning: for data every critical section leaves valid.
+pub fn read_lock<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    lock.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Write-lock `lock`, ignoring poisoning like [`read_lock`].
+pub fn write_lock<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    lock.write().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// A monotonically increasing event count.
 #[derive(Debug, Default)]

@@ -1,10 +1,9 @@
 //! The process-global metric registry and its snapshot exporters.
 
-use crate::{Counter, Gauge, Histogram};
-use parking_lot::RwLock;
+use crate::{read_lock, write_lock, Counter, Gauge, Histogram};
 use serde_json::{json, Value};
 use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, RwLock};
 
 enum Metric {
     Counter(Arc<Counter>),
@@ -32,10 +31,10 @@ impl Registry {
     ///
     /// Panics if `name` is already registered as a different kind.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        if let Some(Metric::Counter(c)) = self.metrics.read().get(name) {
+        if let Some(Metric::Counter(c)) = read_lock(&self.metrics).get(name) {
             return Arc::clone(c);
         }
-        let mut metrics = self.metrics.write();
+        let mut metrics = write_lock(&self.metrics);
         match metrics
             .entry(name.to_owned())
             .or_insert_with(|| Metric::Counter(Arc::new(Counter::new())))
@@ -51,10 +50,10 @@ impl Registry {
     ///
     /// Panics if `name` is already registered as a different kind.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        if let Some(Metric::Gauge(g)) = self.metrics.read().get(name) {
+        if let Some(Metric::Gauge(g)) = read_lock(&self.metrics).get(name) {
             return Arc::clone(g);
         }
-        let mut metrics = self.metrics.write();
+        let mut metrics = write_lock(&self.metrics);
         match metrics
             .entry(name.to_owned())
             .or_insert_with(|| Metric::Gauge(Arc::new(Gauge::new())))
@@ -70,10 +69,10 @@ impl Registry {
     ///
     /// Panics if `name` is already registered as a different kind.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        if let Some(Metric::Histogram(h)) = self.metrics.read().get(name) {
+        if let Some(Metric::Histogram(h)) = read_lock(&self.metrics).get(name) {
             return Arc::clone(h);
         }
-        let mut metrics = self.metrics.write();
+        let mut metrics = write_lock(&self.metrics);
         match metrics
             .entry(name.to_owned())
             .or_insert_with(|| Metric::Histogram(Arc::new(Histogram::new())))
@@ -86,7 +85,7 @@ impl Registry {
     /// A point-in-time copy of every metric's value.
     #[must_use]
     pub fn snapshot(&self) -> Snapshot {
-        let metrics = self.metrics.read();
+        let metrics = read_lock(&self.metrics);
         let mut counters = BTreeMap::new();
         let mut gauges = BTreeMap::new();
         let mut histograms = BTreeMap::new();

@@ -32,11 +32,11 @@
 //! Wall-clock data never reaches the seeded deterministic artifacts;
 //! the recorder is export-only via [`dump`].
 
-use parking_lot::{Mutex, RwLock};
+use crate::{read_lock, write_lock};
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock, PoisonError, RwLock};
 use std::time::Instant;
 
 /// Ring shards; threads are assigned round-robin.
@@ -169,10 +169,10 @@ pub fn current_trace() -> Option<TraceId> {
 
 fn intern(stage: &str) -> u32 {
     let rec = recorder();
-    if let Some(&idx) = rec.stages.read().index.get(stage) {
+    if let Some(&idx) = read_lock(&rec.stages).index.get(stage) {
         return idx;
     }
-    let mut table = rec.stages.write();
+    let mut table = write_lock(&rec.stages);
     if let Some(&idx) = table.index.get(stage) {
         return idx;
     }
@@ -183,9 +183,7 @@ fn intern(stage: &str) -> u32 {
 }
 
 fn stage_name(idx: u32) -> String {
-    recorder()
-        .stages
-        .read()
+    read_lock(&recorder().stages)
         .names
         .get(idx as usize)
         .cloned()
@@ -401,7 +399,7 @@ pub fn note_if_slow(op: &str, total_ms: f64, trace_id: TraceId) -> bool {
     if ((total_ms * 1e3) as u64) < threshold {
         return false;
     }
-    let mut slow = rec.slow.lock();
+    let mut slow = rec.slow.lock().unwrap_or_else(PoisonError::into_inner);
     if slow.len() >= SLOW_LOG_CAP {
         slow.pop_front();
     }
@@ -508,6 +506,7 @@ pub fn dump(max_events: usize) -> RecorderDump {
     let slow = rec
         .slow
         .lock()
+        .unwrap_or_else(PoisonError::into_inner)
         .iter()
         .map(|s| SlowEntry {
             trace_id: s.trace_id,
