@@ -34,15 +34,17 @@ fn family_spec(opts: &Options) -> IrisResult<Option<FamilySpec>> {
 }
 
 /// Write an `--out` artifact: `report` as pretty JSON plus a newline,
-/// creating the directory `path` names if need be.
-fn write_report(path: &str, report: &impl serde::Serialize) -> Result<(), String> {
+/// creating the directory `path` names if need be. Failing to is
+/// [`IrisError::Io`] (exit 3), whichever subcommand asked.
+fn write_report(path: &str, report: &impl serde::Serialize) -> IrisResult<()> {
+    let io = |detail| IrisError::Io { detail };
     let mut json = serde_json::to_string_pretty(report)
-        .map_err(|e| format!("--out: cannot serialize report: {e}"))?;
+        .map_err(|e| io(format!("--out: cannot serialize report: {e}")))?;
     json.push('\n');
     let dir = Path::new(path).parent().unwrap_or(Path::new(""));
     std::fs::create_dir_all(dir)
         .and_then(|()| std::fs::write(path, json))
-        .map_err(|e| format!("--out: cannot write {path}: {e}"))
+        .map_err(|e| io(format!("--out: cannot write {path}: {e}")))
 }
 
 /// The non-empty items of a comma-separated list.
@@ -63,6 +65,7 @@ fn parse_cut_list(list: &str) -> Result<Vec<usize>, String> {
 #[cfg(test)]
 mod tests {
     use super::write_report;
+    use iris_errors::IrisError;
 
     #[test]
     fn an_unwritable_out_path_is_one_error_shape() {
@@ -73,10 +76,14 @@ mod tests {
         for below in ["x.json", "dir/x.json"] {
             let path = file.join(below).display().to_string();
             let err = write_report(&path, &7).unwrap_err();
+            let IrisError::Io { detail } = &err else {
+                panic!("expected a typed Io error, got {err:?}");
+            };
             assert!(
-                err.starts_with(&format!("--out: cannot write {path}: ")),
-                "{err}"
+                detail.starts_with(&format!("--out: cannot write {path}: ")),
+                "{detail}"
             );
+            assert_eq!(err.exit_code(), 3);
         }
         let _ = std::fs::remove_file(&file);
     }

@@ -244,15 +244,8 @@ fn render_top(client: &mut ServiceClient, addr: &str) -> IrisResult<String> {
             );
         }
     }
-    let batches = prom_counter(&prometheus, "iris_service_group_commit_batches");
-    let saved = prom_counter(&prometheus, "iris_service_fsyncs_saved");
-    if batches.is_some() || saved.is_some() {
-        let _ = writeln!(
-            out,
-            "group commit: {} batches committed, {} fsyncs saved",
-            batches.unwrap_or(0),
-            saved.unwrap_or(0)
-        );
+    if let Some(batches) = prom_counter(&prometheus, "iris_service_group_commit_batches") {
+        let _ = writeln!(out, "group commit: {batches} batches committed");
     }
     let shards = shard_rows(&prometheus);
     if !shards.is_empty() {
@@ -387,8 +380,10 @@ mod tests {
     #[test]
     fn top_reads_the_registrys_own_prometheus_text() {
         let registry = Registry::new();
-        registry.counter("iris_service_fsyncs_saved").add(3);
-        registry.counter("iris_service_fsyncs_saved_late").add(9);
+        registry.counter("iris_service_group_commit_batches").add(3);
+        registry
+            .counter("iris_service_group_commit_batches_late")
+            .add(9);
         for (shard, requests) in [("1", 7), ("0", 5)] {
             let name = labeled("iris_service_shard_requests_total", "shard", shard);
             registry.counter(&name).add(requests);
@@ -399,7 +394,10 @@ mod tests {
         (1..=100).for_each(|ms| health.record(f64::from(ms)));
         let prom = registry.snapshot().to_prometheus_text();
 
-        assert_eq!(prom_counter(&prom, "iris_service_fsyncs_saved"), Some(3));
+        assert_eq!(
+            prom_counter(&prom, "iris_service_group_commit_batches"),
+            Some(3)
+        );
         assert_eq!(
             prom_counter(&prom, "iris_service_shard_requests_total"),
             None

@@ -1,7 +1,7 @@
 //! The control-plane server and the clients that drive it: `serve`,
 //! `wal inspect`, `rpc`, `loadgen`.
 
-use super::{comma_list, family_spec, load, parse_cut_list};
+use super::{comma_list, family_spec, load, parse_cut_list, write_report};
 use crate::args::Options;
 use iris_errors::IrisResult;
 use std::path::Path;
@@ -289,7 +289,7 @@ pub fn loadgen(opts: &Options) -> IrisResult<()> {
         m.retries, m.unreachable_reads, m.server_coalesced, m.server_overloaded
     );
 
-    iris_service::loadgen::write_results(r, out)?;
+    write_report(out, r)?;
     println!("\nresults written to {out}");
     Ok(())
 }

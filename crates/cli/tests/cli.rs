@@ -410,6 +410,48 @@ fn wal_inspect_reports_a_healthy_log_and_exits_6_on_an_epoch_gap() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn an_unwritable_out_exits_3_offline_and_from_loadgen() {
+    // A path below a regular file can be neither created nor written.
+    let file = tmp(&format!("not-a-dir-{}", std::process::id()));
+    std::fs::write(&file, "").expect("tmp file");
+    let report = file.join("report.json");
+    let report = report.to_str().unwrap();
+
+    let out = iris(&["chaos", "--scenarios", "1", "--dcs", "4", "--out", report]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(3), "chaos: {err}");
+    assert!(err.contains("--out: cannot write"), "{err}");
+
+    let region = iris_fibermap::synth::place_dcs(
+        iris_fibermap::synth::generate_metro(&iris_fibermap::MetroParams::default()),
+        &iris_fibermap::PlacementParams {
+            n_dcs: 4,
+            ..iris_fibermap::PlacementParams::default()
+        },
+    );
+    let config = iris_service::ServiceConfig {
+        addr: "127.0.0.1:0".to_owned(),
+        ..iris_service::ServiceConfig::default()
+    };
+    let mut server = iris_service::serve(region, &config).expect("serve");
+    let addr = server.local_addr().to_string();
+    let out = iris(&[
+        "loadgen",
+        "--addr",
+        &addr,
+        "--requests",
+        "20",
+        "--out",
+        report,
+    ]);
+    server.shutdown();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(3), "loadgen: {err}");
+    assert!(err.contains("--out: cannot write"), "{err}");
+    let _ = std::fs::remove_file(&file);
+}
+
 /// One `iris help` entry: the words naming the row (`wal inspect`), its
 /// mode switch if any, and the option names its synopsis lists.
 struct HelpRow {

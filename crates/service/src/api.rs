@@ -274,7 +274,7 @@ pub struct PeerInfo {
     pub acked_epoch: u64,
     /// Replication lag in epochs (`local_epoch - acked_epoch`).
     pub lag_epochs: u64,
-    /// Modeled replication lag, ms: lag in epochs × the group-commit
+    /// Modeled replication lag, ms: lag in epochs × the batch
     /// cadence (coalesce window + 1 ms fsync slot). Deterministic for a
     /// given config; wall-clock lag is intentionally not serialized.
     pub lag_ms: f64,

@@ -1,34 +1,32 @@
-//! The write path behind the shards: the single mutator thread and the
-//! group-commit syncer.
+//! The write path behind the shards: one mutator thread that applies,
+//! fsyncs, publishes and acknowledges every batch.
 //!
-//! Shards enqueue [`WriteOp`]s on the bounded queue. The mutator pops a
-//! write, gathers the coalesce window, applies the batch through the
-//! [`ControlMachine`] (which appends it to the WAL *without* fsyncing)
-//! and hands the result to the syncer, at most [`HANDOFF_DEPTH`] batch
-//! ahead of its fsync (later writes wait in the queue for the next
-//! drain). The syncer drains every batch produced while the previous
-//! fsync was in flight, makes them all durable with *one* fsync,
-//! publishes the newest snapshot, and only then sends each write's
-//! [`DeferredReply`] back to the shard holding its [`Ticket`]:
-//! acknowledge-after-durable, fsyncs amortized.
+//! Shards enqueue [`WriteOp`]s on the bounded queue. Each pass of the
+//! mutator pops a write, gathers the coalesce window, drains whatever
+//! else has queued, and applies the batch through the [`ControlMachine`],
+//! whose seal appends the record and fsyncs it
+//! ([`crate::wal::Wal::append`]). The pass ends with the commit step
+//! ([`publish_and_deliver`]): publish the snapshot, feed the replication
+//! window, and only then send each write's [`DeferredReply`] back to the
+//! shard holding its [`Ticket`] — acknowledge-after-durable. Writes that
+//! arrive during the fsync wait in the queue and become the next batch,
+//! so the disk paces batching and a slow disk backs writes up into the
+//! bounded queue, where shards answer `Overloaded`.
 
 use crate::recovery::{ControlMachine, CutReply};
 use crate::replicate::{ReplEntry, REPL_LOG_CAP};
 use crate::server::Shared;
 use crate::state::StateSnapshot;
-use crate::wal::{PersistedSnapshot, WalBatch, WalStats, WalSyncHandle};
+use crate::wal::{PersistedSnapshot, WalBatch, WalStats};
 use iris_errors::IrisError;
 use iris_netgraph::EdgeId;
-use iris_telemetry::write_lock;
+use iris_telemetry::{trace, write_lock};
 use iris_wire::{Mailbox, Ticket};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver, SyncSender};
+use std::sync::mpsc::{self, Receiver};
 use std::sync::{Arc, PoisonError};
 use std::time::{Duration, Instant};
-
-/// Applied batches the mutator may queue behind the group fsync in flight.
-pub(crate) const HANDOFF_DEPTH: usize = 1;
 
 /// One queued write.
 pub(crate) struct WriteOp {
@@ -63,9 +61,9 @@ pub(crate) enum ReplOp {
     State(String),
 }
 
-/// One acknowledgement held back until its batch's group commit: the
-/// syncer routes these to their shards only after the fsync, so every
-/// ack a client sees describes durable state.
+/// One acknowledgement held back until its batch is durable: the
+/// commit step routes these to their shards only after the fsync, so
+/// every ack a client sees describes durable state.
 pub(crate) enum DeferredReply {
     /// A fiber-cut outcome.
     Cut(CutReply),
@@ -79,31 +77,28 @@ pub(crate) enum DeferredReply {
     Failed(IrisError),
 }
 
-/// One applied batch handed from the mutator to the syncer for group
-/// commit: fsync (if a record was appended), publish, route the acks.
-pub(crate) struct SyncMsg {
+/// One transition's outcome, handed to the commit step once its record
+/// is durable: publish (if a snapshot was built), feed the replication
+/// window, route the acks.
+pub(crate) struct Commit {
     snapshot: Option<Arc<StateSnapshot>>,
     replies: Vec<(Ticket, DeferredReply)>,
     /// The batch rendered for the replication window (primary-originated
     /// and replicated batches both land here, so a freshly promoted
-    /// follower can ship incrementally).
+    /// follower can ship incrementally). Present exactly when a record
+    /// was appended.
     repl_entry: Option<ReplEntry>,
-    /// Whether this batch appended a WAL record the group fsync must
-    /// cover.
-    appended: bool,
     /// Writes this batch applied (`writes_applied` delta).
     applied: u64,
     /// Updates this batch absorbed by coalescing.
     coalesced: u64,
-    /// Queue ops this batch consumed (drives the pending-write gauge).
-    batch_len: usize,
+    /// The WAL's statistics after this batch; `None` when memory-only.
     wal_stats: Option<WalStats>,
-    batch_trace: u64,
     /// The WAL append failed: route the replies, then stop the server.
     fatal: bool,
 }
 
-impl SyncMsg {
+impl Commit {
     /// Any committed transition, local or replicated. `next` is the
     /// snapshot it built (`None`: every op was a no-op) and `prev`
     /// advances to it; `shipped` is the record's JSON for the
@@ -116,7 +111,6 @@ impl SyncMsg {
         next: Option<StateSnapshot>,
         shipped: Option<String>,
         acks: impl FnOnce(u64, u32) -> Vec<(Ticket, DeferredReply)>,
-        batch_trace: u64,
     ) -> Self {
         let wal_stats = machine.wal_stats();
         let snapshot = next.map(Arc::new);
@@ -125,10 +119,9 @@ impl SyncMsg {
             Some(next) => std::mem::replace(prev, Arc::clone(next)),
             None => Arc::clone(prev),
         };
-        let replies = acks(prev.epoch, state_crc);
         Self {
             snapshot,
-            appended: wal_stats.is_some() && shipped.is_some(),
+            replies: acks(prev.epoch, state_crc),
             repl_entry: shipped.map(|json| ReplEntry {
                 epoch: prev.epoch,
                 state_crc,
@@ -136,65 +129,51 @@ impl SyncMsg {
             }),
             applied: prev.writes_applied.saturating_sub(before.writes_applied),
             coalesced: prev.coalesced.saturating_sub(before.coalesced),
-            batch_len: replies.len(),
-            replies,
             wal_stats,
-            batch_trace,
             fatal: false,
         }
     }
 
     /// Any failed transition: every op waiting on it is answered with
-    /// `err`. Fatal iff the WAL could not be written — accepting more
-    /// writes would let acknowledged state evaporate on the next crash,
-    /// so the server stops. Anything else (an undecodable frame, a record
-    /// the machine refused before touching its state) fails only these.
-    fn failed(dests: Vec<Ticket>, err: &IrisError, batch_trace: u64) -> Self {
+    /// `err`. Fatal iff the WAL could not be written or synced —
+    /// accepting more writes would let acknowledged state evaporate on
+    /// the next crash, so the server stops. Anything else (an
+    /// undecodable frame, a record the machine refused before touching
+    /// its state) fails only these.
+    fn failed(dests: Vec<Ticket>, err: &IrisError) -> Self {
         let fatal = matches!(err, IrisError::Io { .. });
         if fatal {
-            wal_error();
+            iris_telemetry::global()
+                .counter("iris_service_wal_errors_total")
+                .inc();
         }
         let failure = |dest| (dest, DeferredReply::Failed(err.clone()));
         Self {
             snapshot: None,
+            replies: dests.into_iter().map(failure).collect(),
             repl_entry: None,
-            appended: false,
             applied: 0,
             coalesced: 0,
-            batch_len: dests.len(),
-            replies: dests.into_iter().map(failure).collect(),
             wal_stats: None,
-            batch_trace,
             fatal,
         }
     }
 }
 
 /// The single writer: pop a write, gather the coalesce window, apply the
-/// batch through the [`ControlMachine`], hand the outcome to the syncer.
+/// batch through the [`ControlMachine`] (which appends and fsyncs its
+/// record), and hand the outcome to `commit`. Returns once shutdown is
+/// raised, the queue closes, or `commit` answers false.
 pub(crate) fn mutator_loop(
     mut machine: ControlMachine<'_>,
     rx: &Receiver<WriteOp>,
     shutdown: &AtomicBool,
     window: Duration,
-    sync_tx: &SyncSender<SyncMsg>,
+    mut commit: impl FnMut(Commit) -> bool,
     boot_snap: Arc<StateSnapshot>,
 ) {
-    machine.set_deferred_sync(true);
-    // The last snapshot this thread built. `shared.cell` lags behind it
-    // (publication happens in the syncer, after the group fsync), so
-    // the mutator must chain batches off its own copy.
+    // The last snapshot this thread built; the next batch chains off it.
     let mut prev = boot_snap;
-    // Hand one transition's outcome to the syncer; false once the
-    // mutator must stop (fatal failure, or the syncer is gone).
-    let send = |msg: SyncMsg| {
-        let fatal = msg.fatal;
-        let sent = sync_tx.send(msg).is_ok();
-        if fatal {
-            shutdown.store(true, Ordering::SeqCst);
-        }
-        sent && !fatal
-    };
 
     loop {
         if shutdown.load(Ordering::SeqCst) {
@@ -247,17 +226,16 @@ pub(crate) fn mutator_loop(
             }
         }
         if !update_dests.is_empty() || !cut_dests.is_empty() {
-            // Every batch gets its own trace: the root span covers the
-            // apply path, with queue-wait and coalesce windows before it
-            // and commit-wait (the handoff to a busy syncer) after. The
-            // group fsync + publish land under a `group_commit` root in
-            // the same trace, emitted by the syncer.
-            let batch_trace = iris_telemetry::trace::mint_trace_id();
-            let batch_span = iris_telemetry::trace::root_span(batch_trace, "write_batch");
-            iris_telemetry::trace::emit_window("queue_wait", first_enqueued, popped);
-            iris_telemetry::trace::emit_window("coalesce", popped, drained);
+            // Every batch is one trace rooted at `write_batch`: the
+            // queue-wait and coalesce windows, then apply, the WAL append
+            // and fsync, the snapshot build and the publish, all on this
+            // thread.
+            let batch_trace = trace::mint_trace_id();
+            let batch_span = trace::root_span(batch_trace, "write_batch");
+            trace::emit_window("queue_wait", first_enqueued, popped);
+            trace::emit_window("coalesce", popped, drained);
 
-            let msg = match machine.apply_batch(&prev, &updates, coalesced_now, &cut_sets) {
+            let outcome = match machine.apply_batch(&prev, &updates, coalesced_now, &cut_sets) {
                 Ok(result) => {
                     let shipped = result.batch.and_then(|r| serde_json::to_string(&r).ok());
                     // Demand acks carry the epoch their write is
@@ -271,51 +249,43 @@ pub(crate) fn mutator_loop(
                         demands.chain(cut_dests.into_iter().zip(cuts)).collect()
                     };
                     let next = result.snapshot;
-                    SyncMsg::committed(&machine, &mut prev, next, shipped, acks, batch_trace)
+                    Commit::committed(&machine, &mut prev, next, shipped, acks)
                 }
                 Err(e) => {
                     update_dests.append(&mut cut_dests);
-                    SyncMsg::failed(update_dests, &e, batch_trace)
+                    Commit::failed(update_dests, &e)
                 }
             };
-            let applied = Instant::now();
-            if !send(msg) {
+            let carry_on = commit(outcome);
+            drop(batch_span);
+            let batch_ms = popped.elapsed().as_secs_f64() * 1e3;
+            trace::note_if_slow("write_batch", batch_ms, batch_trace);
+            if !carry_on {
                 return;
             }
-            iris_telemetry::trace::emit_window("commit_wait", applied, Instant::now());
-            drop(batch_span);
-            iris_telemetry::trace::note_if_slow(
-                "write_batch",
-                popped.elapsed().as_secs_f64() * 1e3,
-                batch_trace,
-            );
         }
 
         for (dest, op) in repl_ops {
-            if !send(apply_repl_op(&mut machine, &mut prev, dest, op)) {
+            // Each replicated op is a trace of its own, so a follower's
+            // WAL append, fsync and publish are recorded too.
+            let _span = trace::root_span(trace::mint_trace_id(), "apply_replicated");
+            if !commit(apply_repl_op(&mut machine, &mut prev, dest, op)) {
                 return;
             }
         }
     }
 }
 
-fn wal_error() {
-    iris_telemetry::global()
-        .counter("iris_service_wal_errors_total")
-        .inc();
-}
-
 /// Apply one replication op: decode the shipped WAL batch or snapshot
-/// and put it through the [`ControlMachine`]. The syncer sends the
-/// `ReplicateAck` once durable; an epoch-chain gap or an undecodable
-/// frame fails only this request (the primary falls back to `SyncState`).
+/// and put it through the [`ControlMachine`]. The commit step sends the
+/// `ReplicateAck`; an epoch-chain gap or an undecodable frame fails only
+/// this request (the primary falls back to `SyncState`).
 fn apply_repl_op(
     machine: &mut ControlMachine<'_>,
     prev: &mut Arc<StateSnapshot>,
     dest: Ticket,
     op: ReplOp,
-) -> SyncMsg {
-    let batch_trace = iris_telemetry::trace::mint_trace_id();
+) -> Commit {
     let undecodable = |what: &str, e| IrisError::Decode {
         detail: format!("{what} does not parse: {e}"),
     };
@@ -333,122 +303,68 @@ fn apply_repl_op(
         Ok((next, shipped)) => {
             let ack =
                 |epoch, state_crc| vec![(dest, DeferredReply::Replicated { epoch, state_crc })];
-            SyncMsg::committed(machine, prev, Some(next), shipped, ack, batch_trace)
+            Commit::committed(machine, prev, Some(next), shipped, ack)
         }
-        Err(err) => SyncMsg::failed(vec![dest], &err, batch_trace),
+        Err(err) => Commit::failed(vec![dest], &err),
     }
 }
 
-/// The group-commit thread: drain every batch the mutator produced
-/// while the previous fsync was in flight, make them all durable with
-/// one fsync, publish the newest snapshot (rebuilding the
-/// pre-serialized read buffers), and only then send the
-/// acknowledgements back to their shards.
-pub(crate) fn syncer_loop(
-    rx: &Receiver<SyncMsg>,
-    shared: &Shared,
-    handle: Option<WalSyncHandle>,
-    mailbox: &Mailbox<DeferredReply>,
-) {
+/// The commit step `serve` hands the mutator: publish the snapshot
+/// (rebuilding the pre-serialized read buffers), feed the replication
+/// window, and only then send the acknowledgements back to their
+/// shards. Answers false once the server must stop.
+pub(crate) fn publish_and_deliver<'a>(
+    shared: &'a Shared,
+    mailbox: &'a Mailbox<DeferredReply>,
+) -> impl FnMut(Commit) -> bool + 'a {
     let telemetry = iris_telemetry::global();
     let batches_c = telemetry.counter("iris_service_group_commit_batches");
-    let saved_c = telemetry.counter("iris_service_fsyncs_saved");
-    let size_h = telemetry.histogram("iris_service_group_commit_size");
     let epoch_g = telemetry.gauge("iris_service_epoch");
     let writes_c = telemetry.counter("iris_service_writes_applied_total");
     let coalesced_c = telemetry.counter("iris_service_coalesced_total");
     let queue_g = telemetry.gauge("iris_service_queue_depth");
 
-    loop {
-        let first = match rx.recv() {
-            Ok(msg) => msg,
-            Err(_) => return, // mutator exited; nothing left to commit
-        };
-        let mut group = vec![first];
-        while let Ok(msg) = rx.try_recv() {
-            group.push(msg);
+    move |commit: Commit| {
+        let mut fatal = commit.fatal;
+        // A WAL record was appended and fsync'd.
+        if commit.wal_stats.is_some() && commit.repl_entry.is_some() {
+            batches_c.inc();
         }
-        let mut fatal = group.iter().any(|m| m.fatal);
-        let appended = group.iter().filter(|m| m.appended).count() as u64;
-        let trace = group
-            .iter()
-            .rev()
-            .find(|m| m.appended)
-            .or_else(|| group.last())
-            .map_or(0, |m| m.batch_trace);
-
-        // The commit gets its own root span in the trace of the last
-        // batch it covers: the fsync and publish happen on this thread,
-        // outside the mutator's `write_batch` span stack.
-        let commit_span = iris_telemetry::trace::root_span(trace, "group_commit");
-        if appended > 0 {
-            if let Some(h) = handle.as_ref() {
-                match h.sync() {
-                    Ok(ms) => shared
-                        .last_fsync_us
-                        .store((ms * 1e3) as u64, Ordering::Relaxed),
-                    Err(_) => {
-                        // Nothing in this group is durable: fail every
-                        // pending ack in it and stop the server rather
-                        // than acknowledge state that can evaporate.
-                        wal_error();
-                        fatal = true;
-                        for msg in &mut group {
-                            msg.snapshot = None;
-                            msg.repl_entry = None;
-                            for (_, reply) in &mut msg.replies {
-                                *reply = DeferredReply::Failed(IrisError::Io {
-                                    detail: "WAL group fsync failed".to_owned(),
-                                });
-                            }
-                        }
-                    }
-                }
-            }
-            batches_c.add(appended);
-            saved_c.add(appended - 1);
-            size_h.record(appended as f64);
-        }
-
-        // Publish once per group: the newest snapshot covers them all.
-        let mut published_now = false;
-        if let Some(next) = group.iter().rev().find_map(|m| m.snapshot.clone()) {
+        let mut published = false;
+        if let Some(next) = commit.snapshot {
             epoch_g.set(next.epoch as i64);
-            let _publish = iris_telemetry::trace::span("publish");
+            let _publish = trace::span("publish");
             match shared.facts.publish(Arc::clone(&next)) {
                 Ok(p) => {
                     *write_lock(&shared.published) = Arc::new(p);
                     shared.cell.store(next);
-                    published_now = true;
+                    published = true;
                 }
                 Err(_) => fatal = true,
             }
         }
-        drop(commit_span);
 
-        // Feed the replication window only after the group fsync:
-        // replicator threads must never ship a batch that could still
-        // evaporate in a crash.
-        if !fatal {
+        // The record is durable by now, so replicator threads may ship
+        // it: they must never ship a batch that could still evaporate in
+        // a crash.
+        if let (Some(entry), false) = (commit.repl_entry, fatal) {
             let log = shared.repl_log.lock();
             let mut log = log.unwrap_or_else(PoisonError::into_inner);
-            for msg in &mut group {
-                if let Some(entry) = msg.repl_entry.take() {
-                    log.push_back(entry);
-                    while log.len() > REPL_LOG_CAP {
-                        log.pop_front();
-                    }
-                }
+            log.push_back(entry);
+            while log.len() > REPL_LOG_CAP {
+                log.pop_front();
             }
         }
 
-        writes_c.add(group.iter().map(|m| m.applied).sum());
-        coalesced_c.add(group.iter().map(|m| m.coalesced).sum());
-        if let Some(stats) = group.iter().rev().find_map(|m| m.wal_stats) {
+        writes_c.add(commit.applied);
+        coalesced_c.add(commit.coalesced);
+        if let Some(stats) = commit.wal_stats {
             shared.wal_records.store(stats.records, Ordering::Relaxed);
             shared.wal_bytes.store(stats.bytes, Ordering::Relaxed);
+            let fsync_us = (stats.last_fsync_ms * 1e3) as u64;
+            shared.last_fsync_us.store(fsync_us, Ordering::Relaxed);
         }
-        let consumed: usize = group.iter().map(|m| m.batch_len).sum();
+        let consumed = commit.replies.len();
         let depth = shared
             .queue_depth
             .fetch_sub(consumed, Ordering::SeqCst)
@@ -458,12 +374,12 @@ pub(crate) fn syncer_loop(
         // Acknowledge-after-durable: deferred replies leave only now.
         // Every shard is woken after a publish so parked epoch-waits
         // (`GetPlanAt`) notice the new epoch promptly.
-        mailbox.deliver(group.into_iter().flat_map(|m| m.replies), published_now);
+        mailbox.deliver(commit.replies, published);
         if fatal {
             shared.shutdown.store(true, Ordering::SeqCst);
             mailbox.deliver(None, true);
-            return;
         }
+        !fatal
     }
 }
 
@@ -475,13 +391,14 @@ mod tests {
     use iris_control::Controller;
     use iris_fibermap::{synth, MetroParams, PlacementParams};
     use iris_planner::{plan_iris, DesignGoals};
+    use std::sync::atomic::AtomicUsize;
     use std::sync::mpsc::TrySendError;
 
-    /// A stalled group fsync — a handoff receiver nobody drains — stops
-    /// the mutator once the handoff is full, so writes back up into the
+    /// A stalled fsync stops the mutator, so writes back up into the
     /// bounded queue until `try_send` is `Full`, which the shard answers
-    /// with `IrisError::Overloaded`. An unbounded handoff would let the
-    /// mutator keep popping and the queue never fill.
+    /// with `IrisError::Overloaded`. The commit step runs on the mutator
+    /// right after its batch's fsync, so one that blocks stands in for a
+    /// disk that does not return.
     #[test]
     fn a_stalled_fsync_stops_the_mutator_and_fills_the_queue() {
         let region = synth::place_dcs(
@@ -509,24 +426,32 @@ mod tests {
         .unwrap();
         let boot = Arc::new(boot);
         let shutdown = AtomicBool::new(false);
+        let popped = AtomicUsize::new(0);
         let &(a, b) = boot.allocation.keys().next().expect("a seeded pair");
         let machine =
             ControlMachine::new(&region, &goals, provisioning, &controller, cuts, None, 0);
 
         const QUEUE: usize = 4;
         std::thread::scope(|s| {
-            // Both channel ends the test holds live in this closure, so a
-            // failed assertion drops them and releases the mutator.
+            // The queue's sender and the release switch live in this
+            // closure, so a failed assertion drops them and frees the
+            // mutator.
             let (tx, rx) = mpsc::sync_channel(QUEUE);
-            let (sync_tx, sync_rx) = mpsc::sync_channel(HANDOFF_DEPTH);
-            let shutdown = &shutdown;
+            let (release, stalled) = mpsc::channel::<()>();
+            let (shutdown, popped) = (&shutdown, &popped);
             let mutator = s.spawn(move || {
-                mutator_loop(machine, &rx, shutdown, Duration::ZERO, &sync_tx, boot);
+                // Count the batch, then block until the test lets go;
+                // released, the step answers false and the mutator stops.
+                let commit = |c: Commit| {
+                    popped.fetch_add(c.replies.len(), Ordering::SeqCst);
+                    stalled.recv().is_ok()
+                };
+                mutator_loop(machine, &rx, shutdown, Duration::ZERO, commit, boot);
             });
             // One write per pause, so a mutator that is free pops each on
-            // its own. Each batch it can take before stalling holds at
-            // most a full queue, so a bounded handoff fills the queue
-            // within 3 × QUEUE writes.
+            // its own. It stalls in its first commit, holding at most what
+            // had queued by then, so the queue fills within 3 × QUEUE
+            // writes.
             let mut accepted = 0;
             let full = loop {
                 if accepted > 3 * QUEUE {
@@ -555,16 +480,9 @@ mod tests {
             };
             assert!(full, "{accepted} writes in and the queue never filled");
 
-            // Release the mutator: it hands over what it holds and stops.
-            shutdown.store(true, Ordering::SeqCst);
-            let handed: Vec<SyncMsg> = sync_rx.iter().collect();
+            drop(release);
             mutator.join().expect("mutator thread");
-            assert!(
-                handed.len() <= HANDOFF_DEPTH + 1,
-                "{} batches handed to a stalled syncer",
-                handed.len()
-            );
-            let popped: usize = handed.iter().map(|m| m.batch_len).sum();
+            let popped = popped.load(Ordering::SeqCst);
             assert_eq!(popped + QUEUE, accepted, "the mutator stopped popping");
         });
     }

@@ -8,8 +8,8 @@
 //!
 //! The modules: [`server`] wires everything up and holds the protocol
 //! (the `Handler` that [`iris_wire::server`] runs on every shard);
-//! `commit` is the write path behind it (mutator + group-commit
-//! syncer) and `replicate` the per-peer replication pump; [`state`],
+//! `commit` is the write path behind it (one mutator thread) and
+//! `replicate` the per-peer replication pump; [`state`],
 //! [`wal`] and [`recovery`] are what they publish, persist and replay;
 //! [`client`] and [`loadgen`] are the other end of the socket. Every
 //! outbound connection — a client's, the router's, the pump's — is an
@@ -36,12 +36,13 @@
 //!   per-request cost is a memcpy. `QueryPath` / `Health` read the same
 //!   immutable `Arc<StateSnapshot>` ([`state::SnapshotCell`]); the only
 //!   synchronization on the read path is an `Arc` clone.
-//! * **Writes are single-threaded, coalesced, and group-committed.**
+//! * **Writes are single-threaded, coalesced, and paced by the fsync.**
 //!   `UpdateDemand` and `ReportFiberCut` flow through a bounded queue
-//!   to one mutator thread, which gathers a short batch, keeps only the
-//!   last update per DC pair, drives the [`iris_control::Controller`],
-//!   and hands the batch to a syncer thread that fsyncs and publishes —
-//!   one fsync acknowledges every batch queued behind it.
+//!   to one mutator thread, which drains what has queued, keeps only
+//!   the last update per DC pair, drives the
+//!   [`iris_control::Controller`], fsyncs the batch, publishes it and
+//!   acknowledges it. Writes that arrive during the fsync become the
+//!   next batch, so one fsync acknowledges all of them.
 //! * **Backpressure is typed.** A full queue answers
 //!   [`iris_errors::IrisError::Overloaded`] with a suggested
 //!   `retry_after_ms` instead of blocking the socket; the client's

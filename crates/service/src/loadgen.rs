@@ -760,8 +760,8 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
     sorted[idx.min(sorted.len() - 1)]
 }
 
-/// Poll `Health` until the write queue is empty twice in a row — with
-/// group commit, `queue_depth` counts writes not yet visible in a
+/// Poll `Health` until the write queue is empty twice in a row —
+/// `queue_depth` counts writes not yet visible in a
 /// published snapshot, so an empty queue means the final topology read
 /// observes every applied write.
 fn quiesce(client: &mut ServiceClient) -> IrisResult<()> {
@@ -957,29 +957,6 @@ pub fn run_loadgen(cfg: &LoadgenConfig) -> IrisResult<LoadReport> {
         server_overloaded: health.overloaded,
     };
     Ok(LoadReport { results, measured })
-}
-
-/// Serialize the deterministic results to `path` (creating parent
-/// directories), with a trailing newline — the artifact CI byte-diffs.
-///
-/// # Errors
-///
-/// [`IrisError::Io`] on serialization or filesystem failure.
-pub fn write_results(results: &LoadResults, path: &str) -> IrisResult<()> {
-    let mut text = serde_json::to_string_pretty(results).map_err(|e| IrisError::Io {
-        detail: format!("cannot serialize load results: {e}"),
-    })?;
-    text.push('\n');
-    if let Some(parent) = std::path::Path::new(path).parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent).map_err(|e| IrisError::Io {
-                detail: format!("cannot create {}: {e}", parent.display()),
-            })?;
-        }
-    }
-    std::fs::write(path, text).map_err(|e| IrisError::Io {
-        detail: format!("cannot write {path}: {e}"),
-    })
 }
 
 #[cfg(test)]

@@ -10,8 +10,8 @@
 //!   stored *cumulative* cut set adopting its stored
 //!   [`RecoverySummary`] verbatim, then seal;
 //! * `seal` — the tail every committed record shares: append it to the
-//!   WAL (synced, or deferred for group commit), build the per-pair
-//!   paths and the [`StateSnapshot`], compact when due.
+//!   WAL and fsync it, build the per-pair paths and the
+//!   [`StateSnapshot`], compact when due.
 //!
 //! The live [`ControlMachine::apply_batch`] executes its operations into
 //! a record and seals it; a follower's
@@ -178,7 +178,6 @@ pub struct ControlMachine<'r> {
     active_cuts: Vec<EdgeId>,
     wal: Option<Wal>,
     snapshot_every: u64,
-    deferred_sync: bool,
 }
 
 impl<'r> ControlMachine<'r> {
@@ -204,18 +203,7 @@ impl<'r> ControlMachine<'r> {
             active_cuts,
             wal,
             snapshot_every,
-            deferred_sync: false,
         }
-    }
-
-    /// Switch WAL appends to group-commit mode: records are written but
-    /// not fsync'd by the machine; the caller must sync (one
-    /// [`crate::wal::WalSyncHandle::sync`] covers every append since the
-    /// last) before acknowledging the batches to clients. Compaction
-    /// still syncs its snapshot file immediately — the snapshot then
-    /// covers any not-yet-synced records, which the truncate discards.
-    pub fn set_deferred_sync(&mut self, deferred: bool) {
-        self.deferred_sync = deferred;
     }
 
     /// The WAL's cumulative statistics; `None` when memory-only.
@@ -227,7 +215,7 @@ impl<'r> ControlMachine<'r> {
     /// Apply one coalesced batch of live writes: demand updates first
     /// (one reconfiguration to the merged target), then each cut
     /// operation in order, written down as a [`WalBatch`] and sealed —
-    /// the record is appended (and, unless deferred, fsync'd) *before*
+    /// the record is appended and fsync'd *before*
     /// the snapshot is handed back for publication. A batch that applied
     /// nothing returns no snapshot and writes no record. The operations
     /// are the caller's own, already checked (the shards refuse an
@@ -460,15 +448,11 @@ impl<'r> ControlMachine<'r> {
 
     /// Commit `record` as the successor of `prev`, the controller and
     /// cut set having already been moved to the state it describes:
-    /// append it to the WAL, build the snapshot it publishes, compact
-    /// when due.
+    /// append it to the WAL and fsync it, build the snapshot it
+    /// publishes, compact when due.
     fn seal(&mut self, prev: &StateSnapshot, record: &WalBatch) -> IrisResult<StateSnapshot> {
         if let Some(wal) = &mut self.wal {
-            if self.deferred_sync {
-                wal.append_nosync(record)?;
-            } else {
-                wal.append(record)?;
-            }
+            wal.append(record)?;
         }
         let build_span = iris_telemetry::trace::span("snapshot_build");
         let last_recovery = match record.cuts.last() {

@@ -15,12 +15,11 @@
 //! from the same immutable snapshot `Arc`.
 //!
 //! Writes park their reply and go through the bounded queue to the
-//! single mutator thread (batching + last-update-per-pair coalescing);
-//! durability is **group-committed** by the syncer thread, which sends
-//! each acknowledgement back to its shard only after the fsync that
-//! covers it (`commit.rs`). While this instance is the primary, one
-//! replicator thread per peer ships the published batches
-//! (`replicate.rs`).
+//! single mutator thread (batching + last-update-per-pair coalescing),
+//! which fsyncs each batch, publishes it and only then sends each
+//! acknowledgement back to its shard (`commit.rs`). While this instance
+//! is the primary, one replicator thread per peer ships the published
+//! batches (`replicate.rs`).
 //!
 //! A connection speaks JSON until it negotiates the compact binary
 //! codec with [`crate::api::Request::Hello`]; the acknowledgement is
@@ -31,9 +30,7 @@ use crate::api::{
     TopologySummary, TraceDumpInfo, TraceEventInfo,
 };
 use crate::codec::{self, Codec};
-use crate::commit::{
-    mutator_loop, syncer_loop, DeferredReply, ReplOp, SyncMsg, WriteKind, WriteOp, HANDOFF_DEPTH,
-};
+use crate::commit::{mutator_loop, publish_and_deliver, DeferredReply, ReplOp, WriteKind, WriteOp};
 use crate::frame::append_frame_with;
 use crate::recovery::{self, ControlMachine, CutReply, ReplayStats};
 use crate::replicate::{replicator_loop, PeerState, ReplEntry};
@@ -67,12 +64,12 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// Extra hold time after a batch's first write to gather (and
     /// coalesce) more, ms; default 0. With the default a batch is
-    /// whatever queued while the previous group fsync was in flight.
+    /// whatever queued while the previous batch's fsync was in flight.
     pub coalesce_window_ms: u64,
     /// Durability directory. When set, every applied write batch is
-    /// appended to a write-ahead log here and group-committed (one
-    /// fsync covers every batch produced while the previous fsync was
-    /// in flight) before its snapshot is published, and a restarted
+    /// appended to a write-ahead log here and fsync'd (one fsync covers
+    /// every write that queued while the previous one was in flight)
+    /// before its snapshot is published, and a restarted
     /// server recovers the pre-crash state from it. `None` keeps the
     /// server memory-only.
     pub wal_dir: Option<String>,
@@ -199,7 +196,7 @@ impl RegionFacts {
     }
 }
 
-/// State shared by the shard handlers, mutator, syncer and replicators.
+/// State shared by the shard handlers, the mutator and the replicators.
 pub(crate) struct Shared {
     pub(crate) cell: SnapshotCell,
     /// The pre-serialized read-path buffers, swapped once per epoch.
@@ -209,14 +206,14 @@ pub(crate) struct Shared {
     /// Stops every thread of the server, the frame server's included.
     pub(crate) shutdown: Arc<AtomicBool>,
     /// Writes accepted but not yet visible in a published snapshot
-    /// (queued + in-batch + awaiting the group fsync). Reaching zero
-    /// therefore means every acknowledged write is readable.
+    /// (queued, or in the batch being applied and fsync'd). Reaching
+    /// zero therefore means every acknowledged write is readable.
     pub(crate) queue_depth: AtomicUsize,
     overloaded: AtomicU64,
     /// When the server started serving (for `HealthInfo::uptime_ms`).
     start: Instant,
     /// WAL statistics mirrored out of the mutator-owned [`crate::wal::Wal`]
-    /// after each group commit so read threads can answer `Health`
+    /// after each commit so read threads can answer `Health`
     /// without touching the write path. Fsync latency is stored in µs
     /// to keep it atomic.
     pub(crate) wal_records: AtomicU64,
@@ -268,7 +265,7 @@ pub struct ServiceHandle {
     shared: Arc<Shared>,
     replay: Option<ReplayStats>,
     transport: FrameServer,
-    /// Mutator, syncer, replicators — in join order.
+    /// The mutator, then one replicator per peer.
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -293,8 +290,8 @@ impl ServiceHandle {
     }
 
     /// Stop accepting, wake every shard, and join all server threads.
-    /// The syncer is joined after the mutator so every acknowledged
-    /// write's group fsync has completed by the time this returns.
+    /// The mutator acknowledges a write only after its fsync, so every
+    /// acknowledged write is durable by the time this returns.
     pub fn shutdown(&mut self) {
         self.transport.shutdown();
         for worker in self.workers.drain(..) {
@@ -380,7 +377,6 @@ pub fn serve(region: Region, config: &ServiceConfig) -> IrisResult<ServiceHandle
         }
         None => (None, DurableState::empty()),
     };
-    let sync_handle = wal.as_ref().map(Wal::sync_handle).transpose()?;
     let (boot, active_cuts, stats) =
         recovery::recover(&region, &goals, &plan.provisioning, &controller, &durable)?;
     let replay = config.wal_dir.as_ref().map(|_| stats);
@@ -433,7 +429,6 @@ pub fn serve(region: Region, config: &ServiceConfig) -> IrisResult<ServiceHandle
     });
 
     let (tx, rx) = mpsc::sync_channel::<WriteOp>(config.queue_capacity.max(1));
-    let (sync_tx, sync_rx) = mpsc::sync_channel::<SyncMsg>(HANDOFF_DEPTH);
     let handlers = (0..config.effective_shards())
         .map(|shard| ShardHandler {
             shared: Arc::clone(&shared),
@@ -465,19 +460,16 @@ pub fn serve(region: Region, config: &ServiceConfig) -> IrisResult<ServiceHandle
                 wal,
                 snapshot_every,
             );
-            mutator_loop(machine, &rx, &shared.shutdown, window, &sync_tx, boot_snap);
+            let commit = publish_and_deliver(&shared, &mailbox);
+            mutator_loop(machine, &rx, &shared.shutdown, window, commit, boot_snap);
         })
-    };
-    let syncer = {
-        let shared = Arc::clone(&shared);
-        std::thread::spawn(move || syncer_loop(&sync_rx, &shared, sync_handle, &mailbox))
     };
     let replicators = shared.peers.iter().enumerate().map(|(idx, peer)| {
         let shared = Arc::clone(&shared);
         let peer = Arc::clone(peer);
         std::thread::spawn(move || replicator_loop(&shared, &peer, idx))
     });
-    let workers = [mutator, syncer].into_iter().chain(replicators).collect();
+    let workers = std::iter::once(mutator).chain(replicators).collect();
 
     Ok(ServiceHandle {
         shared,
@@ -611,7 +603,7 @@ impl Handler for ShardHandler {
         deliver(out, &Response::Error(err), *codec);
     }
 
-    /// One durable acknowledgement came back from the syncer.
+    /// One durable acknowledgement came back from the mutator.
     fn on_completion(&mut self, conns: &mut Conns<Self>, ticket: Ticket, reply: DeferredReply) {
         let resp = match reply {
             DeferredReply::Cut(CutReply::Applied(summary)) => Response::Recovery(summary),
@@ -631,7 +623,7 @@ impl Handler for ShardHandler {
         self.complete(conns, ticket, |codec| framed(codec, &resp));
     }
 
-    /// The syncer is gone with acknowledgements still pending: answer
+    /// The mutator is gone with acknowledgements still pending: answer
     /// them (cuts, demand acks, replication acks, parked epoch waits
     /// alike) with a typed error instead of leaving clients hanging.
     fn on_mailbox_closed(&mut self, conns: &mut Conns<Self>) {
@@ -717,7 +709,7 @@ impl ShardHandler {
             }
             Request::QueryPath { a, b } => self.query_path_response(a, b),
             // Acknowledge-after-durable: the DemandAccepted leaves only
-            // after the group commit, carrying the commit epoch as the
+            // after the batch's fsync, carrying the commit epoch as the
             // client's read-your-writes fence.
             Request::UpdateDemand { a, b, circuits } => {
                 let checked = self
@@ -917,7 +909,7 @@ impl ShardHandler {
     /// Try to enqueue a write; a full queue is typed backpressure.
     ///
     /// The depth counter is bumped *before* the send: once the op is in
-    /// the channel the syncer may consume the batch and decrement at
+    /// the channel the mutator may commit the batch and decrement at
     /// any moment, so counting afterwards would race the decrement and
     /// underflow.
     fn enqueue(&self, op: WriteOp) -> IrisResult<()> {

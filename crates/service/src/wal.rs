@@ -411,8 +411,8 @@ impl Wal {
         Ok(())
     }
 
-    /// Append one batch record **without** the fsync — the group-commit
-    /// half of [`Wal::append`]. The record reaches the kernel but is not
+    /// Append one batch record **without** the fsync — the first half of
+    /// [`Wal::append`]. The record reaches the kernel but is not
     /// durable until someone syncs the file ([`WalSyncHandle::sync`] or
     /// a subsequent [`Wal::append`]); callers must not acknowledge the
     /// batch to clients before that barrier.
@@ -451,11 +451,12 @@ impl Wal {
         Ok(())
     }
 
-    /// A second handle onto the log file for syncing from another
-    /// thread. `fsync` acts on the *file*, not the descriptor, so a sync
-    /// through the clone makes every record already written through the
-    /// `Wal` durable — the group-commit thread can batch fsyncs while
-    /// the mutator keeps appending.
+    /// A second handle onto the log file, so the fsync can be driven
+    /// (and timed) apart from the append. `fsync` acts on the *file*,
+    /// not the descriptor, so a sync through the clone makes every
+    /// record already written through the `Wal` durable. The server
+    /// does not use it: its mutator appends and syncs through
+    /// [`Wal::append`].
     ///
     /// # Errors
     ///
@@ -507,9 +508,8 @@ impl Wal {
     }
 }
 
-/// A duplicated descriptor onto the WAL file, used by the group-commit
-/// thread to fsync records the mutator appended with
-/// [`Wal::append_nosync`]. See [`Wal::sync_handle`].
+/// A duplicated descriptor onto the WAL file, to fsync records appended
+/// with [`Wal::append_nosync`]. See [`Wal::sync_handle`].
 #[derive(Debug)]
 pub struct WalSyncHandle {
     file: File,

@@ -123,41 +123,38 @@ fn write_batches_carry_a_complete_stage_breakdown() {
 
     // Acceptance: at least one write batch exposes the full pipeline
     // breakdown. Other tests in this process add unrelated traces, so
-    // search for a trace with the required shape. The apply stages run
-    // on the mutator under the `write_batch` root; the fsync + publish
-    // run on the group-commit thread under a second root
-    // (`group_commit`) in the same trace.
-    let want = [
-        "write_batch",
+    // search for a trace with the required shape. The whole batch runs
+    // on the mutator, so every stage hangs off one `write_batch` root.
+    let children = [
         "queue_wait",
         "coalesce",
         "apply",
-        "commit_wait",
         "wal_append",
-        "group_commit",
         "wal_fsync",
         "snapshot_build",
         "publish",
     ];
     let groups = by_trace(&d.events);
-    let batch = groups
+    let (_, evs) = groups
         .iter()
         .find(|(_, evs)| {
             let s = stages(evs);
-            want.iter().all(|w| s.contains(w))
+            s.contains("write_batch") && children.iter().all(|w| s.contains(w))
         })
-        .unwrap_or_else(|| panic!("no trace with all of {want:?} in {} traces", groups.len()));
-    let evs = &batch.1;
+        .unwrap_or_else(|| {
+            panic!(
+                "no write_batch trace with all of {children:?} in {} traces",
+                groups.len()
+            )
+        });
 
-    // Structural checks: the batch span roots the apply stages on the
-    // mutator; the group-commit span roots the fsync + publish on the
-    // syncer thread, in the same trace.
-    let root = evs
-        .iter()
-        .find(|e| e.stage == "write_batch")
-        .expect("root span");
-    assert_eq!(root.parent_id, 0, "write_batch is a trace root");
-    for child in ["queue_wait", "coalesce", "apply", "commit_wait"] {
+    // Structural checks: one root, and every stage a direct child of it.
+    let roots: Vec<_> = evs.iter().filter(|e| e.parent_id == 0).collect();
+    let [root] = roots[..] else {
+        panic!("one root expected, got {roots:?}");
+    };
+    assert_eq!(root.stage, "write_batch");
+    for child in children {
         let e = evs.iter().find(|e| e.stage == child).unwrap();
         assert_eq!(
             e.parent_id, root.span_id,
@@ -165,21 +162,59 @@ fn write_batches_carry_a_complete_stage_breakdown() {
         );
         assert!(!e.modeled, "{child} is measured, not modeled");
     }
-    let commit = evs
-        .iter()
-        .find(|e| e.stage == "group_commit")
-        .expect("group-commit root");
-    assert_eq!(commit.parent_id, 0, "group_commit is a second trace root");
-    for child in ["wal_fsync", "publish"] {
-        let e = evs.iter().find(|e| e.stage == child).unwrap();
-        assert_eq!(
-            e.parent_id, commit.span_id,
-            "{child} should be a direct child of group_commit"
-        );
-        assert!(!e.modeled, "{child} is measured, not modeled");
-    }
 
     handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_followers_replicated_batch_is_a_trace_of_its_own() {
+    let dir = wal_dir("replicated");
+    let config = |follower, peers, wal_dir| ServiceConfig {
+        addr: "127.0.0.1:0".to_owned(),
+        follower,
+        peers,
+        wal_dir,
+        ..ServiceConfig::default()
+    };
+    let topo = region(34, 4);
+    let wal = Some(dir.display().to_string());
+    let mut follower = serve(topo.clone(), &config(true, Vec::new(), wal)).expect("follower");
+    let peers = vec![follower.local_addr().to_string()];
+    let mut primary = serve(topo, &config(false, peers, None)).expect("primary");
+    let mut client = client_for(&primary);
+    let topo = match client.call(&Request::GetTopology).unwrap() {
+        Response::Topology(t) => t,
+        other => panic!("expected Topology, got {other:?}"),
+    };
+    let (a, b) = (topo.allocation[0].a, topo.allocation[0].b);
+    client
+        .call(&Request::UpdateDemand { a, b, circuits: 3 })
+        .unwrap();
+    wait_for_writes(&mut client_for(&follower), 1);
+
+    // The follower's apply, WAL fsync and publish share one root.
+    let d = dump(&mut client_for(&follower));
+    let groups = by_trace(&d.events);
+    let (_, evs) = groups
+        .iter()
+        .find(|(_, evs)| stages(evs).contains("apply_replicated"))
+        .expect("a trace rooted at apply_replicated");
+    let root = evs.iter().find(|e| e.stage == "apply_replicated").unwrap();
+    assert_eq!(root.parent_id, 0, "apply_replicated is a trace root");
+    for child in ["wal_fsync", "publish"] {
+        let e = evs
+            .iter()
+            .find(|e| e.stage == child)
+            .unwrap_or_else(|| panic!("no {child} in {evs:?}"));
+        assert_eq!(
+            e.parent_id, root.span_id,
+            "{child} should be a direct child of apply_replicated"
+        );
+    }
+
+    primary.shutdown();
+    follower.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -272,26 +307,29 @@ fn client_trace_ids_propagate_and_slow_requests_are_logged() {
     .expect("serve");
     let mut client = client_for(&handle);
 
-    // Parallel tests in this process may reset the global threshold
-    // when their servers boot; pin it right before the traced call.
-    iris_telemetry::trace::set_slow_threshold_ms(0.0);
-    let mine = iris_telemetry::trace::mint_trace_id();
-    let reply = client
-        .call_with_trace(&Request::GetTopology, Some(mine))
-        .unwrap();
-    assert!(matches!(reply, Response::Topology(_)));
-
-    let d = dump(&mut client);
+    // Parallel tests in this process reset the global threshold when
+    // their servers boot, which can land between a pin and the traced
+    // call: pin it before each call, and retry until one is logged.
+    let (mine, d) = (0..20)
+        .map(|_| {
+            iris_telemetry::trace::set_slow_threshold_ms(0.0);
+            let mine = iris_telemetry::trace::mint_trace_id();
+            let reply = client
+                .call_with_trace(&Request::GetTopology, Some(mine))
+                .unwrap();
+            assert!(matches!(reply, Response::Topology(_)));
+            (mine, dump(&mut client))
+        })
+        .find(|(mine, d)| {
+            d.slow
+                .iter()
+                .any(|s| s.trace_id == *mine && s.op == "get_topology")
+        })
+        .expect("a zero threshold logs the request as slow");
     let spans: Vec<&TraceEventInfo> = d.events.iter().filter(|e| e.trace_id == mine).collect();
     assert!(
         spans.iter().any(|e| e.stage == "get_topology"),
         "the server should record the request under the client's id, got {spans:?}"
-    );
-    assert!(
-        d.slow
-            .iter()
-            .any(|s| s.trace_id == mine && s.op == "get_topology"),
-        "a zero threshold logs the request as slow"
     );
 
     handle.shutdown();
