@@ -10,11 +10,11 @@
 //! traffic drift.
 
 use iris_planner::{provision, DesignGoals};
-use iris_simnet::engine::{CapacityEvent, FabricModel, SimConfig, Simulator};
+use iris_simnet::engine::{CapacityEvent, FabricModel, SimConfig};
 use iris_simnet::experiment::fct_quantile;
 use iris_simnet::traffic::{ChangeModel, TrafficMatrix};
 use iris_simnet::workloads::FlowSizeDist;
-use iris_simnet::SimTopology;
+use iris_simnet::{SimTopology, WorkSpec};
 
 fn main() {
     let region = iris_bench::simple_region(3, 8);
@@ -25,10 +25,10 @@ fn main() {
 
     let duration = 30.0;
     let run = |events: Vec<CapacityEvent>| {
-        let sim = Simulator::new(
-            topo.clone(),
-            TrafficMatrix::heavy_tailed(topo.n_dcs, 5),
-            SimConfig {
+        WorkSpec {
+            topo: topo.clone(),
+            matrix: TrafficMatrix::heavy_tailed(topo.n_dcs, 5),
+            config: SimConfig {
                 duration_s: duration,
                 utilization: 0.5,
                 flow_sizes: FlowSizeDist::pfabric_web_search(),
@@ -38,8 +38,8 @@ fn main() {
                 capacity_events: events,
                 seed: 5,
             },
-        );
-        sim.run()
+        }
+        .run()
     };
 
     let baseline = run(Vec::new());

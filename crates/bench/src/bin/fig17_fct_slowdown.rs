@@ -38,7 +38,7 @@ fn main() {
         for (change_name, change) in changes {
             for &interval in intervals {
                 let duration = (6.0 * interval).clamp(20.0, 60.0);
-                let r = run_comparison(
+                let (r, _) = run_comparison(
                     &topo,
                     &ExperimentConfig {
                         duration_s: duration,

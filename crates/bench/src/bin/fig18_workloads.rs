@@ -23,7 +23,7 @@ fn main() {
     let mut rows = Vec::new();
     for workload in FlowSizeDist::all_paper_workloads() {
         let name = workload.name.clone();
-        let r = run_comparison(
+        let (r, _) = run_comparison(
             &topo,
             &ExperimentConfig {
                 duration_s: duration,

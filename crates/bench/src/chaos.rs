@@ -23,7 +23,7 @@ use iris_simnet::engine::{CapacityEvent, FabricModel, SimConfig};
 use iris_simnet::experiment::fct_quantile;
 use iris_simnet::traffic::ChangeModel;
 use iris_simnet::workloads::FlowSizeDist;
-use iris_simnet::{SimTopology, Simulator, TrafficMatrix};
+use iris_simnet::{SimTopology, TrafficMatrix, WorkSpec};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -444,11 +444,10 @@ fn fct_p99(
     window: (f64, f64),
     affected: &[(usize, usize)],
 ) -> Option<f64> {
-    let matrix = TrafficMatrix::heavy_tailed(topo.n_dcs, seed);
-    let sim = Simulator::new(
-        topo.clone(),
-        matrix,
-        SimConfig {
+    let records = WorkSpec {
+        topo: topo.clone(),
+        matrix: TrafficMatrix::heavy_tailed(topo.n_dcs, seed),
+        config: SimConfig {
             duration_s: FCT_SIM_DURATION_S,
             utilization: FCT_SIM_UTILIZATION,
             flow_sizes: FlowSizeDist::pfabric_web_search(),
@@ -458,8 +457,8 @@ fn fct_p99(
             capacity_events,
             seed,
         },
-    );
-    let records = sim.run();
+    }
+    .run();
     let windowed: Vec<_> = records
         .into_iter()
         .filter(|r| r.start_s >= window.0 && r.start_s <= window.1 && affected.contains(&r.pair))

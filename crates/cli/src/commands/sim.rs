@@ -26,7 +26,7 @@ pub fn simulate(opts: &Options) -> IrisResult<()> {
     // The fig17 topology: the plan's largest link at 2 Gbps.
     let scale = SimTopology::scale_for_largest_link(&region, &prov, 2.0);
     let topo = SimTopology::from_provisioning(&region, &goals, &prov, scale);
-    let (result, manifest) = iris_simnet::experiment::run_comparison_recorded(
+    let (result, manifest) = run_comparison(
         &topo,
         &ExperimentConfig {
             duration_s: duration,
@@ -80,8 +80,7 @@ pub fn simulate(opts: &Options) -> IrisResult<()> {
 /// CI diffs it across worker fleets, worker counts and `IRIS_THREADS`.
 pub fn simd(opts: &Options) -> IrisResult<()> {
     use iris_flowsim::coord::{estimate_with_trace, Backend, EstimateConfig, FleetConfig};
-    use iris_flowsim::proto::WorkSpec;
-    use iris_simnet::engine::{FabricModel, FlowRecord, SimConfig, Simulator};
+    use iris_simnet::engine::{FabricModel, FlowRecord, SimConfig};
     use iris_simnet::experiment::fct_quantile;
     use iris_simnet::TrafficMatrix;
 
@@ -151,18 +150,13 @@ pub fn simd(opts: &Options) -> IrisResult<()> {
     // linear in capacity, so one division gives the capacity scale that
     // offers `--flows` admitted flows.
     let probe_spec = spec_for(&base, FabricModel::Eps, 5.0);
-    let probe_sim = Simulator::new(
-        probe_spec.topo.clone(),
-        probe_spec.matrix.clone(),
-        probe_spec.config.clone(),
-    );
     let probe_trace = probe_spec.trace();
     let offered = probe_trace.arrivals.len() as f64;
     let admitted = probe_trace.flow_count() as f64;
     if offered == 0.0 || admitted == 0.0 {
         return Err("probe run admitted no flows; raise --util or --duration".into());
     }
-    let admitted_rate = probe_sim.arrival_rate() * (admitted / offered);
+    let admitted_rate = probe_spec.arrival_rate() * (admitted / offered);
     let flow_scale = flows_target / (admitted_rate * duration);
     let topo = SimTopology::from_provisioning(&region, &goals, &prov, base_scale * flow_scale);
 

@@ -452,6 +452,27 @@ fn an_unwritable_out_exits_3_offline_and_from_loadgen() {
     let _ = std::fs::remove_file(&file);
 }
 
+#[test]
+fn an_oversized_matrix_family_exits_2_before_allocating() {
+    let region = tmp("family-bound.json");
+    let region = region.to_str().unwrap();
+    let out = iris(&["gen", "--seed", "3", "--dcs", "4", "--out", region]);
+    assert!(out.status.success());
+    let huge = "burst:1000000000000@42";
+    let bound = format!("outside 1..={}", iris_planner::workload::MAX_FAMILY_COUNT);
+    for args in [
+        vec!["plan", "--region", region, "--robust", "--matrices", huge],
+        vec!["simd", "--matrices", huge],
+        // Refused while parsing, before any connection is attempted.
+        vec!["loadgen", "--addr", "127.0.0.1:1", "--matrices", huge],
+    ] {
+        let out = iris(&args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(err.contains(&bound), "{args:?}: {err}");
+    }
+}
+
 /// One `iris help` entry: the words naming the row (`wal inspect`), its
 /// mode switch if any, and the option names its synopsis lists.
 struct HelpRow {

@@ -58,5 +58,5 @@ pub mod prelude {
         plan_centralized, plan_eps, plan_iris, CentralizedPlan, DesignGoals, EpsPlan, HubHoming,
         IrisPlan,
     };
-    pub use iris_simnet::{run_comparison, ExperimentConfig, SimTopology};
+    pub use iris_simnet::{run_comparison, ExperimentConfig, SimTopology, WorkSpec};
 }

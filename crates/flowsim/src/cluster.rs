@@ -218,16 +218,16 @@ pub fn estimate_member(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iris_simnet::engine::{FabricModel, SimConfig, Simulator};
+    use iris_simnet::engine::{FabricModel, SimConfig};
     use iris_simnet::traffic::ChangeModel;
     use iris_simnet::workloads::FlowSizeDist;
-    use iris_simnet::TrafficMatrix;
+    use iris_simnet::{TrafficMatrix, WorkSpec};
 
     fn dec_for(topo: &SimTopology, seed: u64) -> Decomposition {
-        let trace = Simulator::new(
-            topo.clone(),
-            TrafficMatrix::heavy_tailed(topo.n_dcs, seed),
-            SimConfig {
+        let trace = WorkSpec {
+            topo: topo.clone(),
+            matrix: TrafficMatrix::heavy_tailed(topo.n_dcs, seed),
+            config: SimConfig {
                 duration_s: 4.0,
                 utilization: 0.5,
                 flow_sizes: FlowSizeDist::facebook_web(),
@@ -237,7 +237,7 @@ mod tests {
                 capacity_events: Vec::new(),
                 seed,
             },
-        )
+        }
         .trace();
         Decomposition::build(topo, &trace)
     }

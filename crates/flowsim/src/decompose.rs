@@ -241,10 +241,10 @@ pub fn combine(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iris_simnet::engine::{SimConfig, Simulator};
+    use iris_simnet::engine::SimConfig;
     use iris_simnet::traffic::ChangeModel;
     use iris_simnet::workloads::FlowSizeDist;
-    use iris_simnet::TrafficMatrix;
+    use iris_simnet::{TrafficMatrix, WorkSpec};
 
     fn spec_trace(
         topo: &SimTopology,
@@ -252,11 +252,10 @@ mod tests {
         seed: u64,
         duration_s: f64,
     ) -> FlowTrace {
-        let matrix = TrafficMatrix::heavy_tailed(topo.n_dcs, seed);
-        Simulator::new(
-            topo.clone(),
-            matrix,
-            SimConfig {
+        WorkSpec {
+            topo: topo.clone(),
+            matrix: TrafficMatrix::heavy_tailed(topo.n_dcs, seed),
+            config: SimConfig {
                 duration_s,
                 utilization: 0.5,
                 flow_sizes: FlowSizeDist::facebook_web(),
@@ -266,7 +265,7 @@ mod tests {
                 capacity_events: Vec::new(),
                 seed,
             },
-        )
+        }
         .trace()
     }
 

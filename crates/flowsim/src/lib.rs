@@ -13,10 +13,15 @@
 //! embarrassingly parallel — are **sharded across a worker fleet** over
 //! the workspace's frame codec ([`proto`], [`worker`], [`coord`]).
 //!
+//! The input is the exact engine's: a [`WorkSpec`] recipe
+//! (`iris_simnet`'s one run recipe, re-exported here) and the
+//! [`iris_simnet::FlowTrace`] it draws. The exact engine replays that
+//! trace; this crate decomposes it.
+//!
 //! Determinism contract: every artifact is byte-identical regardless of
 //! backend, worker count, or `IRIS_THREADS`. This falls out of the
 //! architecture rather than discipline — jobs are pure functions of the
-//! [`proto::WorkSpec`], results are keyed by link id, and the cross-link
+//! [`WorkSpec`], results are keyed by link id, and the cross-link
 //! combination ([`decompose::combine`]) is a commutative `max`.
 
 #![forbid(unsafe_code)]

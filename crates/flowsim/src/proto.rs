@@ -9,17 +9,16 @@
 //! of ~20 of JSON text.
 //!
 //! The job unit is deliberately *tiny on the wire*: the coordinator
-//! ships the [`WorkSpec`] recipe (topology + matrix + config) **once
-//! per connection**, the worker regenerates the flow trace and
+//! ships the [`WorkSpec`] recipe (topology + matrix + config — the same
+//! `iris_simnet` type every simulation runs from) **once per
+//! connection**, the worker regenerates the flow trace and
 //! decomposition locally (both are deterministic functions of the
-//! spec), and each subsequent job names a link by id alone. Results
-//! stream back as [`WorkerResponse::LinkChunk`] frames so a
-//! million-flow link never exceeds [`iris_wire::frame::MAX_FRAME_LEN`].
+//! spec, cached under its [`fingerprint`]), and each subsequent job
+//! names a link by id alone. Results stream back as
+//! [`WorkerResponse::LinkChunk`] frames so a million-flow link never
+//! exceeds [`iris_wire::frame::MAX_FRAME_LEN`].
 
 use iris_errors::{IrisError, IrisResult};
-use iris_simnet::engine::SimConfig;
-use iris_simnet::trace::FlowTrace;
-use iris_simnet::{SimTopology, Simulator, TrafficMatrix};
 use iris_wire::bin::{Layout, Reader, Wire};
 use iris_wire::{wire_enum, Codec, Protocol};
 use serde::{Deserialize, Serialize};
@@ -29,42 +28,24 @@ use serde::{Deserialize, Serialize};
 /// [`iris_wire::frame::MAX_FRAME_LEN`] too.
 pub const CHUNK_FLOWS: usize = 16_384;
 
-/// The recipe of a simulation run: everything a worker needs to
-/// regenerate the trace and decomposition deterministically.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct WorkSpec {
-    /// The simulated topology.
-    pub topo: SimTopology,
-    /// The initial traffic matrix.
-    pub matrix: TrafficMatrix,
-    /// Full simulator configuration (workload, changes, fabric, seed).
-    pub config: SimConfig,
-}
+pub use iris_simnet::WorkSpec;
 
-impl WorkSpec {
-    /// Materialize the spec's flow trace (deterministic).
-    #[must_use]
-    pub fn trace(&self) -> FlowTrace {
-        Simulator::new(self.topo.clone(), self.matrix.clone(), self.config.clone()).trace()
+/// Content fingerprint of a spec (FNV-1a over its canonical JSON
+/// encoding) — the worker's spec-cache key.
+///
+/// # Panics
+///
+/// Panics if the spec cannot be serialized (all field types are
+/// serializable, so this would be a programming error).
+#[must_use]
+pub fn fingerprint(spec: &WorkSpec) -> u64 {
+    let bytes = serde_json::to_string(spec).expect("spec serializes");
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in bytes.into_bytes() {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
-
-    /// Content fingerprint (FNV-1a over the canonical JSON encoding) —
-    /// the worker's spec-cache key.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spec cannot be serialized (all field types are
-    /// serializable, so this would be a programming error).
-    #[must_use]
-    pub fn fingerprint(&self) -> u64 {
-        let bytes = serde_json::to_string(self).expect("spec serializes");
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in bytes.into_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
-    }
+    h
 }
 
 /// Coordinator → worker.
@@ -237,9 +218,10 @@ pub fn decode_response(codec: Codec, payload: &[u8]) -> IrisResult<WorkerRespons
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iris_simnet::engine::FabricModel;
+    use iris_simnet::engine::{FabricModel, SimConfig};
     use iris_simnet::traffic::ChangeModel;
     use iris_simnet::workloads::FlowSizeDist;
+    use iris_simnet::{SimTopology, TrafficMatrix};
 
     fn spec() -> WorkSpec {
         WorkSpec {
@@ -262,8 +244,8 @@ mod tests {
     fn fingerprint_tracks_spec_content() {
         let a = spec();
         let mut b = spec();
-        assert_eq!(a.fingerprint(), a.fingerprint());
+        assert_eq!(fingerprint(&a), fingerprint(&a));
         b.config.seed = 7;
-        assert_ne!(a.fingerprint(), b.fingerprint());
+        assert_ne!(fingerprint(&a), fingerprint(&b));
     }
 }

@@ -15,7 +15,9 @@
 //! rebuilds it.
 
 use crate::decompose::Decomposition;
-use crate::proto::{decode_request, WorkSpec, WorkerRequest, WorkerResponse, CHUNK_FLOWS};
+use crate::proto::{
+    decode_request, fingerprint, WorkSpec, WorkerRequest, WorkerResponse, CHUNK_FLOWS,
+};
 use iris_errors::{IrisError, IrisResult};
 use iris_simnet::SimTopology;
 use iris_wire::{Codec, Handler, Outbox};
@@ -40,7 +42,7 @@ struct SpecCache {
 
 impl SpecCache {
     fn load(&mut self, spec: &WorkSpec) -> (Arc<(SimTopology, Decomposition)>, bool) {
-        let fp = spec.fingerprint();
+        let fp = fingerprint(spec);
         if let Some((cached_fp, run)) = &self.entry {
             if *cached_fp == fp {
                 return (Arc::clone(run), true);

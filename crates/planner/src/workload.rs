@@ -239,6 +239,11 @@ impl FromStr for FamilyKind {
 /// (surprise) twin.
 const HELD_OUT_SALT: u64 = 0x5EED_0F57_0B57_AC1E;
 
+/// The most matrices a parsed [`FamilySpec`] may name: a family is built
+/// whole ([`FamilySpec::shapes`]), so a command-line count must not demand
+/// unbounded memory. The largest family the repository runs has 8.
+pub const MAX_FAMILY_COUNT: usize = 1024;
+
 /// A matrix-family specification: which shape, how many matrices, which
 /// seed, and the calibration target.
 ///
@@ -458,27 +463,24 @@ impl FromStr for FamilySpec {
     /// Parse `KIND[:COUNT][@SEED]`, e.g. `burst`, `diurnal:8`,
     /// `hotspot:8@42`.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
+        let number = |what: &str, text: &str| {
+            text.parse::<u64>()
+                .map_err(|_| format!("matrix family '{s}': bad {what} '{text}'"))
+        };
         let (head, seed) = match s.split_once('@') {
-            Some((head, seed)) => (
-                head,
-                seed.parse::<u64>()
-                    .map_err(|_| format!("matrix family '{s}': bad seed '{seed}'"))?,
-            ),
+            Some((head, seed)) => (head, number("seed", seed)?),
             None => (s, 42),
         };
         let (kind, count) = match head.split_once(':') {
-            Some((kind, count)) => (
-                kind,
-                count
-                    .parse::<usize>()
-                    .map_err(|_| format!("matrix family '{s}': bad count '{count}'"))?,
-            ),
+            Some((kind, count)) => (kind, number("count", count)?),
             None => (head, 8),
         };
-        if count == 0 {
-            return Err(format!("matrix family '{s}': count must be positive"));
+        if !(1..=MAX_FAMILY_COUNT as u64).contains(&count) {
+            return Err(format!(
+                "matrix family '{s}': count {count} is outside 1..={MAX_FAMILY_COUNT}"
+            ));
         }
-        Ok(FamilySpec::new(kind.parse()?, count, seed))
+        Ok(FamilySpec::new(kind.parse()?, count as usize, seed))
     }
 }
 
@@ -849,6 +851,13 @@ mod tests {
         assert!("burst:zero".parse::<FamilySpec>().is_err());
         assert!("burst:0".parse::<FamilySpec>().is_err());
         assert!("burst:4@soon".parse::<FamilySpec>().is_err());
+        let most = format!("hotspot:{MAX_FAMILY_COUNT}@1");
+        assert_eq!(most.parse::<FamilySpec>().unwrap().count, MAX_FAMILY_COUNT);
+        let err = "burst:1000000000000@42".parse::<FamilySpec>().unwrap_err();
+        assert!(
+            err.contains(&format!("outside 1..={MAX_FAMILY_COUNT}")),
+            "{err}"
+        );
     }
 
     #[test]

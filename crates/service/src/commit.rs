@@ -334,10 +334,9 @@ pub(crate) fn publish_and_deliver<'a>(
         if let Some(next) = commit.snapshot {
             epoch_g.set(next.epoch as i64);
             let _publish = trace::span("publish");
-            match shared.facts.publish(Arc::clone(&next)) {
+            match shared.facts.publish(next) {
                 Ok(p) => {
                     *write_lock(&shared.published) = Arc::new(p);
-                    shared.cell.store(next);
                     published = true;
                 }
                 Err(_) => fatal = true,

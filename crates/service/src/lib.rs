@@ -33,9 +33,10 @@
 //! * **Reads are pre-serialized snapshot reads.** Every `GetPlan` /
 //!   `GetTopology` is answered from reply frames serialized once per
 //!   epoch, in both codecs, when the snapshot is published — the
-//!   per-request cost is a memcpy. `QueryPath` / `Health` read the same
-//!   immutable `Arc<StateSnapshot>` ([`state::SnapshotCell`]); the only
-//!   synchronization on the read path is an `Arc` clone.
+//!   per-request cost is a memcpy. `QueryPath` / `Health` read the
+//!   immutable `Arc<StateSnapshot>` published beside those frames, in
+//!   the same cell; the only synchronization on the read path is an
+//!   `Arc` clone.
 //! * **Writes are single-threaded, coalesced, and paced by the fsync.**
 //!   `UpdateDemand` and `ReportFiberCut` flow through a bounded queue
 //!   to one mutator thread, which drains what has queued, keeps only
@@ -98,5 +99,5 @@ pub use frame::{MAX_FRAME_LEN, TRACE_FLAG};
 pub use loadgen::{run_loadgen, GeoPopulation, LoadReport, LoadgenConfig};
 pub use recovery::{recover, ControlMachine, CutReply, ReplayStats};
 pub use server::{serve, ServiceConfig, ServiceHandle};
-pub use state::{SnapshotCell, StateSnapshot};
+pub use state::StateSnapshot;
 pub use wal::{read_log, read_snapshot, PersistedSnapshot, Salvage, Wal, WalBatch};

@@ -149,7 +149,7 @@ impl Pump<'_> {
             *next_epoch = follower.epoch + 1;
             Ok(())
         })?;
-        if *next_epoch > shared.cell.load().epoch {
+        if *next_epoch > shared.snapshot().epoch {
             return Ok(false);
         }
         let entry = {
@@ -177,7 +177,7 @@ impl Pump<'_> {
                 Err(e) => return Err(e),
             }
         }
-        let snap = shared.cell.load();
+        let snap = shared.snapshot();
         let state = serde_json::to_string(&PersistedSnapshot::from_state(&snap))
             .map_err(|_| unexpected("serializing the state"))?;
         let sync = Request::SyncState {

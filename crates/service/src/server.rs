@@ -34,7 +34,7 @@ use crate::commit::{mutator_loop, publish_and_deliver, DeferredReply, ReplOp, Wr
 use crate::frame::append_frame_with;
 use crate::recovery::{self, ControlMachine, CutReply, ReplayStats};
 use crate::replicate::{replicator_loop, PeerState, ReplEntry};
-use crate::state::{SnapshotCell, StateSnapshot};
+use crate::state::StateSnapshot;
 use crate::wal::{DurableState, Wal};
 use iris_control::Controller;
 use iris_errors::{IrisError, IrisResult};
@@ -198,8 +198,8 @@ impl RegionFacts {
 
 /// State shared by the shard handlers, the mutator and the replicators.
 pub(crate) struct Shared {
-    pub(crate) cell: SnapshotCell,
-    /// The pre-serialized read-path buffers, swapped once per epoch.
+    /// The one publication cell: the current snapshot and its
+    /// pre-serialized replies, swapped once per epoch by the commit step.
     pub(crate) published: RwLock<Arc<Published>>,
     pub(crate) facts: RegionFacts,
     retry_after_ms: u64,
@@ -235,12 +235,17 @@ pub(crate) struct Shared {
     coalesce_window_ms: u64,
 }
 impl Shared {
+    /// The currently published snapshot (an `Arc` clone under the lock).
+    pub(crate) fn snapshot(&self) -> Arc<StateSnapshot> {
+        Arc::clone(&read_lock(&self.published).snap)
+    }
+
     /// Per-peer replication status rows for `Health` and `iris top`.
     /// Lag is measured in epochs (exact and deterministic); the modeled
     /// ms figure assumes one batch per coalesce window plus 1 ms of
     /// shipping.
     fn peer_infos(&self) -> Vec<PeerInfo> {
-        let epoch = self.cell.load().epoch;
+        let epoch = self.snapshot().epoch;
         self.peers
             .iter()
             .map(|p| {
@@ -279,7 +284,7 @@ impl ServiceHandle {
     /// The currently published state snapshot (what readers see).
     #[must_use]
     pub fn current_snapshot(&self) -> Arc<StateSnapshot> {
-        self.shared.cell.load()
+        self.shared.snapshot()
     }
 
     /// What WAL recovery replayed at startup. `None` when the server
@@ -406,7 +411,6 @@ pub fn serve(region: Region, config: &ServiceConfig) -> IrisResult<ServiceHandle
     };
     let published = facts.publish(Arc::clone(&boot_snap))?;
     let shared = Arc::new(Shared {
-        cell: SnapshotCell::new((*boot_snap).clone()),
         published: RwLock::new(Arc::new(published)),
         facts,
         retry_after_ms: config.retry_after_ms(),

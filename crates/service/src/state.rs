@@ -2,19 +2,17 @@
 //! the single mutator thread.
 //!
 //! Readers never contend with writes: every read request is served from
-//! one [`Arc<StateSnapshot>`] obtained by [`SnapshotCell::load`], whose
-//! critical section is a single `Arc` clone. The mutator builds the next
-//! snapshot entirely off-lock — applying a whole coalesced write batch —
-//! and publishes it with one pointer swap in [`SnapshotCell::store`].
+//! one `Arc<StateSnapshot>`, cloned out of the server's publication
+//! cell. The mutator builds the next snapshot entirely off-lock —
+//! applying a whole coalesced write batch — and the commit step
+//! publishes it, with its pre-serialized replies, in one pointer swap.
 //! The epoch increments on every publish, so clients can observe write
 //! batches becoming visible.
 
 use crate::api::{AllocEntry, RecoverySummary};
 use iris_netgraph::EdgeId;
-use iris_telemetry::{read_lock, write_lock};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::sync::{Arc, RwLock};
 
 /// The surviving route one DC pair's circuit rides.
 #[derive(Debug, Clone, PartialEq)]
@@ -130,60 +128,9 @@ impl StateSnapshot {
     }
 }
 
-/// The publication point: readers `load`, the mutator `store`.
-///
-/// A true RCU cell needs atomics over raw pointers; the workspace
-/// forbids `unsafe`, so this wraps `RwLock<Arc<_>>` and keeps both
-/// critical sections to a refcount bump / pointer swap. Snapshot
-/// construction — the expensive part — happens entirely outside the
-/// lock, so readers block only for the swap itself.
-#[derive(Debug, Default)]
-pub struct SnapshotCell {
-    current: RwLock<Arc<StateSnapshot>>,
-}
-
-impl SnapshotCell {
-    /// A cell publishing `initial` at epoch 0.
-    #[must_use]
-    pub fn new(initial: StateSnapshot) -> Self {
-        Self {
-            current: RwLock::new(Arc::new(initial)),
-        }
-    }
-
-    /// The current snapshot. Cheap: one `Arc` clone under a read lock.
-    #[must_use]
-    pub fn load(&self) -> Arc<StateSnapshot> {
-        Arc::clone(&read_lock(&self.current))
-    }
-
-    /// Publish `next` as the current snapshot.
-    pub fn store(&self, next: Arc<StateSnapshot>) {
-        *write_lock(&self.current) = next;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn load_returns_published_snapshot() {
-        let cell = SnapshotCell::new(StateSnapshot {
-            epoch: 0,
-            ..StateSnapshot::default()
-        });
-        assert_eq!(cell.load().epoch, 0);
-
-        let mut next = (*cell.load()).clone();
-        next.epoch = 1;
-        next.allocation.insert((0, 1), 2);
-        cell.store(Arc::new(next));
-
-        let snap = cell.load();
-        assert_eq!(snap.epoch, 1);
-        assert_eq!(snap.allocation.get(&(0, 1)), Some(&2));
-    }
 
     #[test]
     fn state_crc_fingerprints_the_whole_snapshot() {
@@ -195,18 +142,5 @@ mod tests {
         let mut c = b.clone();
         c.epoch = 9;
         assert_ne!(b.state_crc(), c.state_crc(), "epoch change shows");
-    }
-
-    #[test]
-    fn old_readers_keep_their_snapshot_across_publishes() {
-        let cell = SnapshotCell::new(StateSnapshot::default());
-        let held = cell.load();
-        let mut next = (*held).clone();
-        next.epoch = 5;
-        cell.store(Arc::new(next));
-        // The reader that loaded before the swap still sees epoch 0; new
-        // loads see epoch 5.
-        assert_eq!(held.epoch, 0);
-        assert_eq!(cell.load().epoch, 5);
     }
 }

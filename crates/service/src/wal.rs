@@ -245,11 +245,11 @@ pub fn read_log(path: &Path) -> IrisResult<(Vec<WalBatch>, Salvage)> {
 /// # Errors
 ///
 /// [`IrisError::Io`] if the file exists but cannot be read;
-/// [`IrisError::Corrupt`] if it does not parse as a
+/// [`IrisError::Corrupt`] if it is not UTF-8 or does not parse as a
 /// [`PersistedSnapshot`].
 pub fn read_snapshot(path: &Path) -> IrisResult<Option<PersistedSnapshot>> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
+    let bytes = match std::fs::read(path) {
+        Ok(b) => b,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(e) => {
             return Err(IrisError::Io {
@@ -257,12 +257,15 @@ pub fn read_snapshot(path: &Path) -> IrisResult<Option<PersistedSnapshot>> {
             })
         }
     };
-    serde_json::from_str(&text)
+    let corrupt = |detail| IrisError::Corrupt {
+        what: path.display().to_string(),
+        detail,
+    };
+    // Bytes that are not text are damaged state, not an I/O failure.
+    let text = std::str::from_utf8(&bytes).map_err(|e| corrupt(format!("not UTF-8: {e}")))?;
+    serde_json::from_str(text)
         .map(Some)
-        .map_err(|e| IrisError::Corrupt {
-            what: path.display().to_string(),
-            detail: format!("not a persisted snapshot: {e}"),
-        })
+        .map_err(|e| corrupt(format!("not a persisted snapshot: {e}")))
 }
 
 /// An open write-ahead log plus its snapshot slot.

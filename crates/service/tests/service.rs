@@ -160,6 +160,51 @@ fn updates_apply_and_advance_the_epoch() {
     handle.shutdown();
 }
 
+/// Write one update through the server and return the epoch its
+/// acknowledgement names.
+fn update(client: &mut ServiceClient, (a, b): (usize, usize), circuits: u32) -> u64 {
+    match client
+        .call(&Request::UpdateDemand { a, b, circuits })
+        .unwrap()
+    {
+        Response::DemandAccepted { epoch, .. } => epoch,
+        other => panic!("expected DemandAccepted, got {other:?}"),
+    }
+}
+
+#[test]
+fn load_returns_published_snapshot() {
+    let mut handle = serve(region(12, 4), &test_config()).expect("serve");
+    let boot = handle.current_snapshot();
+    assert_eq!(boot.epoch, 0);
+    let pair = *boot.allocation.keys().next().expect("a seeded pair");
+    let mut client = client_for(&handle);
+
+    // The acknowledgement leaves after the publish, so the snapshot the
+    // write produced is already the one readers load.
+    let epoch = update(&mut client, pair, 2);
+    let snap = handle.current_snapshot();
+    assert_eq!(snap.epoch, epoch);
+    assert_eq!(snap.allocation.get(&pair), Some(&2));
+    handle.shutdown();
+}
+
+#[test]
+fn old_readers_keep_their_snapshot_across_publishes() {
+    let mut handle = serve(region(12, 4), &test_config()).expect("serve");
+    let held = handle.current_snapshot();
+    let pair = *held.allocation.keys().next().expect("a seeded pair");
+    let mut client = client_for(&handle);
+
+    let epoch = update(&mut client, pair, 5);
+    // The reader that loaded before the swap still sees the boot state;
+    // new loads see the write.
+    assert_eq!((held.epoch, held.allocation.get(&pair)), (0, Some(&1)));
+    let now = handle.current_snapshot();
+    assert_eq!((now.epoch, now.allocation.get(&pair)), (epoch, Some(&5)));
+    handle.shutdown();
+}
+
 #[test]
 fn fiber_cut_recovers_and_reroutes_queryable_paths() {
     let mut handle = serve(region(13, 5), &test_config()).expect("serve");

@@ -1,32 +1,27 @@
-//! The event-driven fluid simulator.
+//! The exact event-driven fluid engine.
 //!
-//! Flows arrive in a Poisson process, draw a size from the workload
-//! distribution and a DC pair from the (evolving) traffic matrix, and
-//! receive their **max-min fair share** of the links on their route —
-//! recomputed by progressive water-filling at every event. Between
-//! events, rates are constant, so flow progress is exact (no time
-//! stepping).
+//! Its input is a recorded workload, a [`FlowTrace`]: when flows arrive,
+//! which DC pair and size each one drew, and how much traffic each
+//! matrix change moved ([`crate::trace::WorkSpec::trace`] draws one from
+//! a seeded recipe). Every flow receives its **max-min fair share** of
+//! the links on its route — recomputed by progressive water-filling at
+//! every event. Between events, rates are constant, so flow progress is
+//! exact (no time stepping).
 //!
 //! Reconfiguration is modeled as the paper measures it: every matrix
 //! change, the circuits being re-homed go dark for the OSS switching
 //! time (~70 ms), reducing each link's available capacity by the moved
-//! traffic fraction. The EPS baseline sees the same arrivals and matrix
-//! changes but never loses capacity.
+//! traffic fraction. The EPS baseline replays the same arrivals and
+//! matrix changes but never loses capacity.
 //!
-//! The event loop itself (`drive`) is parameterized over an
-//! `EventSource` so that two producers share one float-identical
-//! implementation: the live RNG-backed source used by
-//! [`Simulator::run`], and the list-backed source used by
-//! [`crate::trace::FlowTrace::replay`] — which is how the decomposed
-//! estimator in `iris-flowsim` validates against this exact simulator
-//! on the *same* arrival sequence.
+//! The event loop (`drive`) has one caller, [`FlowTrace::replay`], so
+//! the exact engine and the decomposed estimator in `iris-flowsim`
+//! always consume the *same* arrival sequence.
 
 use crate::topology::SimTopology;
-use crate::trace::{FlowTrace, TraceArrival, TraceFlow};
-use crate::traffic::{pair_index, ChangeModel, TrafficMatrix};
+use crate::trace::FlowTrace;
+use crate::traffic::{pair_index, ChangeModel};
 use crate::workloads::FlowSizeDist;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
@@ -79,9 +74,9 @@ pub struct CapacityEvent {
     pub links: Option<Vec<crate::topology::LinkId>>,
 }
 
-/// Full simulation configuration. Serializable so a distributed
-/// flow-simulation job can ship the *recipe* for a run (topology +
-/// matrix + config) instead of the run's flows.
+/// Full simulation configuration: the `config` of a
+/// [`crate::trace::WorkSpec`] run recipe, serialized with it when a
+/// distributed flow-simulation job ships the recipe.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimConfig {
     /// Simulated seconds.
@@ -105,19 +100,6 @@ pub struct SimConfig {
     pub seed: u64,
 }
 
-/// The simulator.
-#[derive(Debug)]
-pub struct Simulator {
-    topo: SimTopology,
-    matrix: TrafficMatrix,
-    config: SimConfig,
-    /// Global flow arrival rate (flows/s), fixed by the utilization
-    /// calibration on the initial matrix.
-    arrival_rate: f64,
-    /// Mean flow size, bits (cached).
-    mean_bits: f64,
-}
-
 #[derive(Debug, Clone)]
 struct ActiveFlow {
     pair: (usize, usize),
@@ -127,378 +109,19 @@ struct ActiveFlow {
     rate_gbps: f64,
 }
 
-impl Simulator {
-    /// Create a simulator; calibrates the arrival rate so that the
-    /// expected load of the most-utilized link matches
-    /// `config.utilization` under the initial matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the topology and matrix disagree on the DC count or the
-    /// utilization is outside (0, 1).
-    #[must_use]
-    pub fn new(topo: SimTopology, matrix: TrafficMatrix, config: SimConfig) -> Self {
-        assert_eq!(topo.n_dcs, matrix.n_dcs(), "topology/matrix DC mismatch");
-        assert!(
-            config.utilization > 0.0 && config.utilization < 1.0,
-            "utilization must be in (0, 1)"
-        );
-        // Expected per-link load for unit total offered Gbps.
-        let n = topo.n_dcs;
-        let mut unit_load = vec![0.0f64; topo.links.len()];
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let w = matrix.weight(i, j);
-                for &l in topo.route(i, j) {
-                    unit_load[l] += w;
-                }
-            }
-        }
-        let max_rel = unit_load
-            .iter()
-            .zip(&topo.links)
-            .map(|(&u, l)| u / l.capacity_gbps)
-            .fold(0.0f64, f64::max);
-        assert!(max_rel > 0.0, "matrix offers no load to any link");
-        let offered_gbps = config.utilization / max_rel;
-        let mean_bits = config.flow_sizes.mean_bytes() * 8.0;
-        let arrival_rate = offered_gbps * 1e9 / mean_bits;
-        Self {
-            topo,
-            matrix,
-            config,
-            arrival_rate,
-            mean_bits,
-        }
-    }
+/// The event loop: max-min rate recompute at every event, exact fluid
+/// progress between events, reconfiguration outages under
+/// [`FabricModel::Iris`], arrivals and matrix changes read from `trace`.
+/// Returns all flows that *finished* within the simulated duration.
+pub(crate) fn drive(topo: &SimTopology, trace: &FlowTrace) -> Vec<FlowRecord> {
+    let duration = trace.duration_s;
+    let capacity_events = &trace.capacity_events;
+    // The trace's cursor: the next arrival tick and matrix change.
+    let change_interval = trace.change_interval_s.unwrap_or(f64::INFINITY);
+    let mut arrival_idx = 0usize;
+    let mut change_idx = 0usize;
+    let mut next_change = change_interval;
 
-    /// Clamp the matrix so no link's *expected* offered load exceeds its
-    /// capacity (see [`clamp_matrix_to_capacity`]).
-    fn clamp_matrix(&mut self) {
-        clamp_matrix_to_capacity(
-            &self.topo,
-            &mut self.matrix,
-            self.arrival_rate,
-            self.mean_bits,
-        );
-    }
-
-    /// Calibrated global arrival rate, flows/s.
-    #[must_use]
-    pub fn arrival_rate(&self) -> f64 {
-        self.arrival_rate
-    }
-
-    /// Snapshot the effective run parameters (after arrival-rate
-    /// calibration) for reproducibility sidecars.
-    #[must_use]
-    pub fn manifest(&self) -> RunManifest {
-        RunManifest {
-            seed: self.config.seed,
-            duration_s: self.config.duration_s,
-            utilization: self.config.utilization,
-            flow_size_dist: self.config.flow_sizes.name.clone(),
-            change_interval_s: self.config.change_interval_s,
-            change_model: self.config.change_model,
-            fabric: self.config.fabric,
-            capacity_event_count: self.config.capacity_events.len(),
-            n_dcs: self.topo.n_dcs,
-            arrival_rate_flows_per_s: self.arrival_rate,
-        }
-    }
-
-    /// Like [`Simulator::run`], but pairs the completed-flow records
-    /// with a [`RunManifest`] recording the seed and configuration that
-    /// produced them.
-    #[must_use]
-    pub fn run_recorded(self) -> SimRun {
-        let manifest = self.manifest();
-        let records = self.run();
-        SimRun { manifest, records }
-    }
-
-    /// Run to completion, returning all flows that *finished* within the
-    /// simulated duration.
-    #[must_use]
-    pub fn run(mut self) -> Vec<FlowRecord> {
-        self.clamp_matrix();
-        let Simulator {
-            topo,
-            matrix,
-            config,
-            arrival_rate,
-            mean_bits,
-        } = self;
-        let duration = config.duration_s;
-        let fabric = config.fabric;
-        let mut src = RngSource::new(
-            &topo,
-            matrix,
-            config.flow_sizes,
-            config.change_model,
-            config.change_interval_s,
-            arrival_rate,
-            mean_bits,
-            config.seed,
-        );
-        drive(&topo, duration, fabric, &config.capacity_events, &mut src)
-    }
-
-    /// Materialize this run's *workload* — every admitted arrival with
-    /// its pair and size, every thinned (non-admitted) arrival tick, and
-    /// the moved-traffic fraction of every matrix change — without
-    /// simulating any flow dynamics.
-    ///
-    /// Arrival times, admission decisions and change magnitudes depend
-    /// only on the RNG and the (clamped, evolving) matrix, never on flow
-    /// progress, so this replays exactly the draw sequence
-    /// [`Simulator::run`] would consume. The returned
-    /// [`FlowTrace`] therefore satisfies `trace.replay(&topo) ==
-    /// sim.run()` float-for-float, and is what the decomposed
-    /// per-link estimator consumes. Costs O(flows), no water-filling.
-    #[must_use]
-    pub fn trace(mut self) -> FlowTrace {
-        self.clamp_matrix();
-        let Simulator {
-            topo,
-            matrix,
-            config,
-            arrival_rate,
-            mean_bits,
-        } = self;
-        let duration = config.duration_s;
-        let mut src = RngSource::new(
-            &topo,
-            matrix,
-            config.flow_sizes,
-            config.change_model,
-            config.change_interval_s,
-            arrival_rate,
-            mean_bits,
-            config.seed,
-        );
-        let mut arrivals = Vec::new();
-        let mut change_fractions = Vec::new();
-        loop {
-            let ta = src.next_arrival();
-            let tc = src.next_change();
-            if ta.min(tc) >= duration {
-                break;
-            }
-            if ta <= tc {
-                let flow = src
-                    .pop_arrival(ta)
-                    .map(|(pair, size_bytes)| TraceFlow { pair, size_bytes });
-                arrivals.push(TraceArrival { start_s: ta, flow });
-            } else {
-                change_fractions.push(src.pop_change(tc));
-            }
-        }
-        FlowTrace {
-            n_dcs: topo.n_dcs,
-            duration_s: duration,
-            change_interval_s: config.change_interval_s,
-            fabric: config.fabric,
-            capacity_events: config.capacity_events,
-            arrivals,
-            change_fractions,
-        }
-    }
-}
-
-/// The parameters that produced a simulation run, captured alongside
-/// its [`FlowRecord`]s so results are reproducible from the artifact
-/// alone.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RunManifest {
-    /// RNG seed for arrivals and sizes.
-    pub seed: u64,
-    /// Simulated seconds.
-    pub duration_s: f64,
-    /// Target peak link utilization (0-1).
-    pub utilization: f64,
-    /// Flow-size distribution name.
-    pub flow_size_dist: String,
-    /// Seconds between traffic-matrix changes (`None` = static).
-    pub change_interval_s: Option<f64>,
-    /// Matrix change model.
-    pub change_model: ChangeModel,
-    /// Fabric behaviour.
-    pub fabric: FabricModel,
-    /// Number of scheduled capacity disturbances.
-    pub capacity_event_count: usize,
-    /// Data centers in the simulated topology.
-    pub n_dcs: usize,
-    /// Calibrated global arrival rate, flows/s.
-    pub arrival_rate_flows_per_s: f64,
-}
-
-/// A simulation's results plus the manifest that reproduces them.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SimRun {
-    /// The parameters that produced the run.
-    pub manifest: RunManifest,
-    /// All flows that completed within the simulated duration.
-    pub records: Vec<FlowRecord>,
-}
-
-/// Clamp the matrix so no link's *expected* offered load exceeds its
-/// capacity. §6.3 assumes "provisioning is sufficient to handle the
-/// traffic before and after the reconfiguration"; without this, an
-/// unbounded matrix change could concentrate more load on one
-/// circuit than it could ever carry and flows would back up without
-/// bound. The clamp thins the affected pairs' arrivals (traffic that
-/// the provisioned circuits genuinely cannot admit).
-pub(crate) fn clamp_matrix_to_capacity(
-    topo: &SimTopology,
-    matrix: &mut TrafficMatrix,
-    arrival_rate: f64,
-    mean_bits: f64,
-) {
-    const HEADROOM: f64 = 0.95;
-    let offered_per_weight = arrival_rate * mean_bits / 1e9; // Gbps at weight 1
-    let n = topo.n_dcs;
-    for _ in 0..32 {
-        let mut load = vec![0.0f64; topo.links.len()];
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let w = matrix.weight(i, j);
-                for &l in topo.route(i, j) {
-                    load[l] += w * offered_per_weight;
-                }
-            }
-        }
-        let mut factor = vec![1.0f64; crate::traffic::pair_count(n)];
-        let mut any = false;
-        for (l, &ld) in load.iter().enumerate() {
-            let cap = topo.links[l].capacity_gbps * HEADROOM;
-            if ld > cap {
-                any = true;
-                let f = cap / ld;
-                for i in 0..n {
-                    for j in (i + 1)..n {
-                        if topo.route(i, j).contains(&l) {
-                            let idx = pair_index(n, i, j);
-                            factor[idx] = factor[idx].min(f);
-                        }
-                    }
-                }
-            }
-        }
-        if !any {
-            break;
-        }
-        matrix.rescale(|idx, _| factor[idx]);
-    }
-}
-
-/// What the event loop pulls from its workload producer: the time of
-/// the next arrival and matrix change, plus the state transitions when
-/// one fires. Implemented by the live RNG source ([`Simulator::run`])
-/// and by the recorded-trace source ([`FlowTrace::replay`]); [`drive`]
-/// contains every other line of the loop, so the two runs perform the
-/// same float operations in the same order.
-pub(crate) trait EventSource {
-    /// Scheduled time of the next flow arrival (admitted or thinned).
-    fn next_arrival(&self) -> f64;
-    /// Scheduled time of the next traffic-matrix change.
-    fn next_change(&self) -> f64;
-    /// Consume the pending arrival at `now`; `Some((pair, size_bytes))`
-    /// when the arrival is admitted, `None` when capacity clamping
-    /// thinned it away.
-    fn pop_arrival(&mut self, now: f64) -> Option<((usize, usize), f64)>;
-    /// Consume the pending matrix change at `now`, returning the moved
-    /// traffic fraction.
-    fn pop_change(&mut self, now: f64) -> f64;
-}
-
-/// The live source: arrivals from a seeded Poisson process, pairs and
-/// sizes drawn per arrival, matrix changes applied and re-clamped in
-/// place.
-pub(crate) struct RngSource<'a> {
-    topo: &'a SimTopology,
-    matrix: TrafficMatrix,
-    flow_sizes: FlowSizeDist,
-    change_model: ChangeModel,
-    change_interval_s: Option<f64>,
-    arrival_rate: f64,
-    mean_bits: f64,
-    rng: StdRng,
-    next_arrival: f64,
-    next_change: f64,
-}
-
-impl<'a> RngSource<'a> {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        topo: &'a SimTopology,
-        matrix: TrafficMatrix,
-        flow_sizes: FlowSizeDist,
-        change_model: ChangeModel,
-        change_interval_s: Option<f64>,
-        arrival_rate: f64,
-        mean_bits: f64,
-        seed: u64,
-    ) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let next_arrival = sample_exp(&mut rng, arrival_rate);
-        Self {
-            topo,
-            matrix,
-            flow_sizes,
-            change_model,
-            change_interval_s,
-            arrival_rate,
-            mean_bits,
-            rng,
-            next_arrival,
-            next_change: change_interval_s.unwrap_or(f64::INFINITY),
-        }
-    }
-}
-
-impl EventSource for RngSource<'_> {
-    fn next_arrival(&self) -> f64 {
-        self.next_arrival
-    }
-
-    fn next_change(&self) -> f64 {
-        self.next_change
-    }
-
-    fn pop_arrival(&mut self, now: f64) -> Option<((usize, usize), f64)> {
-        // `sample_pair` thins arrivals when the clamp has reduced the
-        // total admitted weight below 1.
-        let admitted = sample_pair(&mut self.rng, &self.matrix)
-            .map(|pair| (pair, self.flow_sizes.sample(&mut self.rng)));
-        self.next_arrival = now + sample_exp(&mut self.rng, self.arrival_rate);
-        admitted
-    }
-
-    fn pop_change(&mut self, now: f64) -> f64 {
-        let moved = self.matrix.change(self.change_model);
-        clamp_matrix_to_capacity(
-            self.topo,
-            &mut self.matrix,
-            self.arrival_rate,
-            self.mean_bits,
-        );
-        self.next_change = now + self.change_interval_s.expect("change scheduled");
-        moved
-    }
-}
-
-/// The shared event loop: max-min rate recompute at every event, exact
-/// fluid progress between events, reconfiguration outages under
-/// [`FabricModel::Iris`]. Returns all flows that *finished* within the
-/// simulated duration.
-pub(crate) fn drive<S: EventSource>(
-    topo: &SimTopology,
-    duration: f64,
-    fabric: FabricModel,
-    capacity_events: &[CapacityEvent],
-    src: &mut S,
-) -> Vec<FlowRecord> {
     let telemetry = iris_telemetry::global();
     let outage_hist = telemetry.histogram("iris_simnet_reconfig_outage_s");
     let event_wall = telemetry.histogram("iris_simnet_event_wall_s");
@@ -542,8 +165,10 @@ pub(crate) fn drive<S: EventSource>(
         };
         events += 1;
         let keep_running = 'event: {
-            let next_arrival = src.next_arrival();
-            let next_change = src.next_change();
+            let next_arrival = trace
+                .arrivals
+                .get(arrival_idx)
+                .map_or(f64::INFINITY, |a| a.start_s);
             // Per-link capacity scaling: reconfiguration outage (global)
             // times any scheduled events covering the link.
             let outage_scale = if now < outage_until {
@@ -661,22 +286,30 @@ pub(crate) fn drive<S: EventSource>(
             }
 
             if now >= next_arrival - 1e-15 && next_arrival <= next_change {
-                if let Some((pair, size)) = src.pop_arrival(now) {
+                // A thinned tick (no flow) still advances the cursor.
+                if let Some(flow) = trace.arrivals[arrival_idx].flow {
                     flows.push(ActiveFlow {
-                        pair,
-                        size_bytes: size,
-                        remaining_bits: size * 8.0,
+                        pair: flow.pair,
+                        size_bytes: flow.size_bytes,
+                        remaining_bits: flow.size_bytes * 8.0,
                         start_s: now,
                         rate_gbps: 0.0,
                     });
                     arrivals += 1;
                 }
+                arrival_idx += 1;
                 break 'event true;
             }
 
             if now >= next_change - 1e-15 {
-                let moved = src.pop_change(now);
-                if let FabricModel::Iris { outage_s } = fabric {
+                let moved = trace
+                    .change_fractions
+                    .get(change_idx)
+                    .copied()
+                    .unwrap_or(0.0);
+                change_idx += 1;
+                next_change = now + change_interval;
+                if let FabricModel::Iris { outage_s } = trace.fabric {
                     outage_fraction = moved.clamp(0.0, 0.9);
                     if outage_fraction > 0.0 {
                         outage_until = now + outage_s;
@@ -826,32 +459,11 @@ pub fn max_min_rates(
     rounds
 }
 
-fn sample_exp<R: Rng + ?Sized>(rng: &mut R, rate: f64) -> f64 {
-    let u: f64 = rng.random_range(f64::MIN_POSITIVE..1.0);
-    -u.ln() / rate
-}
-
-/// Sample a DC pair proportionally to weight. Weights may sum to less
-/// than 1 after capacity clamping; the shortfall thins the arrival
-/// process (`None` = this arrival is not admitted).
-fn sample_pair<R: Rng + ?Sized>(rng: &mut R, matrix: &TrafficMatrix) -> Option<(usize, usize)> {
-    let mut target: f64 = rng.random_range(0.0..1.0);
-    let n = matrix.n_dcs();
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let w = matrix.weights()[pair_index(n, i, j)];
-            if target < w {
-                return Some((i, j));
-            }
-            target -= w;
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::WorkSpec;
+    use crate::traffic::TrafficMatrix;
 
     fn base_config(fabric: FabricModel) -> SimConfig {
         SimConfig {
@@ -935,12 +547,19 @@ mod tests {
         }
     }
 
+    /// The recipe every run test starts from: a 1 Gbps hub-and-spoke
+    /// region and a heavy-tailed matrix.
+    fn spec(n_dcs: usize, matrix_seed: u64, config: SimConfig) -> WorkSpec {
+        WorkSpec {
+            topo: SimTopology::hub_and_spoke(n_dcs, 1.0),
+            matrix: TrafficMatrix::heavy_tailed(n_dcs, matrix_seed),
+            config,
+        }
+    }
+
     #[test]
     fn simulation_completes_flows() {
-        let topo = SimTopology::hub_and_spoke(4, 1.0);
-        let matrix = TrafficMatrix::heavy_tailed(4, 7);
-        let sim = Simulator::new(topo, matrix, base_config(FabricModel::Eps));
-        let records = sim.run();
+        let records = spec(4, 7, base_config(FabricModel::Eps)).run();
         assert!(
             records.len() > 100,
             "only {} flows completed",
@@ -954,10 +573,8 @@ mod tests {
 
     #[test]
     fn identical_seeds_identical_eps_runs() {
-        let topo = SimTopology::hub_and_spoke(4, 1.0);
-        let matrix = TrafficMatrix::heavy_tailed(4, 7);
-        let a = Simulator::new(topo.clone(), matrix.clone(), base_config(FabricModel::Eps)).run();
-        let b = Simulator::new(topo, matrix, base_config(FabricModel::Eps)).run();
+        let a = spec(4, 7, base_config(FabricModel::Eps)).run();
+        let b = spec(4, 7, base_config(FabricModel::Eps)).run();
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.pair, y.pair);
@@ -967,14 +584,12 @@ mod tests {
 
     #[test]
     fn iris_outages_slow_some_flows() {
-        let topo = SimTopology::hub_and_spoke(4, 1.0);
-        let matrix = TrafficMatrix::heavy_tailed(4, 7);
         let mut cfg = base_config(FabricModel::Iris { outage_s: 0.07 });
         cfg.utilization = 0.7;
         cfg.change_model = ChangeModel::Unbounded;
-        let iris = Simulator::new(topo.clone(), matrix.clone(), cfg.clone()).run();
+        let iris = spec(4, 7, cfg.clone()).run();
         cfg.fabric = FabricModel::Eps;
-        let eps = Simulator::new(topo, matrix, cfg).run();
+        let eps = spec(4, 7, cfg).run();
         let sum_iris: f64 = iris.iter().map(|r| r.fct_s).sum();
         let sum_eps: f64 = eps.iter().map(|r| r.fct_s).sum();
         // Same arrivals; Iris can only be equal or slower in aggregate.
@@ -984,19 +599,17 @@ mod tests {
     #[test]
     fn scheduled_brownout_slows_flows() {
         // Same arrivals; a 50% brownout for 2 s must increase total FCT.
-        let topo = SimTopology::hub_and_spoke(4, 1.0);
-        let matrix = TrafficMatrix::heavy_tailed(4, 7);
         let mut cfg = base_config(FabricModel::Eps);
         cfg.utilization = 0.6;
         cfg.change_interval_s = None;
-        let clean = Simulator::new(topo.clone(), matrix.clone(), cfg.clone()).run();
+        let clean = spec(4, 7, cfg.clone()).run();
         cfg.capacity_events = vec![CapacityEvent {
             start_s: 1.0,
             duration_s: 2.0,
             capacity_factor: 0.5,
             links: None,
         }];
-        let browned = Simulator::new(topo, matrix, cfg).run();
+        let browned = spec(4, 7, cfg).run();
         let sum = |r: &[FlowRecord]| r.iter().map(|f| f.fct_s).sum::<f64>();
         assert!(
             sum(&browned) > sum(&clean),
@@ -1011,8 +624,6 @@ mod tests {
         // Full outage on spoke 0 for the whole run: flows between DCs
         // 1-3 (spokes 1..3 only) still complete; all completed flows
         // avoid DC 0.
-        let topo = SimTopology::hub_and_spoke(4, 1.0);
-        let matrix = TrafficMatrix::heavy_tailed(4, 7);
         let mut cfg = base_config(FabricModel::Eps);
         cfg.change_interval_s = None;
         cfg.capacity_events = vec![CapacityEvent {
@@ -1021,7 +632,7 @@ mod tests {
             capacity_factor: 0.0,
             links: Some(vec![0]),
         }];
-        let records = Simulator::new(topo, matrix, cfg).run();
+        let records = spec(4, 7, cfg).run();
         assert!(!records.is_empty());
         for r in &records {
             assert!(r.pair.0 != 0, "flow {:?} crossed the dead spoke", r.pair);
@@ -1030,8 +641,6 @@ mod tests {
 
     #[test]
     fn zero_duration_event_is_harmless() {
-        let topo = SimTopology::hub_and_spoke(3, 1.0);
-        let matrix = TrafficMatrix::heavy_tailed(3, 2);
         let mut cfg = base_config(FabricModel::Eps);
         cfg.capacity_events = vec![CapacityEvent {
             start_s: 2.0,
@@ -1039,24 +648,21 @@ mod tests {
             capacity_factor: 0.0,
             links: None,
         }];
-        let records = Simulator::new(topo, matrix, cfg).run();
+        let records = spec(3, 2, cfg).run();
         assert!(records.len() > 50);
     }
 
     #[test]
     fn utilization_calibration_matches_target() {
-        let topo = SimTopology::hub_and_spoke(4, 1.0);
-        let matrix = TrafficMatrix::heavy_tailed(4, 7);
-        let cfg = base_config(FabricModel::Eps);
-        let sim = Simulator::new(topo.clone(), matrix.clone(), cfg);
+        let work = spec(4, 7, base_config(FabricModel::Eps));
         // Reconstruct the expected max link load from the arrival rate.
         let mean_bits = FlowSizeDist::facebook_web().mean_bytes() * 8.0;
-        let offered_gbps = sim.arrival_rate() * mean_bits / 1e9;
+        let offered_gbps = work.arrival_rate() * mean_bits / 1e9;
         let mut unit = [0.0f64; 4];
         for i in 0..4 {
             for j in (i + 1)..4 {
-                for &l in topo.route(i, j) {
-                    unit[l] += matrix.weight(i, j);
+                for &l in work.topo.route(i, j) {
+                    unit[l] += work.matrix.weight(i, j);
                 }
             }
         }
@@ -1067,10 +673,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "utilization")]
     fn bad_utilization_panics() {
-        let topo = SimTopology::hub_and_spoke(3, 1.0);
-        let matrix = TrafficMatrix::heavy_tailed(3, 1);
         let mut cfg = base_config(FabricModel::Eps);
         cfg.utilization = 1.5;
-        let _ = Simulator::new(topo, matrix, cfg);
+        let _ = spec(3, 1, cfg).arrival_rate();
     }
 }

@@ -1,14 +1,16 @@
 //! Paired Iris-vs-EPS experiments (Figs. 17-18).
 //!
-//! Both fabrics see identical Poisson arrivals, flow sizes and traffic
-//! matrix evolutions (same seed); the only difference is that Iris loses
-//! the moving circuits' capacity for ~70 ms at every reconfiguration.
+//! Both fabrics replay one trace — identical Poisson arrivals, flow
+//! sizes and traffic matrix evolutions; the only difference is that Iris
+//! loses the moving circuits' capacity for ~70 ms at every
+//! reconfiguration.
 //! The reported metric is the paper's: the ratio of 99th-percentile FCT
 //! under Iris to the same percentile under EPS, for all flows and for
 //! short flows (< 50 KB).
 
-use crate::engine::{FabricModel, FlowRecord, RunManifest, SimConfig, Simulator};
+use crate::engine::{FabricModel, FlowRecord, SimConfig};
 use crate::topology::SimTopology;
+use crate::trace::{RunManifest, WorkSpec};
 use crate::traffic::{ChangeModel, TrafficMatrix};
 use crate::workloads::FlowSizeDist;
 use serde::{Deserialize, Serialize};
@@ -78,52 +80,40 @@ pub fn fct_quantile(records: &[FlowRecord], q: f64, short_only: bool) -> Option<
     Some(fcts[idx])
 }
 
-/// Run the paired comparison.
-///
-/// # Panics
-///
-/// Panics if either run completes no flows (mis-configured experiment).
-#[must_use]
-pub fn run_comparison(topo: &SimTopology, config: &ExperimentConfig) -> ComparisonResult {
-    run_comparison_recorded(topo, config).0
-}
-
-/// Like [`run_comparison`], but also returns the Iris-side
-/// [`RunManifest`] (seed and every `SimConfig` parameter) so callers can
+/// Run the paired comparison. Returns the result with the Iris run's
+/// [`RunManifest`] (seed and every `SimConfig` parameter), so callers can
 /// persist results alongside what is needed to reproduce them.
 ///
 /// # Panics
 ///
 /// Panics if either run completes no flows (mis-configured experiment).
 #[must_use]
-pub fn run_comparison_recorded(
+pub fn run_comparison(
     topo: &SimTopology,
     config: &ExperimentConfig,
 ) -> (ComparisonResult, RunManifest) {
-    let run = |fabric: FabricModel| -> (Vec<FlowRecord>, RunManifest) {
-        let matrix = TrafficMatrix::heavy_tailed(topo.n_dcs, config.seed);
-        let sim = Simulator::new(
-            topo.clone(),
-            matrix,
-            SimConfig {
-                duration_s: config.duration_s,
-                utilization: config.utilization,
-                flow_sizes: config.workload.clone(),
-                change_interval_s: Some(config.change_interval_s),
-                change_model: config.change_model,
-                fabric,
-                capacity_events: Vec::new(),
-                seed: config.seed,
+    let work = WorkSpec {
+        topo: topo.clone(),
+        matrix: TrafficMatrix::heavy_tailed(topo.n_dcs, config.seed),
+        config: SimConfig {
+            duration_s: config.duration_s,
+            utilization: config.utilization,
+            flow_sizes: config.workload.clone(),
+            change_interval_s: Some(config.change_interval_s),
+            change_model: config.change_model,
+            fabric: FabricModel::Iris {
+                outage_s: config.outage_s,
             },
-        );
-        let recorded = sim.run_recorded();
-        (recorded.records, recorded.manifest)
+            capacity_events: Vec::new(),
+            seed: config.seed,
+        },
     };
-
-    let (eps, _) = run(FabricModel::Eps);
-    let (iris, manifest) = run(FabricModel::Iris {
-        outage_s: config.outage_s,
-    });
+    // No draw depends on the fabric, so the EPS run replays the Iris
+    // run's trace with the fabric swapped.
+    let mut trace = work.trace();
+    let iris = trace.replay(topo);
+    trace.fabric = FabricModel::Eps;
+    let eps = trace.replay(topo);
     assert!(!eps.is_empty() && !iris.is_empty(), "no flows completed");
 
     let p99 = |r: &[FlowRecord], short| fct_quantile(r, 0.99, short).expect("non-empty");
@@ -141,7 +131,7 @@ pub fn run_comparison_recorded(
             eps_flows: eps.len(),
             iris_flows: iris.len(),
         },
-        manifest,
+        work.manifest(),
     )
 }
 
@@ -162,6 +152,7 @@ mod tests {
                 ..ExperimentConfig::default()
             },
         )
+        .0
     }
 
     #[test]

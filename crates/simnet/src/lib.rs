@@ -16,10 +16,13 @@
 //!   unbounded change;
 //! * [`topology`] — the simulated link/route model, derivable from a
 //!   planned region or built synthetically;
-//! * [`engine`] — a deterministic event-driven fluid simulator with
-//!   max-min fair rate allocation;
-//! * [`experiment`] — paired Iris-vs-EPS runs sharing identical arrival
-//!   sequences, reporting percentile FCT slowdowns.
+//! * [`trace`] — the one run path: a [`WorkSpec`] recipe (topology,
+//!   matrix, config) draws a seeded [`FlowTrace`], and
+//!   [`FlowTrace::replay`] runs it;
+//! * [`engine`] — the deterministic event-driven fluid engine with
+//!   max-min fair rate allocation that replay drives;
+//! * [`experiment`] — paired Iris-vs-EPS replays of one trace,
+//!   reporting percentile FCT slowdowns.
 //!
 //! The simulator is *fluid*: flows receive their max-min fair share
 //! instantaneously (no packets, no transport dynamics). The paper drains
@@ -36,9 +39,9 @@ pub mod trace;
 pub mod traffic;
 pub mod workloads;
 
-pub use engine::{FlowRecord, RunManifest, SimConfig, SimRun, Simulator};
+pub use engine::{FlowRecord, SimConfig};
 pub use experiment::{run_comparison, ComparisonResult, ExperimentConfig};
 pub use topology::SimTopology;
-pub use trace::{FlowTrace, TraceArrival, TraceFlow};
+pub use trace::{FlowTrace, RunManifest, TraceArrival, TraceFlow, WorkSpec};
 pub use traffic::TrafficMatrix;
 pub use workloads::FlowSizeDist;

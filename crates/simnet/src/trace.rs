@@ -1,23 +1,274 @@
-//! Recorded workloads: the arrival/change sequence of a simulation,
-//! decoupled from its dynamics.
+//! The one way a simulation runs: a [`WorkSpec`] recipe draws a
+//! [`FlowTrace`], and [`FlowTrace::replay`] feeds it through the exact
+//! event loop.
 //!
-//! A [`FlowTrace`] is everything about a [`crate::Simulator`] run that
-//! does *not* depend on how fast flows drain: when flows arrive, which
-//! DC pair and size each one drew (or that the capacity clamp thinned
-//! the arrival away), and how much traffic each matrix change moved.
-//! [`crate::Simulator::trace`] materializes one in O(flows) without
-//! running any water-filling; [`FlowTrace::replay`] feeds it back
-//! through the exact event loop and reproduces
-//! [`crate::Simulator::run`] float-for-float.
+//! A [`FlowTrace`] is everything about a run that does *not* depend on
+//! how fast flows drain: when flows arrive, which DC pair and size each
+//! one drew (or that the capacity clamp thinned the arrival away), and
+//! how much traffic each matrix change moved. [`WorkSpec::trace`] draws
+//! one from the recipe's seed in O(flows), without any water-filling;
+//! [`WorkSpec::run`] is that trace replayed.
 //!
 //! The split is what makes decomposed (per-link) flow simulation
 //! honest: `iris-flowsim` estimates FCTs from the *same trace* the
-//! exact simulator would consume, so a validation run compares two
-//! estimators over one workload rather than two workloads.
+//! exact engine replays, so a validation run compares two estimators
+//! over one workload rather than two workloads.
 
-use crate::engine::{drive, CapacityEvent, EventSource, FabricModel, FlowRecord};
+use crate::engine::{drive, CapacityEvent, FabricModel, FlowRecord, SimConfig};
 use crate::topology::SimTopology;
+use crate::traffic::{pair_count, pair_index, ChangeModel, TrafficMatrix};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+
+/// The recipe of a simulation run: topology, initial traffic matrix and
+/// configuration. Every trace, record and manifest of the run is a pure
+/// function of it, which is why a distributed flow-simulation job ships
+/// the recipe rather than the run's flows.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct WorkSpec {
+    /// The simulated topology.
+    pub topo: SimTopology,
+    /// The initial traffic matrix.
+    pub matrix: TrafficMatrix,
+    /// Full simulator configuration (workload, changes, fabric, seed).
+    pub config: SimConfig,
+}
+
+impl WorkSpec {
+    /// Calibrated global arrival rate, flows/s: the rate at which the
+    /// expected load of the most-utilized link under the initial matrix
+    /// equals `config.utilization`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the topology and matrix disagree on the DC count, the
+    /// utilization is outside (0, 1), or the matrix offers no link any
+    /// load.
+    #[must_use]
+    pub fn arrival_rate(&self) -> f64 {
+        let (topo, matrix) = (&self.topo, &self.matrix);
+        assert_eq!(topo.n_dcs, matrix.n_dcs(), "topology/matrix DC mismatch");
+        let utilization = self.config.utilization;
+        assert!(
+            utilization > 0.0 && utilization < 1.0,
+            "utilization must be in (0, 1)"
+        );
+        // Expected per-link load for unit total offered Gbps.
+        let n = topo.n_dcs;
+        let mut unit_load = vec![0.0f64; topo.links.len()];
+        for i in 0..n {
+            for j in (i + 1)..n {
+                let w = matrix.weight(i, j);
+                for &l in topo.route(i, j) {
+                    unit_load[l] += w;
+                }
+            }
+        }
+        let max_rel = unit_load
+            .iter()
+            .zip(&topo.links)
+            .map(|(&u, l)| u / l.capacity_gbps)
+            .fold(0.0f64, f64::max);
+        assert!(max_rel > 0.0, "matrix offers no load to any link");
+        let offered_gbps = utilization / max_rel;
+        offered_gbps * 1e9 / self.mean_bits()
+    }
+
+    /// Mean flow size, bits.
+    fn mean_bits(&self) -> f64 {
+        self.config.flow_sizes.mean_bytes() * 8.0
+    }
+
+    /// The effective run parameters (after arrival-rate calibration),
+    /// for reproducibility sidecars.
+    ///
+    /// # Panics
+    ///
+    /// As [`WorkSpec::arrival_rate`].
+    #[must_use]
+    pub fn manifest(&self) -> RunManifest {
+        let config = &self.config;
+        RunManifest {
+            seed: config.seed,
+            duration_s: config.duration_s,
+            utilization: config.utilization,
+            flow_size_dist: config.flow_sizes.name.clone(),
+            change_interval_s: config.change_interval_s,
+            change_model: config.change_model,
+            fabric: config.fabric,
+            capacity_event_count: config.capacity_events.len(),
+            n_dcs: self.topo.n_dcs,
+            arrival_rate_flows_per_s: self.arrival_rate(),
+        }
+    }
+
+    /// Draw the run's workload from the seed: every arrival tick of the
+    /// calibrated Poisson process with the pair and size it drew (or
+    /// `None` when the capacity clamp thinned it), and the moved-traffic
+    /// fraction of every matrix change, the matrix re-clamped after
+    /// each. Costs O(flows), no water-filling.
+    ///
+    /// Nothing drawn here depends on flow progress or on the fabric, so
+    /// two fabrics given the same recipe see the same arrivals.
+    ///
+    /// # Panics
+    ///
+    /// As [`WorkSpec::arrival_rate`].
+    #[must_use]
+    pub fn trace(&self) -> FlowTrace {
+        let config = &self.config;
+        let arrival_rate = self.arrival_rate();
+        let mean_bits = self.mean_bits();
+        let mut matrix = self.matrix.clone();
+        clamp_matrix_to_capacity(&self.topo, &mut matrix, arrival_rate, mean_bits);
+        let change_interval = config.change_interval_s.unwrap_or(f64::INFINITY);
+        let mut rng = StdRng::seed_from_u64(config.seed);
+        let mut next_arrival = sample_exp(&mut rng, arrival_rate);
+        let mut next_change = change_interval;
+        let mut arrivals = Vec::new();
+        let mut change_fractions = Vec::new();
+        while next_arrival.min(next_change) < config.duration_s {
+            if next_arrival <= next_change {
+                // `sample_pair` thins arrivals when the clamp has reduced
+                // the total admitted weight below 1.
+                let flow = sample_pair(&mut rng, &matrix).map(|pair| TraceFlow {
+                    pair,
+                    size_bytes: config.flow_sizes.sample(&mut rng),
+                });
+                arrivals.push(TraceArrival {
+                    start_s: next_arrival,
+                    flow,
+                });
+                next_arrival += sample_exp(&mut rng, arrival_rate);
+            } else {
+                change_fractions.push(matrix.change(config.change_model));
+                clamp_matrix_to_capacity(&self.topo, &mut matrix, arrival_rate, mean_bits);
+                next_change += change_interval;
+            }
+        }
+        FlowTrace {
+            n_dcs: self.topo.n_dcs,
+            duration_s: config.duration_s,
+            change_interval_s: config.change_interval_s,
+            fabric: config.fabric,
+            capacity_events: config.capacity_events.clone(),
+            arrivals,
+            change_fractions,
+        }
+    }
+
+    /// Run the exact engine: the recipe's trace, replayed. Returns all
+    /// flows that *finished* within the simulated duration.
+    ///
+    /// # Panics
+    ///
+    /// As [`WorkSpec::arrival_rate`].
+    #[must_use]
+    pub fn run(&self) -> Vec<FlowRecord> {
+        self.trace().replay(&self.topo)
+    }
+}
+
+/// The parameters that produced a simulation run, captured alongside
+/// its [`FlowRecord`]s so results are reproducible from the artifact
+/// alone.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct RunManifest {
+    /// RNG seed for arrivals and sizes.
+    pub seed: u64,
+    /// Simulated seconds.
+    pub duration_s: f64,
+    /// Target peak link utilization (0-1).
+    pub utilization: f64,
+    /// Flow-size distribution name.
+    pub flow_size_dist: String,
+    /// Seconds between traffic-matrix changes (`None` = static).
+    pub change_interval_s: Option<f64>,
+    /// Matrix change model.
+    pub change_model: ChangeModel,
+    /// Fabric behaviour.
+    pub fabric: FabricModel,
+    /// Number of scheduled capacity disturbances.
+    pub capacity_event_count: usize,
+    /// Data centers in the simulated topology.
+    pub n_dcs: usize,
+    /// Calibrated global arrival rate, flows/s.
+    pub arrival_rate_flows_per_s: f64,
+}
+
+/// Clamp the matrix so no link's *expected* offered load exceeds its
+/// capacity. §6.3 assumes "provisioning is sufficient to handle the
+/// traffic before and after the reconfiguration"; without this, an
+/// unbounded matrix change could concentrate more load on one
+/// circuit than it could ever carry and flows would back up without
+/// bound. The clamp thins the affected pairs' arrivals (traffic that
+/// the provisioned circuits genuinely cannot admit).
+fn clamp_matrix_to_capacity(
+    topo: &SimTopology,
+    matrix: &mut TrafficMatrix,
+    arrival_rate: f64,
+    mean_bits: f64,
+) {
+    const HEADROOM: f64 = 0.95;
+    let offered_per_weight = arrival_rate * mean_bits / 1e9; // Gbps at weight 1
+    let n = topo.n_dcs;
+    for _ in 0..32 {
+        let mut load = vec![0.0f64; topo.links.len()];
+        for i in 0..n {
+            for j in (i + 1)..n {
+                let w = matrix.weight(i, j);
+                for &l in topo.route(i, j) {
+                    load[l] += w * offered_per_weight;
+                }
+            }
+        }
+        let mut factor = vec![1.0f64; pair_count(n)];
+        let mut any = false;
+        for (l, &ld) in load.iter().enumerate() {
+            let cap = topo.links[l].capacity_gbps * HEADROOM;
+            if ld > cap {
+                any = true;
+                let f = cap / ld;
+                for i in 0..n {
+                    for j in (i + 1)..n {
+                        if topo.route(i, j).contains(&l) {
+                            let idx = pair_index(n, i, j);
+                            factor[idx] = factor[idx].min(f);
+                        }
+                    }
+                }
+            }
+        }
+        if !any {
+            break;
+        }
+        matrix.rescale(|idx, _| factor[idx]);
+    }
+}
+
+fn sample_exp<R: Rng + ?Sized>(rng: &mut R, rate: f64) -> f64 {
+    let u: f64 = rng.random_range(f64::MIN_POSITIVE..1.0);
+    -u.ln() / rate
+}
+
+/// Sample a DC pair proportionally to weight. Weights may sum to less
+/// than 1 after capacity clamping; the shortfall thins the arrival
+/// process (`None` = this arrival is not admitted).
+fn sample_pair<R: Rng + ?Sized>(rng: &mut R, matrix: &TrafficMatrix) -> Option<(usize, usize)> {
+    let mut target: f64 = rng.random_range(0.0..1.0);
+    let n = matrix.n_dcs();
+    for i in 0..n {
+        for j in (i + 1)..n {
+            let w = matrix.weights()[pair_index(n, i, j)];
+            if target < w {
+                return Some((i, j));
+            }
+            target -= w;
+        }
+    }
+    None
+}
 
 /// One admitted flow in a trace.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -29,9 +280,8 @@ pub struct TraceFlow {
 }
 
 /// One arrival *tick* of the Poisson process. `flow` is `None` when the
-/// capacity clamp thinned the arrival away — the tick still advanced
-/// simulated time and consumed RNG draws, so replay must observe it to
-/// stay float-identical to the live run.
+/// capacity clamp thinned the arrival away — the tick still advances
+/// simulated time, so replay observes it like any other event.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TraceArrival {
     /// Arrival time, s.
@@ -42,10 +292,9 @@ pub struct TraceArrival {
 
 /// A fully materialized simulation workload: every arrival tick, every
 /// matrix-change magnitude, and the scheduling constants needed to
-/// replay them. Serializable — this is the unit a distributed
-/// flow-simulation job regenerates from a [`crate::SimConfig`] recipe
-/// (shipping the recipe, not the trace, keeps jobs under the wire
-/// frame cap at 10⁶⁺ flows).
+/// replay them. Serializable; a distributed flow-simulation job
+/// regenerates it from a [`WorkSpec`] recipe (shipping the recipe, not
+/// the trace, keeps jobs under the wire frame cap at 10⁶⁺ flows).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FlowTrace {
     /// Data centers in the topology the trace was generated against.
@@ -81,11 +330,8 @@ impl FlowTrace {
             .sum()
     }
 
-    /// Run the exact fluid simulation over this trace. Produces the
-    /// same records, in the same order, with bit-identical floats, as
-    /// the [`crate::Simulator::run`] call that would have generated the
-    /// trace — both feed the engine's single event loop; only the
-    /// source of arrivals differs.
+    /// Run the exact fluid simulation over this trace: the engine's
+    /// event loop, fed this trace's arrivals and matrix changes.
     ///
     /// # Panics
     ///
@@ -98,125 +344,107 @@ impl FlowTrace {
             "trace was generated for a {}-DC topology",
             self.n_dcs
         );
-        let mut src = TraceSource {
-            trace: self,
-            arrival_idx: 0,
-            change_idx: 0,
-            next_change: self.change_interval_s.unwrap_or(f64::INFINITY),
-        };
-        drive(
-            topo,
-            self.duration_s,
-            self.fabric,
-            &self.capacity_events,
-            &mut src,
-        )
-    }
-}
-
-/// List-backed [`EventSource`]: replays a recorded trace through the
-/// shared event loop.
-struct TraceSource<'a> {
-    trace: &'a FlowTrace,
-    arrival_idx: usize,
-    change_idx: usize,
-    next_change: f64,
-}
-
-impl EventSource for TraceSource<'_> {
-    fn next_arrival(&self) -> f64 {
-        self.trace
-            .arrivals
-            .get(self.arrival_idx)
-            .map_or(f64::INFINITY, |a| a.start_s)
-    }
-
-    fn next_change(&self) -> f64 {
-        self.next_change
-    }
-
-    fn pop_arrival(&mut self, _now: f64) -> Option<((usize, usize), f64)> {
-        let arrival = &self.trace.arrivals[self.arrival_idx];
-        self.arrival_idx += 1;
-        arrival.flow.map(|f| (f.pair, f.size_bytes))
-    }
-
-    fn pop_change(&mut self, now: f64) -> f64 {
-        let moved = self
-            .trace
-            .change_fractions
-            .get(self.change_idx)
-            .copied()
-            .unwrap_or(0.0);
-        self.change_idx += 1;
-        self.next_change = now + self.change_interval_s();
-        moved
-    }
-}
-
-impl TraceSource<'_> {
-    fn change_interval_s(&self) -> f64 {
-        self.trace.change_interval_s.expect("change scheduled")
+        drive(topo, self)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{FabricModel, SimConfig, Simulator};
-    use crate::traffic::{ChangeModel, TrafficMatrix};
     use crate::workloads::FlowSizeDist;
 
-    fn config(fabric: FabricModel, seed: u64) -> SimConfig {
-        SimConfig {
-            duration_s: 4.0,
-            utilization: 0.6,
-            flow_sizes: FlowSizeDist::facebook_web(),
-            change_interval_s: Some(0.8),
-            change_model: ChangeModel::Unbounded,
-            fabric,
-            capacity_events: Vec::new(),
-            seed,
+    fn spec(fabric: FabricModel, seed: u64) -> WorkSpec {
+        WorkSpec {
+            topo: SimTopology::hub_and_spoke(5, 1.0),
+            matrix: TrafficMatrix::heavy_tailed(5, 11),
+            config: SimConfig {
+                duration_s: 4.0,
+                utilization: 0.6,
+                flow_sizes: FlowSizeDist::facebook_web(),
+                change_interval_s: Some(0.8),
+                change_model: ChangeModel::Unbounded,
+                fabric,
+                capacity_events: Vec::new(),
+                seed,
+            },
         }
     }
 
-    #[test]
-    fn replay_is_bit_identical_to_run() {
-        for fabric in [FabricModel::Eps, FabricModel::Iris { outage_s: 0.07 }] {
-            for seed in [7, 1234] {
-                let topo = SimTopology::hub_and_spoke(5, 1.0);
-                let matrix = TrafficMatrix::heavy_tailed(5, 11);
-                let cfg = config(fabric, seed);
-                let live = Simulator::new(topo.clone(), matrix.clone(), cfg.clone()).run();
-                let trace = Simulator::new(topo.clone(), matrix, cfg).trace();
-                let replayed = trace.replay(&topo);
-                assert_eq!(live.len(), replayed.len());
-                for (a, b) in live.iter().zip(&replayed) {
-                    assert_eq!(a.pair, b.pair);
-                    assert!(a.size_bytes == b.size_bytes, "{a:?} vs {b:?}");
-                    assert!(a.start_s == b.start_s, "{a:?} vs {b:?}");
-                    assert!(a.fct_s == b.fct_s, "{a:?} vs {b:?}");
-                }
+    /// FNV-1a over every record's pair, size, start and FCT bits, in
+    /// record order: any float that moves changes it.
+    fn digest(records: &[FlowRecord]) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for r in records {
+            let words = [
+                r.pair.0 as u64,
+                r.pair.1 as u64,
+                r.size_bytes.to_bits(),
+                r.start_s.to_bits(),
+                r.fct_s.to_bits(),
+            ];
+            for b in words.iter().flat_map(|w| w.to_le_bytes()) {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
             }
+        }
+        h
+    }
+
+    /// The exact engine, pinned: record counts and digests captured at
+    /// commit 4b6197f, before the recipe became the only way to run.
+    #[test]
+    fn run_reproduces_the_pinned_engine_digests() {
+        let iris = FabricModel::Iris { outage_s: 0.07 };
+        let mut cases = vec![
+            (spec(FabricModel::Eps, 7), (6849, 0x378b_3b93_4d57_0db7)),
+            (spec(FabricModel::Eps, 1234), (6926, 0x4f52_de92_0168_4eba)),
+            (spec(iris, 7), (6849, 0xf09d_3dd5_a71b_e1f3)),
+            (spec(iris, 1234), (6926, 0x61d4_25a4_0d0a_250b)),
+        ];
+        let mut disturbed = spec(iris, 7);
+        disturbed.config.capacity_events = vec![
+            CapacityEvent {
+                start_s: 1.0,
+                duration_s: 0.5,
+                capacity_factor: 0.5,
+                links: None,
+            },
+            CapacityEvent {
+                start_s: 2.2,
+                duration_s: 1.0,
+                capacity_factor: 0.0,
+                links: Some(vec![0]),
+            },
+        ];
+        cases.push((disturbed, (6849, 0x746a_b0fc_d48f_2cb8)));
+        for (work, (count, pinned)) in cases {
+            let records = work.run();
+            let got = (records.len(), digest(&records));
+            assert_eq!(
+                got,
+                (count, pinned),
+                "{:?} seed {}: got ({}, {:#018x})",
+                work.config.fabric,
+                work.config.seed,
+                got.0,
+                got.1
+            );
         }
     }
 
     #[test]
     fn trace_survives_serde_round_trip() {
-        let topo = SimTopology::hub_and_spoke(4, 1.0);
-        let matrix = TrafficMatrix::heavy_tailed(4, 3);
-        let trace = Simulator::new(topo.clone(), matrix, config(FabricModel::Eps, 9)).trace();
+        let work = spec(FabricModel::Eps, 9);
+        let trace = work.trace();
         let json = serde_json::to_string(&trace).expect("serialize");
         let back: FlowTrace = serde_json::from_str(&json).expect("deserialize");
         assert_eq!(trace, back);
-        assert_eq!(trace.replay(&topo), back.replay(&topo));
+        assert_eq!(trace.replay(&work.topo), back.replay(&work.topo));
     }
 
     #[test]
     fn trace_counts_changes_and_flows() {
-        let topo = SimTopology::hub_and_spoke(4, 1.0);
-        let matrix = TrafficMatrix::heavy_tailed(4, 3);
-        let trace = Simulator::new(topo, matrix, config(FabricModel::Eps, 9)).trace();
+        let trace = spec(FabricModel::Eps, 9).trace();
         // duration 4.0, interval 0.8 → changes at 0.8,1.6,2.4,3.2.
         assert_eq!(trace.change_fractions.len(), 4);
         assert!(trace.flow_count() > 100);

@@ -47,7 +47,7 @@ fn main() {
             ChangeModel::Unbounded,
         ),
     ] {
-        let result = run_comparison(
+        let (result, _) = run_comparison(
             &topo,
             &ExperimentConfig {
                 duration_s: 20.0,

@@ -86,7 +86,7 @@ fn planned_region_simulates_without_slowdown_catastrophe() {
     let prov = provision(&region, &goals);
     let scale = SimTopology::scale_for_largest_link(&region, &prov, 2.0);
     let topo = SimTopology::from_provisioning(&region, &goals, &prov, scale);
-    let result = run_comparison(
+    let (result, manifest) = run_comparison(
         &topo,
         &ExperimentConfig {
             duration_s: 10.0,
@@ -99,6 +99,7 @@ fn planned_region_simulates_without_slowdown_catastrophe() {
         },
     );
     assert!(result.eps_flows > 100);
+    assert_eq!((manifest.seed, manifest.n_dcs), (5, topo.n_dcs));
     assert!(
         result.slowdown_p99_all < 1.25,
         "slowdown {:.3}",
