@@ -11,10 +11,10 @@ pub mod chaos;
 pub mod crash;
 pub mod federation;
 
+use iris_errors::{IrisError, IrisResult};
 use iris_fibermap::synth::{generate_metro, place_dcs};
 use iris_fibermap::{MetroParams, PlacementParams, Region};
-use std::io::Write;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Whether the binaries should run reduced sweeps.
 #[must_use]
@@ -130,30 +130,41 @@ pub fn print_cdf(label: &str, values: &[f64], max_rows: usize) {
     }
 }
 
+/// Write an artifact: `report` as pretty JSON plus a newline, creating
+/// the directory `path` names if need be — the one writer behind every
+/// figure binary's `results/` file and every CLI `--out`.
+///
+/// # Errors
+///
+/// [`IrisError::Io`] (exit 3) if the report cannot be serialized or the
+/// directory or file cannot be written.
+pub fn write_report(path: &str, report: &impl serde::Serialize) -> IrisResult<()> {
+    let io = |detail| IrisError::Io { detail };
+    let mut json = serde_json::to_string_pretty(report)
+        .map_err(|e| io(format!("--out: cannot serialize report: {e}")))?;
+    json.push('\n');
+    let dir = Path::new(path).parent().unwrap_or(Path::new(""));
+    std::fs::create_dir_all(dir)
+        .and_then(|()| std::fs::write(path, json))
+        .map_err(|e| io(format!("--out: cannot write {path}: {e}")))
+}
+
 /// Write a JSON value under `results/<name>.json` (relative to the
-/// workspace root when run via cargo). If the process-global telemetry
+/// workspace root when run via cargo) through [`write_report`], exiting
+/// the process with the error's exit code if it cannot: a figure binary
+/// that wrote no artifact has failed. If the process-global telemetry
 /// registry recorded anything, a `results/<name>.metrics.json` sidecar
 /// captures the snapshot — planner work counters, simulator event
 /// counts, control-plane phase latencies — for the run that produced
 /// the figure.
 pub fn write_results(name: &str, value: &serde_json::Value) {
     let dir = results_dir();
-    if std::fs::create_dir_all(&dir).is_err() {
-        eprintln!("warning: could not create {}", dir.display());
-        return;
-    }
     let path = dir.join(format!("{name}.json"));
-    match std::fs::File::create(&path) {
-        Ok(mut f) => {
-            let _ = writeln!(
-                f,
-                "{}",
-                serde_json::to_string_pretty(value).expect("serializable")
-            );
-            println!("# results written to {}", path.display());
-        }
-        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
+    if let Err(e) = write_report(&path.display().to_string(), value) {
+        eprintln!("error: {e}");
+        std::process::exit(e.exit_code());
     }
+    println!("# results written to {}", path.display());
 
     let snapshot = iris_telemetry::global().snapshot();
     if snapshot.is_empty() {
@@ -190,6 +201,27 @@ mod tests {
         assert_eq!(percentile(&v, 0.0), 1.0);
         assert_eq!(percentile(&v, 1.0), 4.0);
         assert_eq!(percentile(&v, 0.5), 3.0);
+    }
+
+    #[test]
+    fn an_unwritable_out_path_is_one_error_shape() {
+        // A path below a regular file: neither the directory nor the
+        // file can be created.
+        let file = std::env::temp_dir().join(format!("iris-report-{}", std::process::id()));
+        std::fs::write(&file, "").expect("tmp file");
+        for below in ["x.json", "dir/x.json"] {
+            let path = file.join(below).display().to_string();
+            let err = write_report(&path, &7).unwrap_err();
+            let IrisError::Io { detail } = &err else {
+                panic!("expected a typed Io error, got {err:?}");
+            };
+            assert!(
+                detail.starts_with(&format!("--out: cannot write {path}: ")),
+                "{detail}"
+            );
+            assert_eq!(err.exit_code(), 3);
+        }
+        let _ = std::fs::remove_file(&file);
     }
 
     #[test]

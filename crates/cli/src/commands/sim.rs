@@ -125,11 +125,7 @@ pub fn simd(opts: &Options) -> IrisResult<()> {
         // what `iris plan --robust` provisioned for.
         matrix: match &matrices {
             Some(spec) => {
-                let shapes = spec.shapes(topo.n_dcs);
-                let mean: Vec<f64> = (0..shapes[0].len())
-                    .map(|i| shapes.iter().map(|m| m[i]).sum::<f64>() / shapes.len() as f64)
-                    .collect();
-                TrafficMatrix::from_weights(topo.n_dcs, seed, &mean)
+                TrafficMatrix::from_weights(topo.n_dcs, seed, &spec.mean_shape(topo.n_dcs))
             }
             None => TrafficMatrix::heavy_tailed(topo.n_dcs, seed),
         },

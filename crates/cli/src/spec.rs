@@ -501,7 +501,7 @@ pub static TABLE: &[Command] = &[
         opts: &[ADDR, opt("watch", "SECS", Literal("0"))],
         prose: "one-shot (or repeating, with --watch) health and latency\n\
                 view of a running server: uptime, epoch, queue depth,\n\
-                WAL totals, group-commit batches and fsyncs saved,\n\
+                WAL totals, group-commit batches committed,\n\
                 per-shard request/connection counters, and approximate\n\
                 per-op p50/p99 read from the server's live histograms;\n\
                 federated servers add per-region rows (role, peer acked\n\

@@ -17,9 +17,9 @@
 //! timeline.
 
 use crate::link::{simulate_link, LinkFlow, ScaleSegment, INCOMPLETE};
+use iris_planner::workload::{pair_count, pair_index};
 use iris_simnet::engine::FabricModel;
 use iris_simnet::trace::FlowTrace;
-use iris_simnet::traffic::pair_index;
 use iris_simnet::{FlowRecord, SimTopology};
 
 /// One admitted flow of the trace, in arrival order.
@@ -72,8 +72,7 @@ impl Decomposition {
         // Invert pair routes to links once, then walk flows in order so
         // every per-link list stays sorted by arrival (and flow id).
         let crossing = topo.crossing_index();
-        let mut flows_of_pair: Vec<Vec<u32>> =
-            vec![Vec::new(); iris_simnet::traffic::pair_count(topo.n_dcs)];
+        let mut flows_of_pair: Vec<Vec<u32>> = vec![Vec::new(); pair_count(topo.n_dcs)];
         for (id, f) in flows.iter().enumerate() {
             flows_of_pair[pair_index(topo.n_dcs, f.pair.0, f.pair.1)].push(id as u32);
         }

@@ -12,7 +12,9 @@
 //! only state is a cache of the last installed [`WorkSpec`]'s
 //! decomposition, keyed by content fingerprint, shared by all
 //! connections — reconnecting after a crash re-ships the spec and
-//! rebuilds it.
+//! rebuilds it. A spec is [`WorkSpec::check`]ed before the cache sees
+//! it, so a malformed one is a typed `InvalidInput` reply, not a
+//! panicked shard.
 
 use crate::decompose::Decomposition;
 use crate::proto::{
@@ -23,7 +25,7 @@ use iris_simnet::SimTopology;
 use iris_wire::{Codec, Handler, Outbox};
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::AtomicBool;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Worker tuning knobs.
 #[derive(Debug, Clone, Copy, Default)]
@@ -142,24 +144,37 @@ impl Handler for WorkerHandler {
                 }
                 None => invalid(format!("unknown codec '{name}'")),
             },
-            Ok(WorkerRequest::LoadSpec { spec }) => {
-                let (installed, cache_hit) = self.cache.lock().expect("cache lock").load(&spec);
-                let telemetry = iris_telemetry::global();
-                telemetry
-                    .counter("iris_flowsim_worker_spec_loads_total")
-                    .add(1);
-                if cache_hit {
-                    telemetry
-                        .counter("iris_flowsim_worker_spec_cache_hits_total")
-                        .add(1);
+            Ok(WorkerRequest::LoadSpec { spec }) => match spec.check() {
+                Err(error) => {
+                    conn.run = None;
+                    WorkerResponse::Error { error }
                 }
-                let resp = WorkerResponse::SpecLoaded {
-                    flows: installed.1.flows.len(),
-                    links: installed.1.occupied_links().len(),
-                };
-                conn.run = Some(installed);
-                resp
-            }
+                Ok(()) => {
+                    // `SpecCache::load` replaces its entry only once the
+                    // new one is built, so a poisoned cache is still a
+                    // valid one.
+                    let (installed, cache_hit) = self
+                        .cache
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .load(&spec);
+                    let telemetry = iris_telemetry::global();
+                    telemetry
+                        .counter("iris_flowsim_worker_spec_loads_total")
+                        .add(1);
+                    if cache_hit {
+                        telemetry
+                            .counter("iris_flowsim_worker_spec_cache_hits_total")
+                            .add(1);
+                    }
+                    let resp = WorkerResponse::SpecLoaded {
+                        flows: installed.1.flows.len(),
+                        links: installed.1.occupied_links().len(),
+                    };
+                    conn.run = Some(installed);
+                    resp
+                }
+            },
             Ok(WorkerRequest::RunLink { link }) => match conn.run.as_deref() {
                 None => invalid("RunLink before LoadSpec".to_owned()),
                 Some((_, dec)) if link >= dec.link_flows.len() => invalid(format!(

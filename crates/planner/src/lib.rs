@@ -35,7 +35,8 @@
 //! [`workload::provision_robust`] provisions min-cost capacity feasible
 //! for *every* matrix in a family — the robust topology-engineering mode
 //! described in `docs/PLANNING.md`. Hose, naive and robust provisioning
-//! are one sweep in [`topology`] under three load models.
+//! are one sweep in [`topology`] under three load models; [`workloads`]
+//! holds the one flow-size CDF type the families and the simulator share.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -53,6 +54,7 @@ pub mod relaxed;
 pub mod residual;
 pub mod topology;
 pub mod workload;
+pub mod workloads;
 
 pub use centralized::{plan_centralized, CentralizedPlan, HubHoming};
 pub use engine::{

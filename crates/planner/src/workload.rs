@@ -8,13 +8,16 @@
 //! This module generates such sets and provisions for them:
 //!
 //! * a flow-level base demand in the parsimon-eval flowgen idiom: per
-//!   DC pair, flow sizes are inverse-transform sampled from a
-//!   piecewise-linear [`Ecdf`] and inter-arrival gaps are lognormal
-//!   ([`FlowGen`]), which yields a heavy-tailed offered-rate matrix;
+//!   DC pair, flow sizes are inverse-transform sampled from
+//!   [`FlowSizeDist::dc_interconnect`] and inter-arrival gaps are
+//!   lognormal, which yields a heavy-tailed offered-rate matrix;
 //! * three seeded *families* of matrices derived from that base
 //!   ([`FamilyKind`]): `diurnal` phase-shifts every pair over the family,
 //!   `burst` multiplies a seeded subset of pairs far past their steady
 //!   rate, and `hotspot` concentrates traffic on one hot DC per matrix;
+//!   the service load generator and the flow simulator weight DC pairs
+//!   by a family's mean ([`FamilySpec::mean_shape`], drawn with
+//!   [`weighted_pick`]), indexed by [`pair_index`];
 //! * a calibration step ([`MatrixFamily::build`]) that scales the base
 //!   matrix so its maximum link load is a target fraction of the
 //!   hose-provisioned capacity, making families comparable across
@@ -34,147 +37,13 @@
 use crate::engine::{self, ScenarioView};
 use crate::goals::DesignGoals;
 use crate::topology::{nominal_load, provision_with_threads, sweep, Provisioning};
+use crate::workloads::FlowSizeDist;
 use iris_fibermap::Region;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
-
-/// A piecewise-linear empirical CDF over flow sizes in bytes.
-///
-/// Anchors are `(size_bytes, cumulative_probability)` points; sampling
-/// interpolates between them in the log-size domain, which matches how
-/// flow-size distributions are usually published (points on a log-x CDF
-/// plot). The planner carries its own copy rather than reusing the
-/// simulator's because `iris-simnet` depends on this crate, not the
-/// other way around.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Ecdf {
-    /// `(size_bytes, cum_prob)`, sizes and probabilities both strictly
-    /// increasing, last probability 1.0.
-    anchors: Vec<(f64, f64)>,
-}
-
-impl Ecdf {
-    /// Build an ECDF from `(size_bytes, cum_prob)` anchors.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless sizes are positive and strictly increasing,
-    /// probabilities are in `(0, 1]` and strictly increasing, and the
-    /// last probability is 1.0.
-    #[must_use]
-    pub fn from_anchors(anchors: &[(f64, f64)]) -> Self {
-        assert!(!anchors.is_empty(), "an ECDF needs at least one anchor");
-        for w in anchors.windows(2) {
-            assert!(
-                w[0].0 < w[1].0 && w[0].1 < w[1].1,
-                "ECDF anchors must be strictly increasing"
-            );
-        }
-        assert!(anchors[0].0 > 0.0, "flow sizes must be positive");
-        assert!(
-            anchors[0].1 > 0.0 && (anchors[anchors.len() - 1].1 - 1.0).abs() < 1e-9,
-            "cumulative probabilities must lie in (0, 1] and end at 1"
-        );
-        Self {
-            anchors: anchors.to_vec(),
-        }
-    }
-
-    /// The default DC-interconnect mix: mostly small RPC-sized flows by
-    /// count, with replication and bulk-copy elephants carrying most of
-    /// the bytes.
-    #[must_use]
-    pub fn dc_interconnect() -> Self {
-        Self::from_anchors(&[
-            (500.0, 0.15),
-            (2_000.0, 0.40),
-            (10_000.0, 0.60),
-            (100_000.0, 0.78),
-            (1_000_000.0, 0.90),
-            (10_000_000.0, 0.97),
-            (100_000_000.0, 1.0),
-        ])
-    }
-
-    /// Inverse CDF: the flow size at cumulative probability `u` (clamped
-    /// to `[0, 1]`), interpolating between anchors in the log-size
-    /// domain.
-    #[must_use]
-    pub fn quantile(&self, u: f64) -> f64 {
-        let u = u.clamp(0.0, 1.0);
-        let first = self.anchors[0];
-        if u <= first.1 {
-            return first.0;
-        }
-        let last = self.anchors[self.anchors.len() - 1];
-        if u >= last.1 {
-            return last.0;
-        }
-        for w in self.anchors.windows(2) {
-            let ((s0, p0), (s1, p1)) = (w[0], w[1]);
-            if u <= p1 {
-                let t = (u - p0) / (p1 - p0);
-                return (s0.ln() + t * (s1.ln() - s0.ln())).exp();
-            }
-        }
-        self.anchors[self.anchors.len() - 1].0
-    }
-
-    /// Draw one flow size.
-    pub fn sample(&self, rng: &mut StdRng) -> f64 {
-        self.quantile(rng.random::<f64>())
-    }
-
-    /// Mean flow size in bytes, by midpoint integration of the quantile
-    /// function.
-    #[must_use]
-    pub fn mean_bytes(&self) -> f64 {
-        const STEPS: usize = 1024;
-        (0..STEPS)
-            .map(|i| self.quantile((i as f64 + 0.5) / STEPS as f64))
-            .sum::<f64>()
-            / STEPS as f64
-    }
-}
-
-/// A seeded flow generator for one DC pair: ECDF-sampled sizes,
-/// lognormal inter-arrival gaps.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FlowGen {
-    /// Flow-size distribution.
-    pub sizes: Ecdf,
-    /// Mean of the log of the inter-arrival gap (log-seconds).
-    pub gap_mu: f64,
-    /// Standard deviation of the log of the inter-arrival gap.
-    pub gap_sigma: f64,
-}
-
-/// One standard-normal draw via Box–Muller (the vendored `rand` stub has
-/// no normal distribution).
-fn standard_normal(rng: &mut StdRng) -> f64 {
-    let u1 = 1.0 - rng.random::<f64>(); // (0, 1]: ln never sees 0
-    let u2: f64 = rng.random();
-    (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-}
-
-impl FlowGen {
-    /// Offered rate in Gbps: sample `flows` sizes and gaps and divide
-    /// total bits by total time. A pure function of the seed.
-    #[must_use]
-    pub fn offered_gbps(&self, seed: u64, flows: usize) -> f64 {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut bytes = 0.0f64;
-        let mut seconds = 0.0f64;
-        for _ in 0..flows.max(1) {
-            bytes += self.sizes.sample(&mut rng);
-            seconds += (self.gap_mu + self.gap_sigma * standard_normal(&mut rng)).exp();
-        }
-        bytes * 8.0 / seconds.max(1e-12) / 1e9
-    }
-}
 
 /// The three seeded matrix-family shapes.
 ///
@@ -347,7 +216,6 @@ impl FamilySpec {
         assert!(n_dcs >= 2, "a matrix family needs at least two DCs");
         assert!(self.count > 0, "a matrix family needs at least one matrix");
         let base = self.base_gbps(n_dcs);
-        let n_pairs = base.len();
         (0..self.count)
             .map(|m| {
                 // Shock layer: today's draws. Salted so `held_out()`
@@ -410,29 +278,39 @@ impl FamilySpec {
                         }
                         let hot = order[m % n_dcs];
                         let boost = shock_rng.random_range(4.0..6.0);
-                        let mut shaped = Vec::with_capacity(n_pairs);
-                        let mut p = 0;
-                        for a in 0..n_dcs {
-                            for b in (a + 1)..n_dcs {
-                                let f = if a == hot || b == hot { boost } else { 0.5 };
-                                shaped.push(base[p] * f);
-                                p += 1;
-                            }
-                        }
-                        shaped
+                        (0..n_dcs)
+                            .flat_map(|a| ((a + 1)..n_dcs).map(move |b| (a, b)))
+                            .zip(&base)
+                            .map(|((a, b), &x)| x * if a == hot || b == hot { boost } else { 0.5 })
+                            .collect()
                     }
                 }
             })
             .collect()
     }
 
+    /// The family's mean shape over `n_dcs` DCs: per unordered pair, in
+    /// [`FamilySpec::shapes`]' triangular order, the sum of the pair's
+    /// rate over the matrices (in matrix order) divided by the count.
+    /// The service load generator and `iris simd` weight DC pairs by it.
+    ///
+    /// # Panics
+    ///
+    /// As [`FamilySpec::shapes`].
+    #[must_use]
+    pub fn mean_shape(&self, n_dcs: usize) -> Vec<f64> {
+        let shapes = self.shapes(n_dcs);
+        (0..pair_count(n_dcs))
+            .map(|i| shapes.iter().map(|m| m[i]).sum::<f64>() / shapes.len() as f64)
+            .collect()
+    }
+
     /// The flowgen base matrix: per pair, an offered rate in Gbps from
-    /// ECDF-sampled flow sizes and lognormal inter-arrivals, with a
-    /// seeded per-pair log-rate so a few pairs dominate (heavy tail).
+    /// sampled flow sizes and lognormal inter-arrivals, with a seeded
+    /// per-pair log-rate so a few pairs dominate (heavy tail).
     fn base_gbps(&self, n_dcs: usize) -> Vec<f64> {
-        let sizes = Ecdf::dc_interconnect();
-        let n_pairs = n_dcs * (n_dcs - 1) / 2;
-        (0..n_pairs)
+        let sizes = FlowSizeDist::dc_interconnect();
+        (0..pair_count(n_dcs))
             .map(|p| {
                 let mut rng = StdRng::seed_from_u64(
                     self.seed
@@ -440,15 +318,46 @@ impl FamilySpec {
                         .wrapping_add((p as u64).wrapping_mul(0xE703_7ED1_A0B4_28DB)),
                 );
                 // Per-pair mean log-gap spans ~e^6 in rate: heavy tail.
-                let gen = FlowGen {
-                    sizes: sizes.clone(),
-                    gap_mu: rng.random_range(-9.0..-3.0),
-                    gap_sigma: 1.0,
-                };
-                gen.offered_gbps(rng.random::<u64>(), 64)
+                let gap_mu = rng.random_range(-9.0..-3.0);
+                offered_gbps(&sizes, gap_mu, rng.random::<u64>(), 64)
             })
             .collect()
     }
+}
+
+/// Offered Gbps of one DC pair's seeded flow generator: per flow a size,
+/// then a lognormal gap `exp(gap_mu + N(0, 1))`; total bits over total
+/// time.
+fn offered_gbps(sizes: &FlowSizeDist, gap_mu: f64, seed: u64, flows: usize) -> f64 {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut bytes = 0.0f64;
+    let mut seconds = 0.0f64;
+    for _ in 0..flows.max(1) {
+        bytes += sizes.sample(&mut rng);
+        seconds += (gap_mu + standard_normal(&mut rng)).exp();
+    }
+    bytes * 8.0 / seconds.max(1e-12) / 1e9
+}
+
+/// One standard-normal draw via Box–Muller (the vendored `rand` stub has
+/// no normal distribution).
+fn standard_normal(rng: &mut StdRng) -> f64 {
+    let u1 = 1.0 - rng.random::<f64>(); // (0, 1]: ln never sees 0
+    let u2: f64 = rng.random();
+    (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
+}
+
+/// Draw an index in `0..weights.len()` proportionally to `weights`,
+/// which must be non-negative and sum to `total > 0`.
+pub fn weighted_pick<R: Rng + ?Sized>(rng: &mut R, weights: &[f64], total: f64) -> usize {
+    let mut roll: f64 = rng.random_range(0.0..total);
+    for (idx, w) in weights.iter().enumerate() {
+        roll -= w;
+        if roll < 0.0 {
+            return idx;
+        }
+    }
+    weights.len() - 1
 }
 
 impl fmt::Display for FamilySpec {
@@ -604,11 +513,21 @@ impl MatrixFamily {
     }
 }
 
-/// Triangular index of unordered pair `(i, j)`, `i < j` — the same dense
-/// pair order the [`engine::ScenarioEngine`] assigns slot indices in.
-fn pair_index(n: usize, i: usize, j: usize) -> usize {
-    debug_assert!(i < j && j < n);
+/// Triangular index of DC pair `(i, j)`, `i < j < n`: the pair order of
+/// [`FamilySpec::shapes`], the simulator's matrices and routes, and the
+/// [`engine::ScenarioEngine`]'s slots. Panics unless `i < j < n`.
+#[inline]
+#[must_use]
+pub fn pair_index(n: usize, i: usize, j: usize) -> usize {
+    assert!(i < j && j < n, "need i < j < n");
     i * n - i * (i + 1) / 2 + (j - i - 1)
+}
+
+/// Number of unordered pairs among `n` DCs.
+#[inline]
+#[must_use]
+pub fn pair_count(n: usize) -> usize {
+    n * (n - 1) / 2
 }
 
 /// Robust Algorithm 1 with the default thread count
@@ -755,7 +674,7 @@ mod tests {
 
     #[test]
     fn ecdf_quantile_is_monotone_and_bounded() {
-        let e = Ecdf::dc_interconnect();
+        let e = FlowSizeDist::dc_interconnect();
         let mut last = 0.0;
         for i in 0..=100 {
             let q = e.quantile(i as f64 / 100.0);
@@ -770,18 +689,12 @@ mod tests {
 
     #[test]
     fn flowgen_rate_is_seeded_and_scales_with_gap() {
-        let fast = FlowGen {
-            sizes: Ecdf::dc_interconnect(),
-            gap_mu: -6.0,
-            gap_sigma: 1.0,
-        };
-        let slow = FlowGen {
-            gap_mu: -3.0,
-            ..fast.clone()
-        };
-        assert_eq!(fast.offered_gbps(7, 256), fast.offered_gbps(7, 256));
-        assert_ne!(fast.offered_gbps(7, 256), fast.offered_gbps(8, 256));
-        assert!(fast.offered_gbps(7, 256) > slow.offered_gbps(7, 256));
+        let sizes = FlowSizeDist::dc_interconnect();
+        let fast = |seed| offered_gbps(&sizes, -6.0, seed, 256);
+        let slow = |seed| offered_gbps(&sizes, -3.0, seed, 256);
+        assert_eq!(fast(7), fast(7));
+        assert_ne!(fast(7), fast(8));
+        assert!(fast(7) > slow(7));
     }
 
     #[test]

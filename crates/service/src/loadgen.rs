@@ -27,6 +27,7 @@ use crate::api::{AllocEntry, RecoverySummary, Request, Response};
 use crate::client::ServiceClient;
 use crate::codec::{self, Codec};
 use iris_errors::{IrisError, IrisResult};
+use iris_planner::workload::{pair_index, weighted_pick};
 use iris_poll::{Event, Poller};
 use iris_wire::FramedConn;
 use rand::rngs::StdRng;
@@ -225,21 +226,16 @@ impl GeoPopulation {
     #[must_use]
     pub fn new(seed: u64, users: usize, weights: &[f64]) -> Self {
         let regions = weights.len().max(1);
-        let total: f64 = weights.iter().map(|w| w.max(0.0)).sum();
+        let weights: Vec<f64> = weights.iter().map(|w| w.max(0.0)).collect();
+        let total: f64 = weights.iter().sum();
         let mut rng = StdRng::seed_from_u64(seed ^ 0x6E07_A11D);
         let homes = (0..users)
             .map(|_| {
                 if total <= 0.0 {
-                    return rng.random_range(0..regions);
+                    rng.random_range(0..regions)
+                } else {
+                    weighted_pick(&mut rng, &weights, total)
                 }
-                let mut roll: f64 = rng.random_range(0.0..total);
-                for (idx, w) in weights.iter().enumerate() {
-                    roll -= w.max(0.0);
-                    if roll < 0.0 {
-                        return idx;
-                    }
-                }
-                regions - 1
             })
             .collect();
         Self { regions, homes }
@@ -274,37 +270,6 @@ struct Sample {
     read_during_recovery: bool,
 }
 
-/// Mean per-pair weight of a workload family over the loadgen's pair
-/// universe (the same `(a, b)` indices the server serves); `None` when
-/// the weights degenerate to zero.
-fn family_weights(spec: &iris_planner::FamilySpec, pairs: &[(usize, usize)]) -> Option<Vec<f64>> {
-    let n = pairs.iter().map(|&(a, b)| a.max(b)).max()? + 1;
-    let shapes = spec.shapes(n);
-    // Triangular index of pair (a, b), a < b — the shapes' layout.
-    let idx = |a: usize, b: usize| a * n - a * (a + 1) / 2 + (b - a - 1);
-    let weights: Vec<f64> = pairs
-        .iter()
-        .map(|&(a, b)| {
-            let i = idx(a.min(b), a.max(b));
-            shapes.iter().map(|m| m[i]).sum::<f64>() / shapes.len() as f64
-        })
-        .collect();
-    (weights.iter().sum::<f64>() > 0.0).then_some(weights)
-}
-
-/// Draw an index in `0..weights.len()` proportionally to `weights`
-/// (which must sum to a positive total).
-fn weighted_pick(rng: &mut StdRng, weights: &[f64], total: f64) -> usize {
-    let mut roll: f64 = rng.random_range(0.0..total);
-    for (idx, w) in weights.iter().enumerate() {
-        roll -= w;
-        if roll < 0.0 {
-            return idx;
-        }
-    }
-    weights.len() - 1
-}
-
 /// Generate connection `conn`'s request sequence. Reads draw from every
 /// pair; updates draw only from the connection's owned pairs. With
 /// [`LoadgenConfig::matrices`] set, both draws are weighted by the
@@ -324,10 +289,18 @@ fn generate_sequence(
         .filter(|(i, _)| i % cfg.connections == conn)
         .map(|(_, &p)| p)
         .collect();
-    let weights = cfg
-        .matrices
-        .as_ref()
-        .and_then(|spec| family_weights(spec, pairs));
+    // The family's mean per-pair rate over the loadgen's pair universe
+    // (the same `(a, b)` indices the server serves); uniform when those
+    // degenerate to zero.
+    let weights = cfg.matrices.as_ref().and_then(|spec| {
+        let n = pairs.iter().map(|&(a, b)| a.max(b)).max()? + 1;
+        let mean = spec.mean_shape(n);
+        let weights: Vec<f64> = pairs
+            .iter()
+            .map(|&(a, b)| mean[pair_index(n, a.min(b), a.max(b))])
+            .collect();
+        (weights.iter().sum::<f64>() > 0.0).then_some(weights)
+    });
     let weighted = weights.as_ref().map(|w| {
         let owned_w: Vec<f64> = w
             .iter()
@@ -1083,8 +1056,9 @@ mod tests {
         );
         assert_ne!(a, uniform, "weighting must change the mix");
 
-        // QueryPath draws should concentrate on the family's heavy pairs.
-        let weights = family_weights(&spec, &pairs).expect("weights");
+        // QueryPath draws should concentrate on the family's heavy pairs
+        // (`pairs` lists all six in triangular order).
+        let weights = spec.mean_shape(4);
         let hottest = weights
             .iter()
             .enumerate()

@@ -20,8 +20,9 @@
 
 use crate::topology::SimTopology;
 use crate::trace::FlowTrace;
-use crate::traffic::{pair_index, ChangeModel};
-use crate::workloads::FlowSizeDist;
+use crate::traffic::ChangeModel;
+use iris_planner::workload::pair_index;
+use iris_planner::workloads::FlowSizeDist;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 

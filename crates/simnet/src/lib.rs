@@ -10,8 +10,8 @@
 //!
 //! This crate reproduces that study:
 //!
-//! * [`workloads`] — empirical flow-size distributions (pFabric
-//!   web-search; Facebook web / hadoop / cache);
+//! * [`workloads`] — the planner's flow-size distributions (pFabric
+//!   web-search; Facebook web / hadoop / cache), re-exported;
 //! * [`traffic`] — heavy-tailed DC-pair traffic matrices with bounded or
 //!   unbounded change;
 //! * [`topology`] — the simulated link/route model, derivable from a
@@ -37,10 +37,10 @@ pub mod experiment;
 pub mod topology;
 pub mod trace;
 pub mod traffic;
-pub mod workloads;
 
 pub use engine::{FlowRecord, SimConfig};
 pub use experiment::{run_comparison, ComparisonResult, ExperimentConfig};
+pub use iris_planner::workloads;
 pub use topology::SimTopology;
 pub use trace::{FlowTrace, RunManifest, TraceArrival, TraceFlow, WorkSpec};
 pub use traffic::TrafficMatrix;

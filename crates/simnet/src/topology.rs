@@ -9,6 +9,7 @@
 //! smaller capacities keep flow counts tractable (see DESIGN.md).
 
 use iris_fibermap::Region;
+use iris_planner::workload::{pair_count, pair_index};
 use iris_planner::{topology::nominal_paths, DesignGoals, Provisioning};
 use serde::{Deserialize, Serialize};
 
@@ -42,7 +43,7 @@ impl SimTopology {
     /// Route of pair `(i, j)`.
     #[must_use]
     pub fn route(&self, i: usize, j: usize) -> &[LinkId] {
-        &self.routes[crate::traffic::pair_index(self.n_dcs, i.min(j), i.max(j))]
+        &self.routes[pair_index(self.n_dcs, i.min(j), i.max(j))]
     }
 
     /// Bottleneck capacity along pair `(i, j)`'s route, Gbps.
@@ -102,10 +103,10 @@ impl SimTopology {
                 capacity_gbps: prov.edge_capacity_wl[e] * region.gbps_per_wavelength * scale,
             });
         }
-        let mut routes = vec![Vec::new(); crate::traffic::pair_count(n)];
-        let mut route_rtt_s = vec![0.0; crate::traffic::pair_count(n)];
+        let mut routes = vec![Vec::new(); pair_count(n)];
+        let mut route_rtt_s = vec![0.0; pair_count(n)];
         for p in nominal_paths(region, goals) {
-            let idx = crate::traffic::pair_index(n, p.a, p.b);
+            let idx = pair_index(n, p.a, p.b);
             routes[idx] = p
                 .edges
                 .iter()
@@ -150,18 +151,15 @@ impl SimTopology {
             };
             n_dcs
         ];
-        let mut routes = vec![Vec::new(); crate::traffic::pair_count(n_dcs)];
-        for i in 0..n_dcs {
-            for j in (i + 1)..n_dcs {
-                routes[crate::traffic::pair_index(n_dcs, i, j)] = vec![i, j];
-            }
-        }
-        let pair_count = crate::traffic::pair_count(n_dcs);
+        // Each pair's two spokes, in the triangular pair order.
+        let routes: Vec<Vec<LinkId>> = (0..n_dcs)
+            .flat_map(|i| ((i + 1)..n_dcs).map(move |j| vec![i, j]))
+            .collect();
         Self {
             n_dcs,
             links,
+            route_rtt_s: vec![0.0; routes.len()],
             routes,
-            route_rtt_s: vec![0.0; pair_count],
         }
     }
 }

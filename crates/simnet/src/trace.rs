@@ -15,11 +15,18 @@
 //! over one workload rather than two workloads.
 
 use crate::engine::{drive, CapacityEvent, FabricModel, FlowRecord, SimConfig};
-use crate::topology::SimTopology;
-use crate::traffic::{pair_count, pair_index, ChangeModel, TrafficMatrix};
+use crate::topology::{Link, SimTopology};
+use crate::traffic::{ChangeModel, TrafficMatrix};
+use iris_errors::{IrisError, IrisResult};
+use iris_planner::workload::pair_index;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+
+/// The most arrivals (calibrated rate × duration), and the most matrix
+/// changes, [`WorkSpec::check`] lets a recipe expect: a trace is held
+/// whole in memory. The largest run in the repository draws ~3·10⁶.
+pub const MAX_EXPECTED_ARRIVALS: f64 = 1e8;
 
 /// The recipe of a simulation run: topology, initial traffic matrix and
 /// configuration. Every trace, record and manifest of the run is a pure
@@ -42,37 +49,88 @@ impl WorkSpec {
     ///
     /// # Panics
     ///
-    /// Panics if the topology and matrix disagree on the DC count, the
-    /// utilization is outside (0, 1), or the matrix offers no link any
-    /// load.
+    /// Panics with [`WorkSpec::check`]'s message if the recipe is
+    /// invalid.
     #[must_use]
     pub fn arrival_rate(&self) -> f64 {
-        let (topo, matrix) = (&self.topo, &self.matrix);
-        assert_eq!(topo.n_dcs, matrix.n_dcs(), "topology/matrix DC mismatch");
-        let utilization = self.config.utilization;
-        assert!(
-            utilization > 0.0 && utilization < 1.0,
-            "utilization must be in (0, 1)"
-        );
+        if let Err(e) = self.check() {
+            panic!("{e}");
+        }
+        self.calibrated_rate()
+    }
+
+    /// [`WorkSpec::arrival_rate`] of a recipe whose routes index its
+    /// links: infinite when the matrix loads no link.
+    fn calibrated_rate(&self) -> f64 {
         // Expected per-link load for unit total offered Gbps.
-        let n = topo.n_dcs;
-        let mut unit_load = vec![0.0f64; topo.links.len()];
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let w = matrix.weight(i, j);
-                for &l in topo.route(i, j) {
-                    unit_load[l] += w;
-                }
+        let mut unit_load = vec![0.0f64; self.topo.links.len()];
+        for (route, &w) in self.topo.routes.iter().zip(self.matrix.weights()) {
+            for &l in route {
+                unit_load[l] += w;
             }
         }
         let max_rel = unit_load
             .iter()
-            .zip(&topo.links)
+            .zip(&self.topo.links)
             .map(|(&u, l)| u / l.capacity_gbps)
             .fold(0.0f64, f64::max);
-        assert!(max_rel > 0.0, "matrix offers no load to any link");
-        let offered_gbps = utilization / max_rel;
+        let offered_gbps = self.config.utilization / max_rel;
         offered_gbps * 1e9 / self.mean_bits()
+    }
+
+    /// Check that [`WorkSpec::trace`] and [`FlowTrace::replay`] can run
+    /// the recipe without indexing out of bounds, dividing by zero or
+    /// looping forever: a recipe from outside the program (a flowsim
+    /// `LoadSpec`) passes here before anything draws it.
+    ///
+    /// # Errors
+    ///
+    /// [`IrisError::InvalidInput`] naming the first violated condition.
+    pub fn check(&self) -> IrisResult<()> {
+        let (topo, config) = (&self.topo, &self.config);
+        let invalid = |detail: String| IrisError::InvalidInput {
+            detail: format!("work spec: {detail}"),
+        };
+        config.flow_sizes.check().map_err(invalid)?;
+        let (n, links) = (topo.n_dcs, topo.links.len());
+        let (weights, rtts) = (self.matrix.weights(), &topo.route_rtt_s);
+        let events = &config.capacity_events;
+        let pairs = n.checked_mul(n.saturating_sub(1)).map(|p| p / 2);
+        let sized = [topo.routes.len(), rtts.len(), weights.len()].map(|len| Some(len) == pairs);
+        let event_ids = events.iter().filter_map(|e| e.links.as_ref());
+        let mut ids = topo.routes.iter().chain(event_ids).flatten();
+        let finite = |x: &f64| x.is_finite() && *x >= 0.0;
+        let carries = |l: &Link| l.capacity_gbps > 0.0 && finite(&l.capacity_gbps);
+        let event_ok = |e: &CapacityEvent| {
+            e.start_s.is_finite()
+                && finite(&e.duration_s)
+                && (0.0..=1.0).contains(&e.capacity_factor)
+        };
+        let (u, duration) = (config.utilization, config.duration_s);
+        let interval_ok = |i: f64| i > 0.0 && duration / i <= MAX_EXPECTED_ARRIVALS;
+        let needs = if n < 2 || self.matrix.n_dcs() != n || sized.contains(&false) {
+            "two or more DCs, a matrix over as many, and one route, RTT and weight per DC pair"
+        } else if ids.any(|&l| l >= links) {
+            "route and capacity-event link ids in range"
+        } else if !topo.links.iter().all(carries) {
+            "positive finite link capacities"
+        } else if !weights.iter().chain(rtts).all(finite) {
+            "finite non-negative matrix weights and route RTTs"
+        } else if !events.iter().all(event_ok) {
+            "capacity events with finite times and a capacity factor in [0, 1]"
+        } else if !(u > 0.0 && u < 1.0) {
+            "a utilization in (0, 1)"
+        } else if !(duration > 0.0 && duration.is_finite()) {
+            "a positive finite duration"
+        } else if !config.change_interval_s.is_none_or(interval_ok) {
+            "a positive change interval scheduling at most MAX_EXPECTED_ARRIVALS changes"
+        } else if !(self.calibrated_rate() * duration).le(&MAX_EXPECTED_ARRIVALS) {
+            // Infinite or NaN when the matrix loads no link.
+            "at most MAX_EXPECTED_ARRIVALS expected arrivals, and a matrix that loads a link"
+        } else {
+            return Ok(());
+        };
+        Err(invalid(format!("needs {needs}")))
     }
 
     /// Mean flow size, bits.
@@ -212,30 +270,24 @@ fn clamp_matrix_to_capacity(
 ) {
     const HEADROOM: f64 = 0.95;
     let offered_per_weight = arrival_rate * mean_bits / 1e9; // Gbps at weight 1
-    let n = topo.n_dcs;
+                                                             // Routes and weights share the triangular pair order.
     for _ in 0..32 {
         let mut load = vec![0.0f64; topo.links.len()];
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let w = matrix.weight(i, j);
-                for &l in topo.route(i, j) {
-                    load[l] += w * offered_per_weight;
-                }
+        for (route, &w) in topo.routes.iter().zip(matrix.weights()) {
+            for &l in route {
+                load[l] += w * offered_per_weight;
             }
         }
-        let mut factor = vec![1.0f64; pair_count(n)];
+        let mut factor = vec![1.0f64; topo.routes.len()];
         let mut any = false;
         for (l, &ld) in load.iter().enumerate() {
             let cap = topo.links[l].capacity_gbps * HEADROOM;
             if ld > cap {
                 any = true;
                 let f = cap / ld;
-                for i in 0..n {
-                    for j in (i + 1)..n {
-                        if topo.route(i, j).contains(&l) {
-                            let idx = pair_index(n, i, j);
-                            factor[idx] = factor[idx].min(f);
-                        }
+                for (idx, route) in topo.routes.iter().enumerate() {
+                    if route.contains(&l) {
+                        factor[idx] = factor[idx].min(f);
                     }
                 }
             }
@@ -440,6 +492,53 @@ mod tests {
         let back: FlowTrace = serde_json::from_str(&json).expect("deserialize");
         assert_eq!(trace, back);
         assert_eq!(trace.replay(&work.topo), back.replay(&work.topo));
+    }
+
+    #[test]
+    fn check_turns_every_bad_recipe_field_into_invalid_input() {
+        fn event(links: Option<Vec<usize>>) -> CapacityEvent {
+            CapacityEvent {
+                start_s: 1.0,
+                duration_s: 0.5,
+                capacity_factor: 0.5,
+                links,
+            }
+        }
+        type Mutation = fn(&mut WorkSpec);
+        let cases: [(&str, Mutation); 12] = [
+            ("route link id", |w| w.topo.routes[0] = vec![99]),
+            ("event link id", |w| {
+                w.config.capacity_events = vec![event(Some(vec![99]))];
+            }),
+            ("event factor", |w| {
+                w.config.capacity_events = vec![CapacityEvent {
+                    capacity_factor: 2.0,
+                    ..event(None)
+                }];
+            }),
+            ("zero capacity", |w| w.topo.links[0].capacity_gbps = 0.0),
+            ("NaN capacity", |w| w.topo.links[0].capacity_gbps = f64::NAN),
+            ("route count", |w| drop(w.topo.routes.pop())),
+            ("RTT count", |w| w.topo.route_rtt_s.push(0.0)),
+            ("zero duration", |w| w.config.duration_s = 0.0),
+            ("infinite duration", |w| w.config.duration_s = f64::INFINITY),
+            ("NaN utilization", |w| w.config.utilization = f64::NAN),
+            ("1e9 changes", |w| w.config.change_interval_s = Some(4e-9)),
+            ("1e9 arrivals", |w| {
+                w.config.change_interval_s = None;
+                w.config.duration_s = 1e9;
+            }),
+        ];
+        assert_eq!(spec(FabricModel::Eps, 1).check(), Ok(()));
+        for (what, mutate) in cases {
+            let mut work = spec(FabricModel::Eps, 1);
+            mutate(&mut work);
+            let err = work.check().expect_err(what);
+            assert!(
+                matches!(err, IrisError::InvalidInput { .. }),
+                "{what}: {err:?}"
+            );
+        }
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! high-traffic one. Otherwise, we bound the changes to a maximum %
 //! value."
 
+use iris_planner::workload::{pair_count, pair_index};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -44,19 +45,6 @@ impl StdRngState {
         r.random::<u64>(); // decorrelate adjacent seeds
         r
     }
-}
-
-/// Index of unordered pair `(i, j)`, `i < j`, in a triangular layout.
-#[must_use]
-pub fn pair_index(n: usize, i: usize, j: usize) -> usize {
-    assert!(i < j && j < n, "need i < j < n");
-    i * n - i * (i + 1) / 2 + (j - i - 1)
-}
-
-/// Number of unordered pairs.
-#[must_use]
-pub fn pair_count(n: usize) -> usize {
-    n * (n - 1) / 2
 }
 
 impl TrafficMatrix {
