@@ -181,9 +181,7 @@ pub fn simd(opts: &Options) -> IrisResult<()> {
         let started = std::time::Instant::now();
         let mut cells = Vec::new();
         for (name, fabric) in [("eps", FabricModel::Eps), ("iris", iris)] {
-            let spec = spec_for(&topo, fabric, interval);
-            let trace = spec.trace();
-            let report = estimate_with_trace(&spec, &trace, &cfg)?;
+            let report = iris_flowsim::estimate(&spec_for(&topo, fabric, interval), &cfg)?;
             total_flows = total_flows.max(report.flows);
             scale_stats.get_or_insert((report.links_occupied, report.links_simulated));
             cells.push((name, report));

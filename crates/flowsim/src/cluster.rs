@@ -38,19 +38,16 @@ const ECDF_WEIGHT: f64 = 0.25;
 #[must_use]
 pub fn link_features(topo: &SimTopology, dec: &Decomposition, link: usize) -> LinkFeatures {
     let ids = &dec.link_flows[link];
-    let mut sizes: Vec<f64> = ids
-        .iter()
-        .map(|&id| dec.flows[id as usize].size_bytes)
-        .collect();
-    sizes.sort_by(|a, b| a.partial_cmp(b).expect("finite sizes"));
-    let total_bits: f64 = sizes.iter().map(|s| s * 8.0).sum();
+    let order = dec.size_order(link);
+    let size = |k: usize| dec.flows[ids[order[k] as usize] as usize].size_bytes;
+    let total_bits: f64 = (0..order.len()).map(|k| size(k) * 8.0).sum();
     let cap_bits = topo.links[link].capacity_gbps * 1e9 * dec.duration_s;
     let mut size_deciles = [0.0f64; 9];
-    if !sizes.is_empty() {
+    if !order.is_empty() {
         for (k, d) in size_deciles.iter_mut().enumerate() {
             let q = (k + 1) as f64 / 10.0;
-            let idx = ((sizes.len() - 1) as f64 * q).round() as usize;
-            *d = sizes[idx].max(1.0).log10();
+            let idx = ((order.len() - 1) as f64 * q).round() as usize;
+            *d = size(idx).max(1.0).log10();
         }
     }
     LinkFeatures {
@@ -125,8 +122,8 @@ pub fn cluster_links(
 /// range as unfinishable.
 #[derive(Debug)]
 pub struct SlowdownTable {
-    /// (size_bytes, slowdown), sorted by size. Slowdown < 0 encodes an
-    /// incomplete rep flow.
+    /// (size_bytes, slowdown), sorted by size, then slowdown. Slowdown
+    /// < 0 encodes an incomplete rep flow.
     entries: Vec<(f64, f64)>,
 }
 
@@ -136,11 +133,15 @@ impl SlowdownTable {
     #[must_use]
     pub fn build(topo: &SimTopology, dec: &Decomposition, rep: usize, finishes: &[f64]) -> Self {
         let cap_bps = topo.links[rep].capacity_gbps * 1e9;
-        let mut entries: Vec<(f64, f64)> = dec.link_flows[rep]
+        let ids = &dec.link_flows[rep];
+        // Emitted in the rep's size order, so only runs of equal size
+        // are left to order by slowdown.
+        let mut entries: Vec<(f64, f64)> = dec
+            .size_order(rep)
             .iter()
-            .zip(finishes)
-            .map(|(&id, &fin)| {
-                let f = &dec.flows[id as usize];
+            .map(|&pos| {
+                let f = &dec.flows[ids[pos as usize] as usize];
+                let fin = finishes[pos as usize];
                 let slowdown = if fin < 0.0 {
                     -1.0
                 } else {
@@ -154,7 +155,9 @@ impl SlowdownTable {
                 (f.size_bytes, slowdown)
             })
             .collect();
-        entries.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+        for run in entries.chunk_by_mut(|a, b| a.0 == b.0) {
+            run.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"));
+        }
         Self { entries }
     }
 
@@ -163,22 +166,26 @@ impl SlowdownTable {
     /// or the nearest rep flow was incomplete.
     #[must_use]
     pub fn slowdown(&self, size_bytes: f64) -> Option<f64> {
-        if self.entries.is_empty() {
-            return None;
+        let mut lower_bound = self.entries.partition_point(|&(s, _)| s < size_bytes);
+        self.lookup(size_bytes, &mut lower_bound)
+    }
+
+    /// [`SlowdownTable::slowdown`] from a cursor at or before the first
+    /// entry of size ≥ `size_bytes`, moved forward to it: queries in
+    /// ascending size walk the table once, as a merge.
+    fn lookup(&self, size_bytes: f64, cursor: &mut usize) -> Option<f64> {
+        let e = &self.entries;
+        debug_assert!(
+            *cursor == 0 || e[*cursor - 1].0 < size_bytes,
+            "cursor past the query"
+        );
+        while *cursor < e.len() && e[*cursor].0 < size_bytes {
+            *cursor += 1;
         }
-        let idx = self
-            .entries
-            .partition_point(|&(s, _)| s < size_bytes)
-            .min(self.entries.len() - 1);
-        let best = if idx > 0
-            && (size_bytes - self.entries[idx - 1].0).abs()
-                <= (self.entries[idx].0 - size_bytes).abs()
-        {
-            idx - 1
-        } else {
-            idx
-        };
-        let (_, sd) = self.entries[best];
+        let idx = (*cursor).min(e.len().checked_sub(1)?);
+        let smaller_is_nearer =
+            idx > 0 && (size_bytes - e[idx - 1].0).abs() <= (e[idx].0 - size_bytes).abs();
+        let (_, sd) = e[if smaller_is_nearer { idx - 1 } else { idx }];
         (sd >= 0.0).then_some(sd)
     }
 }
@@ -187,7 +194,8 @@ impl SlowdownTable {
 /// distribution: each member flow pays `slowdown(size) * ideal` on the
 /// *member's* capacity. Output aligns with `dec.link_flows[member]`;
 /// flows whose nearest rep flow was incomplete — or that would finish
-/// past the duration — come back [`INCOMPLETE`].
+/// past the duration — come back [`INCOMPLETE`]. The member's flows are
+/// looked up in size order, one forward pass through the table.
 #[must_use]
 pub fn estimate_member(
     topo: &SimTopology,
@@ -196,23 +204,31 @@ pub fn estimate_member(
     table: &SlowdownTable,
 ) -> Vec<f64> {
     let cap_bps = topo.links[member].capacity_gbps * 1e9;
-    dec.link_flows[member]
-        .iter()
-        .map(|&id| {
-            let f = &dec.flows[id as usize];
-            match table.slowdown(f.size_bytes) {
-                Some(sd) if cap_bps > 0.0 => {
-                    let fin = f.start_s + sd * (f.size_bytes * 8.0) / cap_bps;
-                    if fin < dec.duration_s {
-                        fin
-                    } else {
-                        INCOMPLETE
-                    }
+    let ids = &dec.link_flows[member];
+    let mut finishes = vec![INCOMPLETE; ids.len()];
+    if cap_bps > 0.0 {
+        let order = dec.size_order(member);
+        // Gather before the merge: these loads do not wait on each
+        // other, so they overlap instead of stalling the merge's
+        // branches one cache miss at a time.
+        let sized: Vec<(f64, f64)> = order
+            .iter()
+            .map(|&pos| {
+                let f = &dec.flows[ids[pos as usize] as usize];
+                (f.size_bytes, f.start_s)
+            })
+            .collect();
+        let mut cursor = 0;
+        for (&pos, &(size_bytes, start_s)) in order.iter().zip(&sized) {
+            if let Some(sd) = table.lookup(size_bytes, &mut cursor) {
+                let fin = start_s + sd * (size_bytes * 8.0) / cap_bps;
+                if fin < dec.duration_s {
+                    finishes[pos as usize] = fin;
                 }
-                _ => INCOMPLETE,
             }
-        })
-        .collect()
+        }
+    }
+    finishes
 }
 
 #[cfg(test)]
@@ -311,6 +327,221 @@ mod tests {
                     (ta - 2.0 * tb).abs() <= 1e-9 * ta.abs().max(1.0),
                     "{ta} vs {tb}"
                 );
+            }
+        }
+    }
+
+    /// The nearest-size rule as it stood before the size order, its
+    /// binary search spelled as a linear scan: the first entry not smaller
+    /// than the query, else the last; the smaller neighbour wins ties.
+    fn reference_slowdown(entries: &[(f64, f64)], size: f64) -> Option<f64> {
+        let lb = entries
+            .iter()
+            .position(|&(s, _)| s >= size)
+            .unwrap_or(entries.len());
+        let idx = lb.min(entries.len().checked_sub(1)?);
+        let best = if idx > 0 && (size - entries[idx - 1].0).abs() <= (entries[idx].0 - size).abs()
+        {
+            idx - 1
+        } else {
+            idx
+        };
+        let (_, sd) = entries[best];
+        (sd >= 0.0).then_some(sd)
+    }
+
+    /// The table as built before: flow-id order, then one full sort.
+    fn reference_table(
+        topo: &SimTopology,
+        dec: &Decomposition,
+        rep: usize,
+        finishes: &[f64],
+    ) -> Vec<(f64, f64)> {
+        let cap_bps = topo.links[rep].capacity_gbps * 1e9;
+        let mut entries: Vec<(f64, f64)> = dec.link_flows[rep]
+            .iter()
+            .zip(finishes)
+            .map(|(&id, &fin)| {
+                let f = &dec.flows[id as usize];
+                let ideal = (f.size_bytes * 8.0) / cap_bps;
+                let sd = if fin < 0.0 {
+                    -1.0
+                } else if ideal > 0.0 {
+                    ((fin - f.start_s) / ideal).max(1.0)
+                } else {
+                    1.0
+                };
+                (f.size_bytes, sd)
+            })
+            .collect();
+        entries.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+        entries
+    }
+
+    /// The member estimate as done before: flow-id order, one search each.
+    fn reference_member(
+        topo: &SimTopology,
+        dec: &Decomposition,
+        member: usize,
+        entries: &[(f64, f64)],
+    ) -> Vec<f64> {
+        let cap_bps = topo.links[member].capacity_gbps * 1e9;
+        dec.link_flows[member]
+            .iter()
+            .map(|&id| {
+                let f = &dec.flows[id as usize];
+                match reference_slowdown(entries, f.size_bytes) {
+                    Some(sd) if cap_bps > 0.0 => {
+                        let fin = f.start_s + sd * (f.size_bytes * 8.0) / cap_bps;
+                        if fin < dec.duration_s {
+                            fin
+                        } else {
+                            INCOMPLETE
+                        }
+                    }
+                    _ => INCOMPLETE,
+                }
+            })
+            .collect()
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Ascending queries through one cursor, and each query on its own,
+    /// against the reference rule.
+    fn assert_cursor_matches(entries: Vec<(f64, f64)>, queries: &[f64]) {
+        let table = SlowdownTable { entries };
+        let mut cursor = 0;
+        for &q in queries {
+            let want = reference_slowdown(&table.entries, q);
+            assert_eq!(
+                table.lookup(q, &mut cursor),
+                want,
+                "cursor, query {q}: {:?}",
+                table.entries
+            );
+            assert_eq!(
+                table.slowdown(q),
+                want,
+                "alone, query {q}: {:?}",
+                table.entries
+            );
+        }
+    }
+
+    #[test]
+    fn cursor_lookup_matches_the_reference_on_hostile_tables() {
+        let queries = [
+            0.5, 5.0, 5.0, 7.5, 10.0, 12.0, 15.0, 15.0, 17.0, 20.0, 30.0, 35.0, 40.0, 1e9,
+        ];
+        assert_cursor_matches(Vec::new(), &queries);
+        // Duplicate sizes (ordered by slowdown), incomplete entries
+        // (slowdown < 0) inside and at both ends, and queries below,
+        // above and exactly halfway between entries.
+        let hostile = vec![
+            (5.0, -1.0),
+            (10.0, -1.0),
+            (10.0, 1.0),
+            (10.0, 3.0),
+            (20.0, 2.0),
+            (20.0, 2.5),
+            (40.0, -1.0),
+        ];
+        assert_cursor_matches(hostile, &queries);
+        assert_cursor_matches(vec![(7.0, 1.5)], &queries);
+        // Seeded tables of small integer sizes (many duplicates) under
+        // half-integer queries (many exact midpoints).
+        let mut x: u64 = 0x9e37_79b9_7f4a_7c15;
+        let mut next = |m: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % m
+        };
+        for _ in 0..200 {
+            let len = next(12) as usize;
+            let mut entries: Vec<(f64, f64)> = (0..len)
+                .map(|_| {
+                    let sd = if next(4) == 0 {
+                        -1.0
+                    } else {
+                        1.0 + next(5) as f64
+                    };
+                    (1.0 + next(8) as f64, sd)
+                })
+                .collect();
+            entries.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+            let mut qs: Vec<f64> = (0..next(20)).map(|_| next(21) as f64 / 2.0).collect();
+            qs.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+            assert_cursor_matches(entries, &qs);
+        }
+    }
+
+    #[test]
+    fn size_ordered_table_and_member_walk_match_sort_and_search() {
+        let topo = SimTopology::hub_and_spoke(6, 1.0);
+        let mut dec = dec_for(&topo, 4);
+        // Sizes on a coarse grid: long runs of equal size on every link.
+        for f in &mut dec.flows {
+            f.size_bytes = (f.size_bytes / 5e3).ceil() * 5e3;
+        }
+        let links = dec.occupied_links();
+        let rep = links[0];
+        let mut finishes = dec.simulate(&topo, rep);
+        // Incomplete rep flows mark their sizes unfinishable.
+        for fin in finishes.iter_mut().step_by(7) {
+            *fin = INCOMPLETE;
+        }
+        let table = SlowdownTable::build(&topo, &dec, rep, &finishes);
+        let want = reference_table(&topo, &dec, rep, &finishes);
+        assert_eq!(table.entries.len(), want.len());
+        for (a, b) in table.entries.iter().zip(&want) {
+            assert_eq!(
+                (a.0.to_bits(), a.1.to_bits()),
+                (b.0.to_bits(), b.1.to_bits())
+            );
+        }
+        let mut thin = topo.clone();
+        thin.links[links[2]].capacity_gbps = 0.0;
+        for t in [&topo, &thin] {
+            for &m in &links {
+                let got = estimate_member(t, &dec, m, &table);
+                assert_eq!(
+                    bits(&got),
+                    bits(&reference_member(t, &dec, m, &want)),
+                    "member {m}"
+                );
+            }
+        }
+        let zero = estimate_member(&thin, &dec, links[2], &table);
+        assert!(zero.iter().all(|&f| f == INCOMPLETE));
+        let empty = SlowdownTable {
+            entries: Vec::new(),
+        };
+        assert!(estimate_member(&topo, &dec, links[1], &empty)
+            .iter()
+            .all(|&f| f == INCOMPLETE));
+    }
+
+    #[test]
+    fn features_read_the_size_order_as_a_full_sort_would() {
+        let topo = SimTopology::hub_and_spoke(5, 1.0);
+        let dec = dec_for(&topo, 6);
+        for l in dec.occupied_links() {
+            let mut sizes: Vec<f64> = dec.link_flows[l]
+                .iter()
+                .map(|&id| dec.flows[id as usize].size_bytes)
+                .collect();
+            sizes.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+            let total_bits: f64 = sizes.iter().map(|s| s * 8.0).sum();
+            let feat = link_features(&topo, &dec, l);
+            let cap_bits = topo.links[l].capacity_gbps * 1e9 * dec.duration_s;
+            assert_eq!(feat.load.to_bits(), (total_bits / cap_bits).to_bits());
+            for (k, d) in feat.size_deciles.iter().enumerate() {
+                let idx = ((sizes.len() - 1) as f64 * (k + 1) as f64 / 10.0).round() as usize;
+                assert_eq!(d.to_bits(), sizes[idx].max(1.0).log10().to_bits());
             }
         }
     }

@@ -113,8 +113,6 @@ pub struct EstimateReport {
     pub links_occupied: usize,
     /// Links actually simulated (cluster representatives).
     pub links_simulated: usize,
-    /// Clusters formed (== `links_simulated`).
-    pub clusters: usize,
 }
 
 /// Estimate FCTs for `spec`: generate the trace, decompose, cluster,
@@ -125,8 +123,9 @@ pub struct EstimateReport {
 /// Fails only on fleet-backend transport exhaustion; the in-process
 /// backend is infallible.
 pub fn estimate(spec: &WorkSpec, cfg: &EstimateConfig) -> IrisResult<EstimateReport> {
-    let trace = spec.trace();
-    estimate_with_trace(spec, &trace, cfg)
+    // The trace is dropped once decomposed, before any link runs.
+    let dec = Decomposition::build(&spec.topo, &spec.trace());
+    estimate_decomposed(spec, dec, cfg)
 }
 
 /// [`estimate`] for callers that already materialized the trace (e.g.
@@ -140,8 +139,16 @@ pub fn estimate_with_trace(
     trace: &FlowTrace,
     cfg: &EstimateConfig,
 ) -> IrisResult<EstimateReport> {
+    estimate_decomposed(spec, Decomposition::build(&spec.topo, trace), cfg)
+}
+
+/// Cluster, simulate and combine a decomposed trace.
+fn estimate_decomposed(
+    spec: &WorkSpec,
+    dec: Decomposition,
+    cfg: &EstimateConfig,
+) -> IrisResult<EstimateReport> {
     let telemetry = iris_telemetry::global();
-    let dec = Decomposition::build(&spec.topo, trace);
     let occupied = dec.occupied_links();
     let clusters = if cfg.cluster {
         cluster_links(&spec.topo, &dec, &occupied, cfg.epsilon)
@@ -184,7 +191,6 @@ pub fn estimate_with_trace(
         flows: dec.flows.len(),
         links_occupied: occupied.len(),
         links_simulated: reps.len(),
-        clusters: clusters.len(),
     })
 }
 

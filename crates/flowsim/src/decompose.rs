@@ -8,19 +8,19 @@
 //! coupled network simulation at a tiny fraction of the cost, and the
 //! per-link problems are embarrassingly parallel.
 //!
-//! [`Decomposition::build`] inverts the topology's routes through
-//! [`SimTopology::crossing_index`] (the simulated mirror of the
-//! planner's `ScenarioEngine::pairs_crossing` invalidation index) to
-//! assign every admitted flow of a [`FlowTrace`] to the links it
-//! loads, and converts the trace's reconfiguration outages + scheduled
-//! capacity events into each link's piecewise-constant capacity
-//! timeline.
+//! [`Decomposition::build`] assigns every admitted flow of a
+//! [`FlowTrace`] to the links on its route, and converts the trace's
+//! reconfiguration outages + scheduled capacity events into each link's
+//! piecewise-constant capacity timeline. Each link's flows are also
+//! put in size order once ([`Decomposition::size_order`]), the order
+//! link clustering and member estimation read.
 
 use crate::link::{simulate_link, LinkFlow, ScaleSegment, INCOMPLETE};
-use iris_planner::workload::{pair_count, pair_index};
+use iris_planner::workload::pair_index;
 use iris_simnet::engine::FabricModel;
 use iris_simnet::trace::FlowTrace;
 use iris_simnet::{FlowRecord, SimTopology};
+use std::sync::OnceLock;
 
 /// One admitted flow of the trace, in arrival order.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -47,6 +47,9 @@ pub struct Decomposition {
     pub segments: Vec<Vec<ScaleSegment>>,
     /// Simulated duration, s.
     pub duration_s: f64,
+    /// `size_order[link]` — see [`Decomposition::size_order`]; every
+    /// link's order is built on the first call.
+    size_order: OnceLock<Vec<Vec<u32>>>,
 }
 
 impl Decomposition {
@@ -69,22 +72,13 @@ impl Decomposition {
                 })
             })
             .collect();
-        // Invert pair routes to links once, then walk flows in order so
-        // every per-link list stays sorted by arrival (and flow id).
-        let crossing = topo.crossing_index();
-        let mut flows_of_pair: Vec<Vec<u32>> = vec![Vec::new(); pair_count(topo.n_dcs)];
-        for (id, f) in flows.iter().enumerate() {
-            flows_of_pair[pair_index(topo.n_dcs, f.pair.0, f.pair.1)].push(id as u32);
-        }
+        // Walk flows in id order and append each id to the links on its
+        // route, so every per-link list comes out ascending.
         let mut link_flows: Vec<Vec<u32>> = vec![Vec::new(); topo.links.len()];
-        for (link, pairs) in crossing.iter().enumerate() {
-            let total: usize = pairs.iter().map(|&p| flows_of_pair[p as usize].len()).sum();
-            let mut ids: Vec<u32> = Vec::with_capacity(total);
-            for &p in pairs {
-                ids.extend_from_slice(&flows_of_pair[p as usize]);
+        for (id, f) in flows.iter().enumerate() {
+            for &l in topo.route(f.pair.0, f.pair.1) {
+                link_flows[l].push(id as u32);
             }
-            ids.sort_unstable();
-            link_flows[link] = ids;
         }
         let segments = (0..topo.links.len())
             .map(|l| link_segments(trace, l))
@@ -94,7 +88,31 @@ impl Decomposition {
             link_flows,
             segments,
             duration_s: trace.duration_s,
+            size_order: OnceLock::new(),
         }
+    }
+
+    /// Positions in `link_flows[link]` in ascending flow size, ties by
+    /// position: the one size order that link features, slowdown
+    /// tables and member estimates all read. The first call sorts
+    /// every link's flows, links in parallel, so a run that never asks
+    /// (a fleet worker, an unclustered estimate) never pays for it.
+    #[must_use]
+    pub fn size_order(&self, link: usize) -> &[u32] {
+        let orders = self.size_order.get_or_init(|| {
+            iris_planner::par_map(iris_planner::thread_count(), &self.link_flows, |_, ids| {
+                // Sizes are positive and finite, like the CDF's anchors,
+                // so their bits sort as the numbers do; ties by position.
+                let mut keys: Vec<(u64, u32)> = ids
+                    .iter()
+                    .enumerate()
+                    .map(|(pos, &id)| (self.flows[id as usize].size_bytes.to_bits(), pos as u32))
+                    .collect();
+                keys.sort_unstable();
+                keys.into_iter().map(|(_, pos)| pos).collect()
+            })
+        });
+        &orders[link]
     }
 
     /// Links carrying at least one flow, ascending — the job list.
@@ -220,7 +238,7 @@ pub fn combine(
             }
         }
     }
-    let mut records = Vec::new();
+    let mut records = Vec::with_capacity(dec.flows.len());
     for (id, f) in dec.flows.iter().enumerate() {
         let route_len = topo.route(f.pair.0, f.pair.1).len();
         if route_len == 0 || dead[id] || links_left[id] != 0 {
@@ -283,6 +301,31 @@ mod tests {
         }
         for (id, f) in dec.flows.iter().enumerate() {
             assert_eq!(seen[id], topo.route(f.pair.0, f.pair.1).len());
+        }
+        for ids in &dec.link_flows {
+            assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids not ascending");
+        }
+    }
+
+    #[test]
+    fn size_order_sorts_each_link_by_size_then_position() {
+        let topo = SimTopology::hub_and_spoke(5, 1.0);
+        let trace = spec_trace(&topo, FabricModel::Eps, 3, 4.0);
+        let mut dec = Decomposition::build(&topo, &trace);
+        // A coarse size grid, so ties are common.
+        for f in &mut dec.flows {
+            f.size_bytes = (f.size_bytes / 1e4).ceil() * 1e4;
+        }
+        for (link, ids) in dec.link_flows.iter().enumerate() {
+            let order = dec.size_order(link);
+            let mut seen = order.to_vec();
+            seen.sort_unstable();
+            assert!(
+                seen.iter().copied().eq(0..ids.len() as u32),
+                "not a permutation"
+            );
+            let key = |pos: u32| (dec.flows[ids[pos as usize] as usize].size_bytes, pos);
+            assert!(order.windows(2).all(|w| key(w[0]) < key(w[1])));
         }
     }
 

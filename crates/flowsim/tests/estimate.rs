@@ -6,7 +6,7 @@ use iris_flowsim::proto::{
     decode_request, encode_response, WorkSpec, WorkerRequest, WorkerResponse,
 };
 use iris_flowsim::worker::{serve, spawn_ephemeral, WorkerConfig};
-use iris_simnet::engine::{FabricModel, FlowRecord, SimConfig};
+use iris_simnet::engine::{CapacityEvent, FabricModel, FlowRecord, SimConfig};
 use iris_simnet::experiment::fct_quantile;
 use iris_simnet::traffic::ChangeModel;
 use iris_simnet::workloads::FlowSizeDist;
@@ -294,4 +294,70 @@ fn in_process_backend_ignores_thread_count() {
     let four = estimate_with_trace(&spec, &trace, &EstimateConfig::default()).expect("4 threads");
     std::env::remove_var("IRIS_THREADS");
     assert_bit_identical(&one.records, &four.records);
+}
+
+/// FNV-1a over every record's pair, size, start and FCT bits, in
+/// record order: any float that moves changes it.
+fn digest(records: &[FlowRecord]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for r in records {
+        let words = [
+            r.pair.0 as u64,
+            r.pair.1 as u64,
+            r.size_bytes.to_bits(),
+            r.start_s.to_bits(),
+            r.fct_s.to_bits(),
+        ];
+        for b in words.iter().flat_map(|w| w.to_le_bytes()) {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// The estimator, pinned: record counts and digests captured at commit
+/// 1288052, before each link's flows were put in size order once and
+/// the nearest-size lookups became a forward merge. The spec has 12
+/// DCs on spokes of three capacities (so members and their reps differ
+/// in capacity), the Iris outage fabric, and one capacity event aimed
+/// at a single spoke (so its timeline keeps it out of every cluster).
+#[test]
+fn estimate_reproduces_the_pinned_digests() {
+    let mut work = spec(12, 5, 0.6, 4.0);
+    for (l, link) in work.topo.links.iter_mut().enumerate() {
+        link.capacity_gbps = [1.0, 1.5, 2.0][l % 3];
+    }
+    work.config.fabric = FabricModel::Iris { outage_s: 0.07 };
+    work.config.capacity_events = vec![CapacityEvent {
+        start_s: 1.5,
+        duration_s: 0.8,
+        capacity_factor: 0.25,
+        links: Some(vec![4]),
+    }];
+    let trace = work.trace();
+    for (cluster, (count, pinned)) in [
+        (false, (13169, 0x5df4_fe22_89f8_7947)),
+        (true, (13169, 0xa9f9_5d3e_34ba_d19d)),
+    ] {
+        let cfg = EstimateConfig {
+            cluster,
+            ..EstimateConfig::default()
+        };
+        let est = estimate_with_trace(&work, &trace, &cfg).expect("in-process estimate");
+        if cluster {
+            assert!(
+                est.links_simulated < est.links_occupied,
+                "no link was estimated from a representative"
+            );
+        }
+        let got = (est.records.len(), digest(&est.records));
+        assert_eq!(
+            got,
+            (count, pinned),
+            "cluster {cluster}: got ({}, {:#018x})",
+            got.0,
+            got.1
+        );
+    }
 }

@@ -268,10 +268,8 @@ impl<'r> ScenarioEngine<'r> {
     }
 
     /// Pair indices whose *baseline* path crosses duct `e` — the
-    /// engine's invalidation index. Exposed because it is also the
-    /// crossing index a per-link flow decomposition needs: the set of
-    /// DC pairs whose traffic a duct carries (`iris-simnet` mirrors it
-    /// as `SimTopology::crossing_index` for simulated links).
+    /// engine's invalidation index: the set of DC pairs whose traffic
+    /// a duct carries.
     #[must_use]
     pub fn pairs_crossing(&self, e: EdgeId) -> &[u32] {
         &self.edge_pairs[e]

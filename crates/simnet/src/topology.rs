@@ -61,23 +61,6 @@ impl SimTopology {
         self.links.iter().map(|l| l.capacity_gbps).sum()
     }
 
-    /// The crossing index: `index[link]` lists the pair indices whose
-    /// route traverses `link`, each list ascending. This is the
-    /// simulated-link mirror of the planner's `ScenarioEngine`
-    /// invalidation index (`pairs_crossing`), and it is what per-link
-    /// flow decomposition uses to assign every flow to the ducts it
-    /// loads.
-    #[must_use]
-    pub fn crossing_index(&self) -> Vec<Vec<u32>> {
-        let mut index: Vec<Vec<u32>> = vec![Vec::new(); self.links.len()];
-        for (pair_idx, route) in self.routes.iter().enumerate() {
-            for &l in route {
-                index[l].push(pair_idx as u32);
-            }
-        }
-        index
-    }
-
     /// Build from a planned region: one simulated link per used duct,
     /// capacity = provisioned wavelengths x `gbps_per_wavelength` x
     /// `scale`; routes are the nominal shortest paths.
@@ -178,25 +161,6 @@ mod tests {
         assert_eq!(t.route(3, 0), &[0, 3]);
         assert_eq!(t.bottleneck_gbps(1, 2), 100.0);
         assert_eq!(t.total_capacity_gbps(), 400.0);
-    }
-
-    #[test]
-    fn crossing_index_inverts_routes() {
-        let t = SimTopology::hub_and_spoke(4, 100.0);
-        let index = t.crossing_index();
-        assert_eq!(index.len(), t.links.len());
-        for (l, pairs) in index.iter().enumerate() {
-            for w in pairs.windows(2) {
-                assert!(w[0] < w[1], "link {l} index not ascending");
-            }
-        }
-        for (pair_idx, route) in t.routes.iter().enumerate() {
-            for &l in route {
-                assert!(index[l].contains(&(pair_idx as u32)));
-            }
-        }
-        // Spoke 0 carries exactly the pairs touching DC 0.
-        assert_eq!(index[0].len(), 3);
     }
 
     #[test]
