@@ -4,7 +4,7 @@
 use iris_cost::{eps_cost, hybrid_cost, iris_cost, CostBreakdown, PriceBook};
 use iris_fibermap::Region;
 use iris_planner::residual::{hybrid_aggregate, HybridAggregation};
-use iris_planner::{plan_eps, plan_iris, DesignGoals, EpsPlan, IrisPlan};
+use iris_planner::{plan_iris, DesignGoals, EpsPlan, IrisPlan};
 use serde::Serialize;
 
 /// Plans and costs for one region under one set of goals.
@@ -37,7 +37,8 @@ impl DesignStudy {
     #[must_use]
     pub fn run_with_prices(region: &Region, goals: &DesignGoals, prices: PriceBook) -> Self {
         let iris = plan_iris(region, goals);
-        let eps = plan_eps(region, goals);
+        // Both designs realize the same Algorithm 1 output.
+        let eps = EpsPlan::from_provisioning(region, iris.provisioning.clone());
         let hybrid = hybrid_aggregate(region, goals);
         let iris_cost_bd = iris_cost(&iris, &prices);
         let eps_cost_bd = eps_cost(&eps, &prices);

@@ -13,12 +13,12 @@
 //! failure scenario is covered, accumulating placements across scenarios
 //! (amplifiers installed for one scenario are reused by others).
 
-use crate::engine::{ScenarioEngine, SliceMemo};
+use crate::engine::{thread_count, FailureSweep, PathMemo, SliceMemo};
 use crate::goals::DesignGoals;
 use crate::paths::DcPath;
 use crate::topology::hose_load;
 use iris_fibermap::Region;
-use iris_netgraph::{EdgeId, NodeId};
+use iris_netgraph::NodeId;
 use iris_telemetry::labeled;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -95,34 +95,45 @@ const LOAD_MEMO_CAP: usize = 1024;
 /// which cannot change `amps_per_node` — the greedy is skipped.
 #[must_use]
 pub fn place_amplifiers(region: &Region, goals: &DesignGoals) -> AmpPlacement {
+    let sweep = FailureSweep::record(region, goals, thread_count());
+    place_amplifiers_recorded(region, goals, &sweep)
+}
+
+/// [`place_amplifiers`] over a recorded sweep of `region` and `goals`.
+pub(crate) fn place_amplifiers_recorded(
+    region: &Region,
+    goals: &DesignGoals,
+    sweep: &FailureSweep,
+) -> AmpPlacement {
     let lambda = f64::from(region.wavelengths_per_fiber);
     let mut placement = AmpPlacement::default();
     // Per distinct path, its amplifier locations (none: unsplittable);
     // per distinct pair set, its hose load.
-    let mut located: SliceMemo<EdgeId, Rc<[NodeId]>> = SliceMemo::default();
+    let mut located: PathMemo<Rc<[NodeId]>> = PathMemo::new(sweep);
     let mut loads: SliceMemo<u32, f64> = SliceMemo::default();
     let mut hose_load = hose_load(region);
     // The no-failure scenario's pending paths by pair index; greedies skipped.
     let (mut base, mut skipped) = (None::<Vec<(u32, Rc<[NodeId]>)>>, 0u64);
 
-    ScenarioEngine::new(region, goals).for_each_scenario(|scenario, view| {
+    sweep.visit(|scenario, view| {
         if loads.seen.len() >= LOAD_MEMO_CAP {
             loads.seen.clear();
         }
-        let mut long = |i: u32, path: Option<&DcPath>| {
-            let p = path.filter(|p| p.needs_amplification())?;
+        let mut long = |i: u32, id: Option<u32>| {
+            let id = id.filter(|&id| view.by_id(id).needs_amplification())?;
+            let p = view.by_id(id);
             let splits = || AmpPlacement::feasible_splits(region, goals, p);
             let locations = || splits().into_iter().map(|at| p.nodes[at]).collect();
-            Some((i, located.get(&p.edges, locations)))
+            Some((i, located.get(id, locations)))
         };
         let base = base.get_or_insert_with(|| {
             let pairs = 0..view.pair_count() as u32;
-            pairs.filter_map(|i| long(i, view.baseline(i))).collect()
+            pairs.filter_map(|i| long(i, view.baseline_id(i))).collect()
         });
         // P <- long paths that require amplification: the re-routed ones
         // that do, and the baseline's that were not re-routed.
         let reroutes = view.rerouted().iter();
-        let mut pending: Vec<_> = reroutes.filter_map(|&i| long(i, view.path(i))).collect();
+        let mut pending: Vec<_> = reroutes.filter_map(|&i| long(i, view.path_id(i))).collect();
         let greedy = scenario.is_empty() || !pending.is_empty();
         skipped += u64::from(!greedy);
         let kept = |b: &&(u32, _)| view.rerouted().binary_search(&b.0).is_err();

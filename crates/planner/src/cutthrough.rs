@@ -13,7 +13,7 @@
 //! resolved per fiber leased and accumulates across failure scenarios.
 
 use crate::amplifiers::AmpPlacement;
-use crate::engine::{ScenarioEngine, SliceMemo};
+use crate::engine::{thread_count, FailureSweep, PathMemo};
 use crate::goals::DesignGoals;
 use crate::paths::DcPath;
 use crate::topology::hose_load;
@@ -202,23 +202,37 @@ pub fn place_cutthroughs(
     goals: &DesignGoals,
     amps: &AmpPlacement,
 ) -> CutThroughPlan {
+    let sweep = FailureSweep::record(region, goals, thread_count());
+    place_cutthroughs_recorded(region, goals, amps, &sweep)
+}
+
+/// [`place_cutthroughs`] over a recorded sweep of `region` and `goals`.
+/// `amps` must be the final amplifier placement: every verdict depends
+/// on it.
+pub(crate) fn place_cutthroughs_recorded(
+    region: &Region,
+    goals: &DesignGoals,
+    amps: &AmpPlacement,
+    sweep: &FailureSweep,
+) -> CutThroughPlan {
     let (g, lambda) = (region.map.graph(), f64::from(region.wavelengths_per_fiber));
     let mut plan = CutThroughPlan::default();
     // Per distinct path: (amplifier split, within budget under `plan.cuts`).
-    let mut verdicts = SliceMemo::default();
+    let mut verdicts = PathMemo::new(sweep);
     // Baseline pairs over budget; `None` once a cut is inserted.
     let mut base_bad: Option<Vec<u32>> = None;
     let (mut hose_load, mut resolved) = (hose_load(region), Vec::new());
 
-    ScenarioEngine::new(region, goals).for_each_scenario(|scenario, view| loop {
-        let mut judge = |p: &DcPath| {
-            verdicts.get(&p.edges, || {
+    sweep.visit(|scenario, view| loop {
+        let mut judge = |id: u32| {
+            verdicts.get(id, || {
+                let p = view.by_id(id);
                 let amp_at = choose_amp_split(region, goals, p, amps);
                 (amp_at, path_ok(region, goals, p, amp_at, &plan.cuts))
             })
         };
         let bad = base_bad.get_or_insert_with(|| {
-            let over = |&i: &u32| view.baseline(i).is_some_and(|p| !judge(p).1);
+            let over = |&i: &u32| view.baseline_id(i).is_some_and(|id| !judge(id).1);
             (0..view.pair_count() as u32).filter(over).collect()
         });
         // Violating paths, in pair order: the baseline's and the detours.
@@ -226,9 +240,9 @@ pub fn place_cutthroughs(
         let mut violating: Vec<(u32, &DcPath, Option<usize>)> = (bad.iter().filter(kept))
             .chain(view.rerouted())
             .filter_map(|&i| {
-                let p = view.path(i)?;
-                let (amp_at, ok) = judge(p);
-                (!ok).then_some((i, p, amp_at))
+                let id = view.path_id(i)?;
+                let (amp_at, ok) = judge(id);
+                (!ok).then_some((i, view.by_id(id), amp_at))
             })
             .collect();
         if violating.is_empty() {
@@ -293,7 +307,7 @@ pub fn place_cutthroughs(
         };
         if commit(&mut plan, cut) {
             base_bad = None;
-            verdicts.seen.clear();
+            verdicts.clear();
         }
     });
 

@@ -20,39 +20,47 @@
 //! untouched per scenario, so a sweep costs `O(scenarios · invalidated)`
 //! Dijkstras instead of `O(scenarios · n)`.
 //!
+//! A plan needs the same sweep four times (Algorithm 1 and the three
+//! placement passes), so it runs the live [`ScenarioEngine`] once, as the
+//! recorder of a `FailureSweep`: one path id per re-route plus a table of
+//! the distinct detours. Every pass replays the recording through the
+//! same [`ScenarioView`] the live engine shows. The live engine stays the
+//! router for arbitrary cut sets (the controller's).
+//!
 //! Thread policy lives here too. [`thread_count`] resolves the budget:
 //! `IRIS_THREADS` overrides everything, then a programmatic default
 //! ([`set_default_threads`]), then the machine's available parallelism.
-//! [`par_map`] is the one fan-out that spends it — Algorithm 1's scenario
-//! chunks, the flow simulator's link jobs and the figure binaries' sweep
-//! points all map through it, so "thread count never changes output" is
-//! implemented once.
+//! [`par_map`] is the one fan-out that spends it — the sweep's recorded
+//! and replayed scenario chunks, the flow simulator's link jobs and the
+//! figure binaries' sweep points all map through it, so "thread count
+//! never changes output" is implemented once.
 
 use crate::goals::DesignGoals;
 use crate::paths::{route, scenario_mask, DcPath};
 use iris_fibermap::Region;
 use iris_netgraph::{DijkstraScratch, EdgeId, FailureScenarios};
 use std::collections::HashMap;
+use std::mem::take;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-#[derive(Debug, Clone)]
-struct PairSlot {
-    a: usize,
-    b: usize,
-    /// The unique shortest path, `None` if disconnected or over the SLA.
-    path: Option<DcPath>,
-}
+/// The path id of "no path": the pair is disconnected or over the SLA.
+const NO_PATH: u32 = u32::MAX;
 
 /// A read-only view of all DC-pair routes in the current scenario,
-/// handed to [`ScenarioEngine::for_each_scenario`] callbacks. It also
-/// says which pairs the scenario re-routed: every other pair still has
-/// its baseline path, so a pass that keeps its answers for the baseline
-/// (the first, empty scenario) evaluates only those.
+/// handed to [`ScenarioEngine::for_each_scenario`] callbacks and to a
+/// recorded sweep's replays. It also says which pairs the scenario
+/// re-routed: every other pair still has its baseline path, so a
+/// pass that keeps its answers for the baseline (the first, empty
+/// scenario) evaluates only those.
 #[derive(Debug, Clone, Copy)]
 pub struct ScenarioView<'a> {
-    slots: &'a [PairSlot],
+    ends: &'a [(usize, usize)],
+    /// Each pair's path id in this scenario: an index into `paths`.
+    current: &'a [u32],
+    paths: &'a [DcPath],
     rerouted: &'a [u32],
-    stash: &'a [(u32, Option<DcPath>)],
+    /// The baseline path ids of the `rerouted` pairs, parallel to it.
+    stash: &'a [u32],
 }
 
 impl<'a> ScenarioView<'a> {
@@ -66,55 +74,147 @@ impl<'a> ScenarioView<'a> {
     /// Pair `idx`'s path in this scenario, `None` if infeasible.
     #[must_use]
     pub fn path(&self, idx: u32) -> Option<&'a DcPath> {
-        self.slots[idx as usize].path.as_ref()
+        self.paths.get(self.current[idx as usize] as usize)
     }
 
     /// Pair `idx`'s *baseline* path, whether or not this scenario
     /// re-routed it; `None` if the pair is infeasible even without cuts.
     #[must_use]
     pub fn baseline(&self, idx: u32) -> Option<&'a DcPath> {
+        Some(self.by_id(self.baseline_id(idx)?))
+    }
+
+    /// The id of pair `idx`'s path in this scenario. In a
+    /// [`FailureSweep`] replay an id names one path for the whole sweep;
+    /// the live engine reuses its detours' ids from scenario to scenario.
+    pub(crate) fn path_id(&self, idx: u32) -> Option<u32> {
+        Some(self.current[idx as usize]).filter(|&id| id != NO_PATH)
+    }
+
+    /// The id of pair `idx`'s baseline path.
+    pub(crate) fn baseline_id(&self, idx: u32) -> Option<u32> {
         match self.rerouted.binary_search(&idx) {
-            Ok(k) => self.stash[k].1.as_ref(),
-            Err(_) => self.path(idx),
+            Ok(k) => Some(self.stash[k]).filter(|&id| id != NO_PATH),
+            Err(_) => self.path_id(idx),
         }
+    }
+
+    /// The path an id names.
+    pub(crate) fn by_id(&self, id: u32) -> &'a DcPath {
+        &self.paths[id as usize]
     }
 
     /// The feasible DC-pair paths, ordered by `(a, b)` ascending —
     /// exactly the order (and contents) of
     /// [`crate::paths::scenario_paths`]'s first return value.
     pub fn paths(&self) -> impl Iterator<Item = &'a DcPath> + 'a {
-        self.slots.iter().filter_map(|s| s.path.as_ref())
+        let paths = self.paths;
+        self.current
+            .iter()
+            .filter_map(move |&id| paths.get(id as usize))
     }
 
     /// Feasible paths together with their dense pair index (the engine's
     /// stable identifier for the unordered pair `(a, b)`).
     pub fn indexed_paths(&self) -> impl Iterator<Item = (u32, &'a DcPath)> + 'a {
-        (self.slots.iter().enumerate()).filter_map(|(i, s)| Some((i as u32, s.path.as_ref()?)))
+        let paths = self.paths;
+        (self.current.iter().enumerate())
+            .filter_map(move |(i, &id)| Some((i as u32, paths.get(id as usize)?)))
     }
 
     /// DC index pairs that are unreachable or SLA-violating in this
     /// scenario, ordered by `(a, b)` ascending — exactly
     /// [`crate::paths::scenario_paths`]'s second return value.
     pub fn unreachable(&self) -> impl Iterator<Item = (usize, usize)> + 'a {
-        (self.slots.iter().filter(|s| s.path.is_none())).map(|s| (s.a, s.b))
+        (self.current.iter().zip(self.ends))
+            .filter_map(|(&id, &ends)| (id == NO_PATH).then_some(ends))
     }
 
     /// Number of DC pairs (feasible + infeasible).
     #[must_use]
     pub fn pair_count(&self) -> usize {
-        self.slots.len()
+        self.ends.len()
     }
 
     /// The endpoints of pair `idx` (as returned by
     /// [`ScenarioView::indexed_paths`]).
     #[must_use]
     pub fn pair(&self, idx: u32) -> (usize, usize) {
-        let s = &self.slots[idx as usize];
-        (s.a, s.b)
+        self.ends[idx as usize]
     }
 }
 
-/// Incremental scenario-path cache over one region + goals.
+/// One scenario laid over the baseline: each pair's current path id and
+/// the pairs the scenario re-routed. Shared by the live engine, which
+/// fills the re-routed slots with fresh Dijkstras, and the replay, which
+/// fills them from a recording.
+#[derive(Debug)]
+struct Overlay {
+    /// Path id per pair; outside a scenario, the baseline's.
+    current: Vec<u32>,
+    /// Pairs whose baseline path crosses a failed duct, ascending.
+    affected: Vec<u32>,
+    affected_mark: Vec<bool>,
+    /// Baseline ids of the pairs re-routed so far, parallel to `affected`.
+    stash: Vec<u32>,
+}
+
+impl Overlay {
+    fn new(baseline: Vec<u32>) -> Self {
+        Self {
+            affected_mark: vec![false; baseline.len()],
+            current: baseline,
+            affected: Vec::new(),
+            stash: Vec::new(),
+        }
+    }
+
+    /// List the pairs `failed` re-routes: those whose baseline path
+    /// crosses a failed duct (`edge_pairs` is the baseline's index).
+    /// Pair indices ascend with `(a, b)`, so sorting also groups them by
+    /// source DC.
+    fn invalidate(&mut self, edge_pairs: &[Vec<u32>], failed: &[EdgeId]) {
+        debug_assert!(self.affected.is_empty() && self.stash.is_empty());
+        for &e in failed {
+            for &p in &edge_pairs[e] {
+                if !std::mem::replace(&mut self.affected_mark[p as usize], true) {
+                    self.affected.push(p);
+                }
+            }
+        }
+        self.affected.sort_unstable();
+    }
+
+    /// Give the next affected pair (in `affected` order) path `id`.
+    fn reroute(&mut self, id: u32) {
+        let p = self.affected[self.stash.len()] as usize;
+        self.stash.push(std::mem::replace(&mut self.current[p], id));
+    }
+
+    fn view<'a>(&'a self, ends: &'a [(usize, usize)], paths: &'a [DcPath]) -> ScenarioView<'a> {
+        ScenarioView {
+            ends,
+            current: &self.current,
+            paths,
+            rerouted: &self.affected,
+            stash: &self.stash,
+        }
+    }
+
+    /// Put the baseline ids back.
+    fn restore(&mut self) {
+        for (&p, &old) in self.affected.iter().zip(&self.stash) {
+            self.current[p as usize] = old;
+        }
+        for p in self.affected.drain(..) {
+            self.affected_mark[p as usize] = false;
+        }
+        self.stash.clear();
+    }
+}
+
+/// Incremental scenario-path cache over one region + goals: the live
+/// sweep, which runs Dijkstra for every re-routed pair.
 #[derive(Debug)]
 pub struct ScenarioEngine<'r> {
     region: &'r Region,
@@ -123,16 +223,15 @@ pub struct ScenarioEngine<'r> {
     /// scenario's failed ducts toggled on during a recompute and toggled
     /// back off afterwards.
     mask: Vec<bool>,
-    /// Current per-pair states, `(a, b)` ascending. Outside of a
-    /// scenario callback this always holds the baseline.
-    slots: Vec<PairSlot>,
+    /// Each pair's endpoints, `(a, b)` ascending.
+    ends: Vec<(usize, usize)>,
     /// `edge_pairs[e]` — pair indices whose *baseline* path crosses `e`.
     edge_pairs: Vec<Vec<u32>>,
-    /// Baseline states of pairs overlaid by the current scenario.
-    stash: Vec<(u32, Option<DcPath>)>,
-    /// Scratch: pair indices invalidated by the current scenario.
-    affected: Vec<u32>,
-    affected_mark: Vec<bool>,
+    /// The baseline's feasible paths (ids `0..base_paths`), then the
+    /// current scenario's detours.
+    paths: Vec<DcPath>,
+    base_paths: usize,
+    overlay: Overlay,
     dijkstra: DijkstraScratch,
     /// Pairs served from the baseline cache across all scenarios.
     pub cache_hits: u64,
@@ -146,31 +245,31 @@ impl<'r> ScenarioEngine<'r> {
     #[must_use]
     pub fn new(region: &'r Region, goals: &'r DesignGoals) -> Self {
         let g = region.map.graph();
-        let m = g.edge_count();
         let n = region.dcs.len();
         let base_mask = scenario_mask(region, goals, &[]);
         let mut dijkstra = DijkstraScratch::new();
-        let mut slots = Vec::with_capacity(n * n.saturating_sub(1) / 2);
-        let mut edge_pairs: Vec<Vec<u32>> = vec![Vec::new(); m];
+        let (mut ends, mut baseline) = (Vec::new(), Vec::new());
+        let (mut paths, mut edge_pairs) = (Vec::new(), vec![Vec::new(); g.edge_count()]);
         for a in 0..n {
             dijkstra.run(g, region.dcs[a], &base_mask);
             for b in (a + 1)..n {
                 let path = route(&dijkstra, region, goals, a, b);
                 for &e in path.iter().flat_map(|p| &p.edges) {
-                    edge_pairs[e].push(slots.len() as u32);
+                    edge_pairs[e].push(ends.len() as u32);
                 }
-                slots.push(PairSlot { a, b, path });
+                ends.push((a, b));
+                baseline.push(push_path(&mut paths, path));
             }
         }
         Self {
             region,
             goals,
             mask: base_mask,
-            affected_mark: vec![false; slots.len()],
-            slots,
+            ends,
             edge_pairs,
-            stash: Vec::new(),
-            affected: Vec::new(),
+            base_paths: paths.len(),
+            paths,
+            overlay: Overlay::new(baseline),
             dijkstra,
             cache_hits: 0,
             cache_invalidations: 0,
@@ -184,8 +283,8 @@ impl<'r> ScenarioEngine<'r> {
         self.visit(FailureScenarios::new(m, self.goals.max_cuts), f);
     }
 
-    /// Run `f` for an explicit scenario list (a chunk of the full
-    /// enumeration) — the parallel sweep's per-thread entry point.
+    /// Run `f` for an explicit scenario list (arbitrary cut sets, such as
+    /// the controller's cumulative one).
     pub fn for_scenarios(
         &mut self,
         scenarios: &[Vec<EdgeId>],
@@ -202,69 +301,50 @@ impl<'r> ScenarioEngine<'r> {
     ) {
         for scenario in scenarios {
             self.apply(scenario.as_ref());
-            let view = ScenarioView {
-                slots: &self.slots,
-                rerouted: &self.affected,
-                stash: &self.stash,
-            };
-            f(scenario.as_ref(), view);
+            f(
+                scenario.as_ref(),
+                self.overlay.view(&self.ends, &self.paths),
+            );
             self.restore();
         }
         self.flush_telemetry();
     }
 
     /// Overlay the scenario: re-route every pair whose cached path
-    /// crosses a failed duct, stashing the baseline states for
+    /// crosses a failed duct, stashing the baseline ids for
     /// [`ScenarioEngine::restore`].
     fn apply(&mut self, failed: &[EdgeId]) {
-        debug_assert!(self.affected.is_empty() && self.stash.is_empty());
-        for &e in failed {
-            for &p in &self.edge_pairs[e] {
-                if !self.affected_mark[p as usize] {
-                    self.affected_mark[p as usize] = true;
-                    self.affected.push(p);
-                }
-            }
-        }
-        self.cache_hits += (self.slots.len() - self.affected.len()) as u64;
-        self.cache_invalidations += self.affected.len() as u64;
-        if self.affected.is_empty() {
+        self.overlay.invalidate(&self.edge_pairs, failed);
+        let affected = self.overlay.affected.len();
+        self.cache_hits += (self.ends.len() - affected) as u64;
+        self.cache_invalidations += affected as u64;
+        if affected == 0 {
             return;
         }
-        // Pair indices ascend with (a, b), so sorting groups the
-        // re-routes by source DC: one Dijkstra per affected source.
-        self.affected.sort_unstable();
         for &e in failed {
             self.mask[e] = true;
         }
         let g = self.region.map.graph();
         let mut current_source = usize::MAX;
-        for i in 0..self.affected.len() {
-            let p = self.affected[i];
-            let (a, b) = (self.slots[p as usize].a, self.slots[p as usize].b);
+        for k in 0..affected {
+            let (a, b) = self.ends[self.overlay.affected[k] as usize];
             if a != current_source {
                 self.dijkstra.run(g, self.region.dcs[a], &self.mask);
                 current_source = a;
             }
             let detour = route(&self.dijkstra, self.region, self.goals, a, b);
-            let old = std::mem::replace(&mut self.slots[p as usize].path, detour);
-            self.stash.push((p, old));
+            self.overlay.reroute(push_path(&mut self.paths, detour));
         }
         for &e in failed {
             self.mask[e] = false;
         }
     }
 
-    /// Undo [`ScenarioEngine::apply`]: swap the stashed baseline states
-    /// back in. No clones — the overlay is moved out, the baseline moved
-    /// back.
+    /// Undo [`ScenarioEngine::apply`]: the baseline ids go back, the
+    /// detours are dropped.
     fn restore(&mut self) {
-        for (p, old) in self.stash.drain(..) {
-            self.slots[p as usize].path = old;
-        }
-        for p in self.affected.drain(..) {
-            self.affected_mark[p as usize] = false;
-        }
+        self.overlay.restore();
+        self.paths.truncate(self.base_paths);
     }
 
     /// Pair indices whose *baseline* path crosses duct `e` — the
@@ -287,10 +367,266 @@ impl<'r> ScenarioEngine<'r> {
     }
 }
 
+/// Append `path` to `paths` and return its id; [`NO_PATH`] for `None`.
+fn push_path(paths: &mut Vec<DcPath>, path: Option<DcPath>) -> u32 {
+    path.map_or(NO_PATH, |p| {
+        paths.push(p);
+        (paths.len() - 1) as u32
+    })
+}
+
+/// A failure sweep computed once and replayed by every stage of a plan.
+///
+/// [`FailureSweep::record`] runs the live [`ScenarioEngine`] over the
+/// whole [`FailureScenarios`] enumeration and keeps, per re-routed pair,
+/// the id of its detour in a table of the sweep's distinct paths. A
+/// replay re-derives each scenario's re-routed pairs from the baseline
+/// index (as the live engine does) and reads their paths off the
+/// recording: no Dijkstra, no path copied. What it holds is 4 bytes per
+/// re-route plus the distinct detours; scenarios are regenerated, not
+/// stored.
+///
+/// A replayed view shows the same path in every slot as the live view:
+/// a detour is interned by its duct sequence, which fixes its nodes and
+/// length. Path ids number the table in order of first appearance; a
+/// pass may key a memo by them, but only to cache a pure function of the
+/// path, and no id may reach an output.
+#[derive(Debug)]
+pub(crate) struct FailureSweep {
+    edge_count: usize,
+    max_cuts: usize,
+    ends: Vec<(usize, usize)>,
+    edge_pairs: Vec<Vec<u32>>,
+    /// Baseline path id per pair.
+    baseline: Vec<u32>,
+    /// The baseline's paths, then every distinct detour.
+    paths: Vec<DcPath>,
+    /// The recorded chunks, in scenario order.
+    chunks: Vec<RecordedChunk>,
+}
+
+/// A contiguous run of scenarios recorded by one worker.
+#[derive(Debug)]
+struct RecordedChunk {
+    /// Index of its first scenario in the enumeration, and how many.
+    run: (usize, usize),
+    /// One path id per re-route, in scenario then pair order.
+    detours: Box<[u32]>,
+}
+
+/// The scenarios of `run` (first index, count), in enumeration order.
+fn scenario_run(
+    edge_count: usize,
+    max_cuts: usize,
+    (first, len): (usize, usize),
+) -> impl Iterator<Item = Vec<EdgeId>> {
+    FailureScenarios::new(edge_count, max_cuts)
+        .skip(first)
+        .take(len)
+}
+
+/// One recorded chunk's replay, handed out by [`FailureSweep::par_chunks`].
+pub(crate) struct SweepChunk<'s> {
+    sweep: &'s FailureSweep,
+    chunk: &'s RecordedChunk,
+}
+
+impl SweepChunk<'_> {
+    /// Number of scenarios in the chunk.
+    pub fn len(&self) -> usize {
+        self.chunk.run.1
+    }
+
+    /// Replay the chunk's scenarios, in enumeration order.
+    pub fn visit(self, f: impl FnMut(&[EdgeId], ScenarioView<'_>)) {
+        let s = self.sweep;
+        let scenarios = scenario_run(s.edge_count, s.max_cuts, self.chunk.run);
+        s.replay(scenarios, self.chunk.detours.iter().copied(), f);
+    }
+}
+
+impl FailureSweep {
+    /// Record the sweep of `goals.max_cuts` over `region`: the
+    /// enumeration is split into `threads` contiguous chunks, each run by
+    /// its own live engine through [`par_map`] and merged in chunk order.
+    /// The recording is the same for every thread count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the region is invalid or a worker panics.
+    #[must_use]
+    pub(crate) fn record(region: &Region, goals: &DesignGoals, threads: usize) -> Self {
+        region.validate();
+        let (edge_count, max_cuts) = (region.map.graph().edge_count(), goals.max_cuts);
+        // Never zero: the no-failure scenario always comes first.
+        let total = FailureScenarios::count_scenarios(edge_count, max_cuts) as usize;
+        let threads = threads.clamp(1, total);
+        let size = total.div_ceil(threads);
+        let runs: Vec<(usize, usize)> = (0..total)
+            .step_by(size)
+            .map(|first| (first, size.min(total - first)))
+            .collect();
+        let mut recorded = par_map(threads, &runs, |_, &run| {
+            let mut engine = ScenarioEngine::new(region, goals);
+            // The re-route count is the baseline index's, known before any
+            // Dijkstra runs: size the id array exactly.
+            let reroutes = scenario_run(edge_count, max_cuts, run).map(|s| {
+                engine.overlay.invalidate(&engine.edge_pairs, &s);
+                let n = engine.overlay.affected.len();
+                engine.overlay.restore();
+                n
+            });
+            let mut detours = Vec::with_capacity(reroutes.sum());
+            // This chunk's distinct detours, numbered from 0.
+            let (mut table, mut index) = (Vec::new(), HashMap::<Box<[EdgeId]>, u32>::new());
+            engine.visit(scenario_run(edge_count, max_cuts, run), |_, view| {
+                detours.extend(view.rerouted().iter().map(|&i| {
+                    view.path(i).map_or(NO_PATH, |p| {
+                        if let Some(&id) = index.get(p.edges.as_slice()) {
+                            return id;
+                        }
+                        index.insert(p.edges.as_slice().into(), table.len() as u32);
+                        table.push(p.clone());
+                        (table.len() - 1) as u32
+                    })
+                }));
+            });
+            (engine, table, detours)
+        });
+
+        // The baseline, from the first chunk's engine (back at baseline).
+        let base = &mut recorded.first_mut().expect("at least one chunk").0;
+        let (ends, edge_pairs) = (take(&mut base.ends), take(&mut base.edge_pairs));
+        let (baseline, base_paths) = (take(&mut base.overlay.current), base.base_paths);
+        let mut paths = take(&mut base.paths);
+        // Number the distinct detours by first appearance in chunk order,
+        // which is first appearance in scenario order whatever the
+        // chunking. The intern index borrows the chunks' own tables.
+        let mut next = paths.len() as u32;
+        let renumber: Vec<Vec<u32>> = {
+            let mut index = HashMap::<&[EdgeId], u32>::new();
+            let mut intern = |edges| {
+                *index.entry(edges).or_insert_with(|| {
+                    next += 1;
+                    next - 1
+                })
+            };
+            (recorded.iter())
+                .map(|(_, table, _)| table.iter().map(|p| intern(&p.edges[..])).collect())
+                .collect()
+        };
+        paths.reserve_exact(next as usize - paths.len());
+        let mut reroutes = 0;
+        let chunks = (recorded.into_iter().zip(renumber).zip(runs))
+            .map(|(((_, table, detours), global), run)| {
+                // A path joins the table where its id first appears.
+                for (p, &id) in table.into_iter().zip(&global) {
+                    if id as usize == paths.len() {
+                        paths.push(p);
+                    }
+                }
+                let mut detours = detours.into_boxed_slice();
+                for id in detours.iter_mut().filter(|id| **id != NO_PATH) {
+                    *id = global[*id as usize];
+                }
+                reroutes += detours.len() as u64;
+                RecordedChunk { run, detours }
+            })
+            .collect();
+
+        let t = iris_telemetry::global();
+        t.counter("iris_planner_sweep_reroutes_total").add(reroutes);
+        t.counter("iris_planner_sweep_paths_total")
+            .add((paths.len() - base_paths) as u64);
+        Self {
+            edge_count,
+            max_cuts,
+            ends,
+            edge_pairs,
+            baseline,
+            paths,
+            chunks,
+        }
+    }
+
+    /// Replay every scenario, in [`FailureScenarios`] order, through the
+    /// same [`ScenarioView`] the live engine shows.
+    pub(crate) fn visit(&self, f: impl FnMut(&[EdgeId], ScenarioView<'_>)) {
+        let scenarios = FailureScenarios::new(self.edge_count, self.max_cuts);
+        let ids = self.chunks.iter().flat_map(|c| c.detours.iter().copied());
+        self.replay(scenarios, ids, f);
+    }
+
+    /// Map `f` over the recorded chunks through [`par_map`], one worker
+    /// per chunk; results in chunk (= scenario) order.
+    pub(crate) fn par_chunks<R: Send>(&self, f: impl Fn(SweepChunk<'_>) -> R + Sync) -> Vec<R> {
+        par_map(self.chunks.len(), &self.chunks, |_, chunk| {
+            f(SweepChunk { sweep: self, chunk })
+        })
+    }
+
+    fn replay(
+        &self,
+        scenarios: impl Iterator<Item = Vec<EdgeId>>,
+        mut ids: impl Iterator<Item = u32>,
+        mut f: impl FnMut(&[EdgeId], ScenarioView<'_>),
+    ) {
+        let mut overlay = Overlay::new(self.baseline.clone());
+        for scenario in scenarios {
+            overlay.invalidate(&self.edge_pairs, &scenario);
+            for _ in 0..overlay.affected.len() {
+                overlay.reroute(ids.next().expect("one recorded path per re-route"));
+            }
+            f(&scenario, overlay.view(&self.ends, &self.paths));
+            overlay.restore();
+        }
+    }
+}
+
+/// A memo keyed by a [`FailureSweep`] path id: a value that depends on
+/// the path alone, worked out once per distinct path of the sweep.
+pub(crate) struct PathMemo<V> {
+    seen: Vec<Option<V>>,
+    /// Values asked for.
+    lookups: u64,
+    /// Lookups the memo missed, i.e. evaluations.
+    evals: u64,
+}
+
+impl<V: Clone> PathMemo<V> {
+    pub fn new(sweep: &FailureSweep) -> Self {
+        Self {
+            seen: vec![None; sweep.paths.len()],
+            lookups: 0,
+            evals: 0,
+        }
+    }
+
+    pub fn get(&mut self, id: u32, eval: impl FnOnce() -> V) -> V {
+        self.lookups += 1;
+        let slot = &mut self.seen[id as usize];
+        if slot.is_none() {
+            self.evals += 1;
+        }
+        slot.get_or_insert_with(eval).clone()
+    }
+
+    /// Forget every value: what they depend on changed.
+    pub fn clear(&mut self) {
+        self.seen.fill(None);
+    }
+
+    /// Add the evaluations and the hits to the two named counters.
+    pub fn flush(&self, evals: &str, hits: &str) {
+        let t = iris_telemetry::global();
+        t.counter(evals).add(self.evals);
+        t.counter(hits).add(self.lookups - self.evals);
+    }
+}
+
 /// A memo keyed by a slice: a set of DC pairs (ascending engine pair
-/// indices, so equal keys mean equal sets) or a path's duct sequence
-/// (which fixes its nodes and length) — across thousands of scenarios
-/// the same sets and detours recur constantly. `&[K]` lookups allocate
+/// indices, so equal keys mean equal sets) — across thousands of
+/// scenarios the same sets recur constantly. `&[K]` lookups allocate
 /// nothing on a hit. One memo per pass or sweep chunk, dropped with it.
 #[derive(Default)]
 pub(crate) struct SliceMemo<K, V> {
@@ -466,6 +802,63 @@ mod tests {
         }
     }
 
+    /// Everything a pass can read off a view, owned: the re-routed
+    /// pairs, every pair's path and baseline path, the unreachable pairs.
+    type Seen = (
+        Vec<EdgeId>,
+        Vec<u32>,
+        Vec<Option<DcPath>>,
+        Vec<Option<DcPath>>,
+        Vec<(usize, usize)>,
+    );
+
+    fn seen(scenario: &[EdgeId], view: ScenarioView<'_>) -> Seen {
+        let pairs = 0..view.pair_count() as u32;
+        (
+            scenario.to_vec(),
+            view.rerouted().to_vec(),
+            pairs.clone().map(|i| view.path(i).cloned()).collect(),
+            pairs.map(|i| view.baseline(i).cloned()).collect(),
+            view.unreachable().collect(),
+        )
+    }
+
+    #[test]
+    fn replay_shows_the_live_view_on_every_scenario() {
+        // The engine's test regions (seeds 1, 5, 9 at k=2, seed 3 and
+        // seed 7 at k=1), at every k up to theirs.
+        for (seed, n_dcs, max_k) in [(1u64, 5, 2), (5, 5, 2), (9, 5, 2), (3, 5, 1), (7, 4, 1)] {
+            let r = region(seed, n_dcs);
+            for k in 0..=max_k {
+                let goals = DesignGoals::with_cuts(k);
+                let mut live = Vec::new();
+                ScenarioEngine::new(&r, &goals)
+                    .for_each_scenario(|scenario, view| live.push(seen(scenario, view)));
+                let mut tables = Vec::new();
+                for threads in [1, 3] {
+                    let sweep = FailureSweep::record(&r, &goals, threads);
+                    let mut replayed = Vec::new();
+                    sweep.visit(|scenario, view| replayed.push(seen(scenario, view)));
+                    assert_eq!(replayed, live, "seed {seed}, k {k}, {threads} threads");
+                    let chunked = sweep.par_chunks(|chunk| {
+                        let mut out = Vec::new();
+                        chunk.visit(|scenario, view| out.push(seen(scenario, view)));
+                        out
+                    });
+                    assert_eq!(
+                        chunked.concat(),
+                        live,
+                        "seed {seed}, k {k}, {threads} chunks"
+                    );
+                    tables.push(sweep.paths);
+                }
+                // Ids number the paths by first appearance in scenario
+                // order, whatever the chunking.
+                assert_eq!(tables[0], tables[1], "seed {seed}, k {k}");
+            }
+        }
+    }
+
     #[test]
     fn unaffected_pairs_keep_their_baseline_path() {
         let r = region(3, 5);
@@ -540,10 +933,7 @@ mod tests {
             let got: Vec<(usize, usize)> = engine
                 .pairs_crossing(e)
                 .iter()
-                .map(|&idx| {
-                    let s = &engine.slots[idx as usize];
-                    (s.a, s.b)
-                })
+                .map(|&idx| engine.ends[idx as usize])
                 .collect();
             assert_eq!(got, expected, "duct {e}");
         }

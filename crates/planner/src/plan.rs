@@ -13,14 +13,15 @@
 //!   amplifiers, at the price of `n·(n-1)` residual fibers plus whatever
 //!   amplifiers and cut-throughs the physical layer requires.
 
-use crate::amplifiers::{place_amplifiers, AmpPlacement};
+use crate::amplifiers::{place_amplifiers_recorded, AmpPlacement};
 use crate::cutthrough::{
-    active_switch_points, choose_amp_split, place_cutthroughs, CutThroughPlan,
+    active_switch_points, choose_amp_split, place_cutthroughs_recorded, CutThroughPlan,
 };
+use crate::engine::{thread_count, FailureSweep};
 use crate::goals::DesignGoals;
 use crate::paths::DcPath;
-use crate::residual::residual_pairs_per_edge;
-use crate::topology::{nominal_paths, provision, Provisioning};
+use crate::residual::residual_pairs_recorded;
+use crate::topology::{nominal_paths, provision, provision_recorded, Provisioning};
 use iris_fibermap::{Region, SiteKind};
 use iris_optics::{evaluate_path, BudgetViolation, PathElement, SwitchElement};
 use serde::{Deserialize, Serialize};
@@ -171,12 +172,18 @@ pub fn plan_iris(region: &Region, goals: &DesignGoals) -> IrisPlan {
     let telemetry = iris_telemetry::global();
     let wall = iris_telemetry::Span::enter_ms(telemetry.histogram("iris_planner_plan_wall_ms"));
     telemetry.counter("iris_planner_plans_total").inc();
-    let provisioning = provision(region, goals);
-    let amps = place_amplifiers(region, goals);
-    let cuts = place_cutthroughs(region, goals, &amps);
+    // One failure sweep, replayed by all four stages: Algorithm 1 in the
+    // recording's parallel chunks, then the three passes in order. The
+    // cut-through pass judges paths under the final amplifier placement,
+    // so it must run after the amplifier pass has seen every scenario.
+    let sweep = FailureSweep::record(region, goals, thread_count());
+    let provisioning = provision_recorded(region, &sweep);
+    let amps = place_amplifiers_recorded(region, goals, &sweep);
+    let cuts = place_cutthroughs_recorded(region, goals, &amps, &sweep);
+    let residual_fiber_pairs = residual_pairs_recorded(region, &sweep);
+    drop(sweep);
     let lambda = region.wavelengths_per_fiber;
     let base_fiber_pairs = provisioning.edge_fiber_pairs(lambda);
-    let residual_fiber_pairs = residual_pairs_per_edge(region, goals);
     let dc_transceivers = (0..region.dcs.len())
         .map(|i| region.capacity_wavelengths(i))
         .sum();
@@ -199,35 +206,43 @@ pub fn plan_iris(region: &Region, goals: &DesignGoals) -> IrisPlan {
 /// Plan an EPS network for `region` under `goals`.
 #[must_use]
 pub fn plan_eps(region: &Region, goals: &DesignGoals) -> EpsPlan {
-    let provisioning = provision(region, goals);
-    let lambda = region.wavelengths_per_fiber;
-    let fiber_pairs = provisioning.edge_fiber_pairs(lambda);
+    EpsPlan::from_provisioning(region, provision(region, goals))
+}
 
-    // Each fiber pair terminates λ transceivers at each of its two ends
-    // (§3.4: T_E = 2 · F_E · λ); classify the ends by site kind.
-    let g = region.map.graph();
-    let mut transceivers_dc = 0u64;
-    let mut transceivers_hut = 0u64;
-    for (e, &pairs) in fiber_pairs.iter().enumerate() {
-        if pairs == 0 {
-            continue;
-        }
-        let edge = g.edge(e);
-        for endpoint in [edge.u, edge.v] {
-            let t = u64::from(pairs) * u64::from(lambda);
-            match region.map.site(endpoint).kind {
-                SiteKind::DataCenter => transceivers_dc += t,
-                SiteKind::Hut => transceivers_hut += t,
+impl EpsPlan {
+    /// Realize Algorithm 1's output electrically: the same provisioning
+    /// an Iris plan of the same region and goals carries.
+    #[must_use]
+    pub fn from_provisioning(region: &Region, provisioning: Provisioning) -> Self {
+        let lambda = region.wavelengths_per_fiber;
+        let fiber_pairs = provisioning.edge_fiber_pairs(lambda);
+
+        // Each fiber pair terminates λ transceivers at each of its two ends
+        // (§3.4: T_E = 2 · F_E · λ); classify the ends by site kind.
+        let g = region.map.graph();
+        let mut transceivers_dc = 0u64;
+        let mut transceivers_hut = 0u64;
+        for (e, &pairs) in fiber_pairs.iter().enumerate() {
+            if pairs == 0 {
+                continue;
+            }
+            let edge = g.edge(e);
+            for endpoint in [edge.u, edge.v] {
+                let t = u64::from(pairs) * u64::from(lambda);
+                match region.map.site(endpoint).kind {
+                    SiteKind::DataCenter => transceivers_dc += t,
+                    SiteKind::Hut => transceivers_hut += t,
+                }
             }
         }
-    }
 
-    EpsPlan {
-        provisioning,
-        fiber_pairs,
-        lambda,
-        transceivers_dc,
-        transceivers_hut,
+        Self {
+            provisioning,
+            fiber_pairs,
+            lambda,
+            transceivers_dc,
+            transceivers_hut,
+        }
     }
 }
 

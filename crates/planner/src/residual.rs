@@ -17,7 +17,7 @@
 //!   `⌈n/4⌉` fibers, because the worst-case total residual demand is
 //!   `λ·n/4` wavelengths.
 
-use crate::engine::ScenarioEngine;
+use crate::engine::{thread_count, FailureSweep};
 use crate::goals::DesignGoals;
 use crate::paths::{scenario_paths, DcPath};
 use iris_fibermap::Region;
@@ -37,13 +37,18 @@ pub fn residual_fiber_overhead(n_dcs: usize) -> usize {
 /// counts are looked at again.
 #[must_use]
 pub fn residual_pairs_per_edge(region: &Region, goals: &DesignGoals) -> Vec<u32> {
+    residual_pairs_recorded(region, &FailureSweep::record(region, goals, thread_count()))
+}
+
+/// [`residual_pairs_per_edge`] over a recorded sweep of `region`.
+pub(crate) fn residual_pairs_recorded(region: &Region, sweep: &FailureSweep) -> Vec<u32> {
     fn ducts(path: Option<&DcPath>) -> impl Iterator<Item = usize> + '_ {
         path.into_iter().flat_map(|p| p.edges.iter().copied())
     }
     let m = region.map.graph().edge_count();
     // Pairs per duct: without failures, this scenario's change, the worst.
     let (mut base, mut delta, mut worst) = (vec![0i32; m], vec![0i32; m], vec![0u32; m]);
-    ScenarioEngine::new(region, goals).for_each_scenario(|scenario, view| {
+    sweep.visit(|scenario, view| {
         if scenario.is_empty() {
             (view.paths().flat_map(|p| &p.edges)).for_each(|&e| base[e] += 1);
             worst = base.iter().map(|&c| c as u32).collect();

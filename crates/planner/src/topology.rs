@@ -15,11 +15,11 @@
 //! ([`crate::workload::provision_robust`]: family maximum of per-matrix
 //! sums) are that one function under three load models.
 
-use crate::engine::{self, ScenarioEngine, ScenarioView};
+use crate::engine::{self, FailureSweep, ScenarioView};
 use crate::goals::DesignGoals;
 use crate::paths::{scenario_paths, DcPath};
 use iris_fibermap::{Region, SiteId, SiteKind};
-use iris_netgraph::{EdgeId, FailureScenarios, HoseScratch};
+use iris_netgraph::{EdgeId, HoseScratch};
 use serde::{Deserialize, Serialize};
 
 /// A DC pair that cannot meet the goals in some failure scenario.
@@ -101,14 +101,8 @@ impl Provisioning {
 /// constantly; each chunk's memo adds its evaluations and hits to the two
 /// `memo_counters`. Also returned: each chunk's scenario count, in order.
 ///
-/// The enumeration is split into `threads` contiguous chunks mapped
-/// through [`engine::par_map`]. All sweep state is chunk-local: the
-/// scenario engine (with its baseline path cache), the memo, the load
-/// model and the per-duct pair buffers. Duct capacities merge by
-/// elementwise max (a commutative, associative reduction over finite
-/// values) and infeasible pairs concatenate in chunk order (= global
-/// scenario order), so the output is **bit-identical for every thread
-/// count**.
+/// This records the region's sweep in `threads` chunks and replays it
+/// ([`sweep_recorded`]).
 pub(crate) fn sweep<L>(
     region: &Region,
     goals: &DesignGoals,
@@ -119,17 +113,28 @@ pub(crate) fn sweep<L>(
 where
     L: FnMut(ScenarioView<'_>, &[u32]) -> f64,
 {
-    region.validate();
-    let m = region.map.graph().edge_count();
-    // Never empty: the no-failure scenario always comes first.
-    let scenarios: Vec<Vec<EdgeId>> = FailureScenarios::new(m, goals.max_cuts).collect();
-    let threads = threads.clamp(1, scenarios.len());
-    let chunks: Vec<&[Vec<EdgeId>]> = scenarios
-        .chunks(scenarios.len().div_ceil(threads))
-        .collect();
+    let recording = FailureSweep::record(region, goals, threads);
+    sweep_recorded(region, &recording, memo_counters, new_load)
+}
 
-    let results = engine::par_map(threads, &chunks, |_, chunk| {
-        let mut engine = ScenarioEngine::new(region, goals);
+/// [`sweep`] over a recording: its chunks are replayed in parallel
+/// ([`FailureSweep::par_chunks`]). All sweep state is chunk-local: the
+/// overlay, the memo, the load model and the per-duct pair buffers. Duct
+/// capacities merge by elementwise max (a commutative, associative
+/// reduction over finite values) and infeasible pairs concatenate in
+/// chunk order (= global scenario order), so the output is
+/// **bit-identical for every thread count**.
+pub(crate) fn sweep_recorded<L>(
+    region: &Region,
+    recording: &FailureSweep,
+    memo_counters: Option<[&str; 2]>,
+    new_load: impl Fn() -> L + Sync,
+) -> (Provisioning, Vec<u64>)
+where
+    L: FnMut(ScenarioView<'_>, &[u32]) -> f64,
+{
+    let m = region.map.graph().edge_count();
+    let results = recording.par_chunks(|chunk| {
         let mut load_of = new_load();
         // This chunk's own worst-case capacities and reports.
         let mut out = Provisioning {
@@ -145,7 +150,7 @@ where
         let mut pairs_on_edge: Vec<Vec<u32>> = vec![Vec::new(); m];
         let mut touched: Vec<EdgeId> = Vec::new();
 
-        engine.for_scenarios(chunk, |scenario, view| {
+        chunk.visit(|scenario, view| {
             for pair in view.unreachable() {
                 out.infeasible.push(InfeasiblePair {
                     pair,
@@ -226,6 +231,12 @@ pub fn provision_with_threads(
     goals: &DesignGoals,
     threads: usize,
 ) -> Provisioning {
+    provision_recorded(region, &FailureSweep::record(region, goals, threads))
+}
+
+/// Algorithm 1 under the hose load model over a recorded sweep, replayed
+/// in the recording's chunks.
+pub(crate) fn provision_recorded(region: &Region, recording: &FailureSweep) -> Provisioning {
     let telemetry = iris_telemetry::global();
     let wall =
         iris_telemetry::Span::enter_ms(telemetry.histogram("iris_planner_provision_wall_ms"));
@@ -233,9 +244,8 @@ pub fn provision_with_threads(
         "iris_planner_hose_maxflow_total",
         "iris_planner_hose_memo_hits_total",
     ];
-    let (prov, chunk_scenarios) = sweep(region, goals, threads, Some(memo_counters), || {
-        hose_load(region)
-    });
+    let (prov, chunk_scenarios) =
+        sweep_recorded(region, recording, Some(memo_counters), || hose_load(region));
 
     for (i, &n) in chunk_scenarios.iter().enumerate() {
         let name = "iris_planner_sweep_thread_scenarios_total";

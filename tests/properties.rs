@@ -182,6 +182,40 @@ proptest! {
     }
 
     #[test]
+    fn parallel_plan_iris_matches_sequential(
+        map_seed in 0u64..200,
+        n_dcs in 3usize..6,
+        threads in 2usize..8,
+        cuts in 0usize..3,
+    ) {
+        // The whole plan, not just Algorithm 1: every stage replays one
+        // failure sweep recorded in `thread_count()` chunks, so the
+        // recording's chunking must not reach any field.
+        use iris_fibermap::{synth, MetroParams, PlacementParams};
+        let region = synth::place_dcs(
+            synth::generate_metro(&MetroParams {
+                seed: map_seed,
+                n_huts: 10,
+                ..MetroParams::default()
+            }),
+            &PlacementParams {
+                seed: map_seed.wrapping_mul(31).wrapping_add(7),
+                n_dcs,
+                ..PlacementParams::default()
+            },
+        );
+        let goals = iris_planner::DesignGoals::with_cuts(cuts);
+        let plan = || iris_planner::plan_iris(&region, &goals);
+        let seq = iris_planner::with_nested_parallelism_disabled(plan);
+        iris_planner::set_default_threads(threads);
+        let par = plan();
+        iris_planner::set_default_threads(0);
+        // `Debug` prints every f64 in its shortest round-trip form, so
+        // equal text is equal bits.
+        prop_assert_eq!(format!("{seq:?}"), format!("{par:?}"));
+    }
+
+    #[test]
     fn robust_provision_is_feasible_and_thread_invariant(
         map_seed in 0u64..100,
         n_dcs in 3usize..6,
