@@ -484,6 +484,64 @@ mod tests {
         }
     }
 
+    /// The exact engine on a planned region, pinned: an 8-DC region's
+    /// nominal routes run over two to six links, so one round's fixed
+    /// flows touch many residuals, and one global and one targeted
+    /// disturbance cross the Iris fabric's reconfiguration outages.
+    /// Record count and digest captured at commit dea2c8f, before the
+    /// engine water-filled DC-pair classes instead of flows.
+    #[test]
+    fn run_reproduces_the_pinned_planned_region_digest() {
+        use iris_fibermap::{synth, MetroParams, PlacementParams};
+        use iris_planner::{provision, DesignGoals};
+        let region = synth::place_dcs(
+            synth::generate_metro(&MetroParams::default()),
+            &PlacementParams::default(),
+        );
+        let goals = DesignGoals::with_cuts(0);
+        let prov = provision(&region, &goals);
+        let scale = SimTopology::scale_for_largest_link(&region, &prov, 2.0);
+        let topo = SimTopology::from_provisioning(&region, &goals, &prov, scale);
+        let longest = topo.routes.iter().map(Vec::len).max();
+        assert_eq!(longest, Some(6), "the region no longer has 6-link routes");
+        let work = WorkSpec {
+            matrix: TrafficMatrix::heavy_tailed(topo.n_dcs, 3),
+            config: SimConfig {
+                duration_s: 6.0,
+                utilization: 0.7,
+                flow_sizes: FlowSizeDist::pfabric_web_search(),
+                change_interval_s: Some(0.5),
+                change_model: ChangeModel::Unbounded,
+                fabric: FabricModel::Iris { outage_s: 0.07 },
+                capacity_events: vec![
+                    CapacityEvent {
+                        start_s: 0.8,
+                        duration_s: 0.3,
+                        capacity_factor: 0.6,
+                        links: None,
+                    },
+                    CapacityEvent {
+                        start_s: 3.5,
+                        duration_s: 1.2,
+                        capacity_factor: 0.0,
+                        links: Some(topo.routes[0].clone()),
+                    },
+                ],
+                seed: 5,
+            },
+            topo,
+        };
+        let records = work.run();
+        let got = (records.len(), digest(&records));
+        assert_eq!(
+            got,
+            (3294, 0x3be1_4dbb_de18_2d12),
+            "got ({}, {:#018x})",
+            got.0,
+            got.1
+        );
+    }
+
     #[test]
     fn trace_survives_serde_round_trip() {
         let work = spec(FabricModel::Eps, 9);
