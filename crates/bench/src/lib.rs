@@ -149,8 +149,8 @@ pub fn write_report(path: &str, report: &impl serde::Serialize) -> IrisResult<()
         .map_err(|e| io(format!("--out: cannot write {path}: {e}")))
 }
 
-/// Write a JSON value under `results/<name>.json` (relative to the
-/// workspace root when run via cargo) through [`write_report`], exiting
+/// Write a JSON value under the workspace's `results/<name>.json`
+/// (wherever the binary is run from) through [`write_report`], exiting
 /// the process with the error's exit code if it cannot: a figure binary
 /// that wrote no artifact has failed. If the process-global telemetry
 /// registry recorded anything, a `results/<name>.metrics.json` sidecar
@@ -177,15 +177,30 @@ pub fn write_results(name: &str, value: &serde_json::Value) {
     }
 }
 
+/// The workspace's `results/`, fixed when the crate is compiled, so a
+/// figure binary run directly (not through cargo) writes there too.
 fn results_dir() -> PathBuf {
     // CARGO_MANIFEST_DIR = crates/bench; results live at the repo root.
-    let manifest = std::env::var("CARGO_MANIFEST_DIR").unwrap_or_else(|_| ".".into());
-    PathBuf::from(manifest).join("../../results")
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn results_dir_names_the_workspace_results() {
+        let dir = results_dir().canonicalize().expect("results/ exists");
+        assert!(dir.ends_with("results"), "{}", dir.display());
+        let root = dir.parent().expect("results/ has a parent");
+        let manifest = std::fs::read_to_string(root.join("Cargo.toml")).expect("root manifest");
+        assert!(
+            manifest.contains("[workspace]"),
+            "{} is no workspace",
+            root.display()
+        );
+        assert!(dir.join("chaos_sweep.json").is_file());
+    }
 
     #[test]
     fn full_sweep_has_240_points() {

@@ -8,6 +8,20 @@
 //! every event. Between events, rates are constant, so flow progress is
 //! exact (no time stepping).
 //!
+//! Every flow of a DC pair takes `topo.route(a, b)` and so gets the same
+//! rate: the water-fill runs over DC-pair *classes*, each with a flow
+//! count, and over the links that carry flows. The counts, each link's
+//! flow count and class list, and the set of live links are carried
+//! across events and change by one flow at each arrival or completion;
+//! link capacities are rescaled only when an outage or a capacity event
+//! starts or ends. The arithmetic is the per-flow water-fill's, bit for
+//! bit: the bottleneck is the first link, in ascending order, with the
+//! strictly smallest `residual.max(0) / flows`, and a fixed class of n
+//! flows subtracts its share n times from each link on its route. Per
+//! flow, an event costs one pass for the smallest remainder per class
+//! (`now + r / (rate·1e9)` is monotone in `r`), one advance pass with a
+//! per-class step, and an order-preserving harvest.
+//!
 //! Reconfiguration is modeled as the paper measures it: every matrix
 //! change, the circuits being re-homed go dark for the OSS switching
 //! time (~70 ms), reducing each link's available capacity by the moved
@@ -104,10 +118,11 @@ pub struct SimConfig {
 #[derive(Debug, Clone)]
 struct ActiveFlow {
     pair: (usize, usize),
+    /// The pair's class: `pair_index` of `pair`, its route's index.
+    class: usize,
     size_bytes: f64,
     remaining_bits: f64,
     start_s: f64,
-    rate_gbps: f64,
 }
 
 /// The event loop: max-min rate recompute at every event, exact fluid
@@ -138,18 +153,27 @@ pub(crate) fn drive(topo: &SimTopology, trace: &FlowTrace) -> Vec<FlowRecord> {
     let mut reconfig_outage_count: u64 = 0;
     let mut active_peak_seen: usize = 0;
 
-    let mut records = Vec::new();
+    // Sized for every flow up front: at 10⁵⁺ flows, doubling the
+    // largest buffer mid-run copies it and briefly holds both halves.
+    let mut records = Vec::with_capacity(trace.flow_count());
     let mut flows: Vec<ActiveFlow> = Vec::new();
     let mut now = 0.0f64;
     let mut outage_until = f64::NEG_INFINITY;
     let mut outage_fraction = 0.0f64;
 
-    // Per-event buffers, allocated once and reused across the run (the
-    // recompute used to allocate four vectors per event; at ~1 µs per
-    // event the allocator traffic dominated).
-    let mut scratch = WaterfillScratch::new();
+    // The population by class, carried across events; per-event
+    // buffers allocated once (at ~1 µs per event, allocator traffic
+    // and rebuilding per-link state both showed in profiles).
+    let mut fill = WaterfillScratch::new();
+    fill.reset(topo);
     let mut link_scale: Vec<f64> = Vec::new();
-    let mut pairs_buf: Vec<(usize, usize)> = Vec::new();
+    // What `link_scale` was last built from: the outage scale's bits
+    // and which capacity events covered `now`.
+    let mut applied_outage: Option<u64> = None;
+    let mut events_on = vec![false; capacity_events.len()];
+    // Per class: the smallest remainder, and this event's advance.
+    let mut min_remaining = vec![f64::INFINITY; topo.routes.len()];
+    let mut step = vec![0.0f64; topo.routes.len()];
 
     // Boundaries at which scheduled capacity events start or end.
     let mut event_boundaries: Vec<f64> = capacity_events
@@ -171,16 +195,24 @@ pub(crate) fn drive(topo: &SimTopology, trace: &FlowTrace) -> Vec<FlowRecord> {
                 .get(arrival_idx)
                 .map_or(f64::INFINITY, |a| a.start_s);
             // Per-link capacity scaling: reconfiguration outage (global)
-            // times any scheduled events covering the link.
+            // times any scheduled events covering the link, rebuilt only
+            // when one of its inputs changed.
             let outage_scale = if now < outage_until {
                 1.0 - outage_fraction
             } else {
                 1.0
             };
-            link_scale.clear();
-            link_scale.resize(topo.links.len(), outage_scale);
-            for ev in capacity_events {
-                if now + 1e-12 >= ev.start_s && now < ev.start_s + ev.duration_s {
+            let mut stale = applied_outage != Some(outage_scale.to_bits());
+            for (on, ev) in events_on.iter_mut().zip(capacity_events) {
+                let covers = now + 1e-12 >= ev.start_s && now < ev.start_s + ev.duration_s;
+                stale |= *on != covers;
+                *on = covers;
+            }
+            if stale {
+                applied_outage = Some(outage_scale.to_bits());
+                link_scale.clear();
+                link_scale.resize(topo.links.len(), outage_scale);
+                for (ev, _) in capacity_events.iter().zip(&events_on).filter(|(_, &on)| on) {
                     match &ev.links {
                         None => {
                             for s in &mut link_scale {
@@ -194,21 +226,26 @@ pub(crate) fn drive(topo: &SimTopology, trace: &FlowTrace) -> Vec<FlowRecord> {
                         }
                     }
                 }
+                fill.set_capacity(topo, &link_scale);
             }
-            pairs_buf.clear();
-            pairs_buf.extend(flows.iter().map(|f| f.pair));
-            let rounds = max_min_rates(topo, &link_scale, &pairs_buf, &mut scratch);
-            for (f, &r) in flows.iter_mut().zip(scratch.rates()) {
-                f.rate_gbps = r;
-            }
-            waterfill_round_sum += rounds as u64;
+            waterfill_round_sum += fill.waterfill(topo) as u64;
             active_peak_seen = active_peak_seen.max(flows.len());
 
-            // Next event time.
-            let next_completion = flows
+            // Next event time. A class's flows share one rate and
+            // `now + r / (rate·1e9)` is monotone in `r`, so each class's
+            // smallest remainder decides its earliest completion.
+            let classes = &fill.occ.classes;
+            for &c in classes {
+                min_remaining[c] = f64::INFINITY;
+            }
+            for f in &flows {
+                min_remaining[f.class] = min_remaining[f.class].min(f.remaining_bits);
+            }
+            let next_completion = classes
                 .iter()
-                .filter(|f| f.rate_gbps > 0.0)
-                .map(|f| now + f.remaining_bits / (f.rate_gbps * 1e9))
+                .map(|&c| (fill.class_rate[c], min_remaining[c]))
+                .filter(|&(rate, _)| rate > 0.0)
+                .map(|(rate, r)| now + r / (rate * 1e9))
                 .fold(f64::INFINITY, f64::min);
             let outage_end = if now < outage_until {
                 outage_until
@@ -230,8 +267,11 @@ pub(crate) fn drive(topo: &SimTopology, trace: &FlowTrace) -> Vec<FlowRecord> {
             // Advance flow progress to t.
             let dt = t - now;
             if dt > 0.0 {
+                for &c in &fill.occ.classes {
+                    step[c] = fill.class_rate[c] * 1e9 * dt;
+                }
                 for f in &mut flows {
-                    f.remaining_bits = (f.remaining_bits - f.rate_gbps * 1e9 * dt).max(0.0);
+                    f.remaining_bits = (f.remaining_bits - step[f.class]).max(0.0);
                 }
             }
             now = t;
@@ -247,39 +287,34 @@ pub(crate) fn drive(topo: &SimTopology, trace: &FlowTrace) -> Vec<FlowRecord> {
                 // the event loop forever.
                 let records_before = records.len();
                 let before = flows.len();
-                let rtt =
-                    |pair: (usize, usize)| topo.route_rtt_s[pair_index(topo.n_dcs, pair.0, pair.1)];
+                let record = |f: &ActiveFlow| FlowRecord {
+                    pair: f.pair,
+                    size_bytes: f.size_bytes,
+                    start_s: f.start_s,
+                    fct_s: now - f.start_s + topo.route_rtt_s[f.class],
+                };
                 flows.retain(|f| {
-                    if f.remaining_bits <= 1.0 {
-                        records.push(FlowRecord {
-                            pair: f.pair,
-                            size_bytes: f.size_bytes,
-                            start_s: f.start_s,
-                            fct_s: now - f.start_s + rtt(f.pair),
-                        });
-                        false
-                    } else {
-                        true
+                    let done = f.remaining_bits <= 1.0;
+                    if done {
+                        fill.occ.remove(topo, f.class);
+                        records.push(record(f));
                     }
+                    !done
                 });
                 if flows.len() == before {
                     // Forced progress: finish the flow the scheduler said
                     // was done (its residue is pure rounding error).
-                    if let Some(min_idx) = (0..flows.len())
-                        .filter(|&i| flows[i].rate_gbps > 0.0)
-                        .min_by(|&a, &b| {
-                            let ta = flows[a].remaining_bits / flows[a].rate_gbps;
-                            let tb = flows[b].remaining_bits / flows[b].rate_gbps;
-                            ta.partial_cmp(&tb).expect("finite")
-                        })
-                    {
+                    let rate = |i: usize| fill.class_rate[flows[i].class];
+                    let by_time = |&a: &usize, &b: &usize| {
+                        let ta = flows[a].remaining_bits / rate(a);
+                        let tb = flows[b].remaining_bits / rate(b);
+                        ta.partial_cmp(&tb).expect("finite")
+                    };
+                    let first = (0..flows.len()).filter(|&i| rate(i) > 0.0).min_by(by_time);
+                    if let Some(min_idx) = first {
                         let f = flows.swap_remove(min_idx);
-                        records.push(FlowRecord {
-                            pair: f.pair,
-                            size_bytes: f.size_bytes,
-                            start_s: f.start_s,
-                            fct_s: now - f.start_s + rtt(f.pair),
-                        });
+                        fill.occ.remove(topo, f.class);
+                        records.push(record(&f));
                     }
                 }
                 completions += (records.len() - records_before) as u64;
@@ -289,12 +324,15 @@ pub(crate) fn drive(topo: &SimTopology, trace: &FlowTrace) -> Vec<FlowRecord> {
             if now >= next_arrival - 1e-15 && next_arrival <= next_change {
                 // A thinned tick (no flow) still advances the cursor.
                 if let Some(flow) = trace.arrivals[arrival_idx].flow {
+                    let (a, b) = flow.pair;
+                    let class = pair_index(topo.n_dcs, a.min(b), a.max(b));
+                    fill.occ.add(topo, class);
                     flows.push(ActiveFlow {
                         pair: flow.pair,
+                        class,
                         size_bytes: flow.size_bytes,
                         remaining_bits: flow.size_bytes * 8.0,
                         start_s: now,
-                        rate_gbps: 0.0,
                     });
                     arrivals += 1;
                 }
@@ -350,17 +388,91 @@ pub(crate) fn drive(topo: &SimTopology, trace: &FlowTrace) -> Vec<FlowRecord> {
     records
 }
 
-/// Reusable buffers for [`max_min_rates`] — the engine's answer to the
-/// planner's `DijkstraScratch`. The recompute runs at every simulator
-/// event; allocating its five working vectors per call dominated the
-/// event loop's wall time, so callers hold one scratch for the whole
-/// run and the recompute only ever grows it.
+/// A flow population by DC-pair class. Every flow of a pair takes
+/// `topo.route(a, b)`, so the water-fill needs only how many flows each
+/// class holds; an arrival or a completion changes each count here by
+/// one.
+#[derive(Debug, Default)]
+struct Occupancy {
+    /// Flows per class. A class is a `pair_index`, its route's index.
+    count: Vec<u32>,
+    /// Classes holding flows, in no order.
+    classes: Vec<usize>,
+    /// Flows per link.
+    link_count: Vec<u32>,
+    /// Per link: the classes holding flows whose route crosses it.
+    link_classes: Vec<Vec<usize>>,
+    /// Links with flows, one bit each.
+    live: Vec<u64>,
+}
+
+impl Occupancy {
+    fn add(&mut self, topo: &SimTopology, class: usize) {
+        let route = &topo.routes[class];
+        if self.count[class] == 0 {
+            self.classes.push(class);
+            for &l in route {
+                self.link_classes[l].push(class);
+            }
+        }
+        self.count[class] += 1;
+        for &l in route {
+            self.link_count[l] += 1;
+            self.live[l / 64] |= 1 << (l % 64);
+        }
+    }
+
+    fn remove(&mut self, topo: &SimTopology, class: usize) {
+        let unlist = |list: &mut Vec<usize>| {
+            let at = list.iter().position(|&c| c == class);
+            list.swap_remove(at.expect("a class with flows is listed"));
+        };
+        let route = &topo.routes[class];
+        self.count[class] -= 1;
+        if self.count[class] == 0 {
+            unlist(&mut self.classes);
+            for &l in route {
+                unlist(&mut self.link_classes[l]);
+            }
+        }
+        for &l in route {
+            self.link_count[l] -= 1;
+            if self.link_count[l] == 0 {
+                self.live[l / 64] &= !(1 << (l % 64));
+            }
+        }
+    }
+}
+
+/// The indices of the set bits of a bitset, ascending.
+fn ones(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(at, &word)| {
+        let next = |w: &u64| Some(w & (w - 1)).filter(|&w| w != 0);
+        std::iter::successors(Some(word).filter(|&w| w != 0), next)
+            .map(move |w| at * 64 + w.trailing_zeros() as usize)
+    })
+}
+
+/// Reusable state for [`max_min_rates`] — the engine's answer to the
+/// planner's `DijkstraScratch`. The event loop keeps its flow population
+/// here by class across events and water-fills it at every event; the
+/// buffers are sized once per topology, so no call allocates.
 #[derive(Debug, Default)]
 pub struct WaterfillScratch {
+    occ: Occupancy,
+    /// Per link: capacity × scale, Gbps.
+    capacity: Vec<f64>,
+    /// Per link, during a water-fill: capacity left, flows not yet
+    /// fixed, and their fair share of what is left.
     residual: Vec<f64>,
-    link_flows: Vec<Vec<u32>>,
-    active_on_link: Vec<usize>,
+    unfixed: Vec<u32>,
+    fair_share: Vec<f64>,
+    /// Links with unfixed flows, one bit each.
+    open: Vec<u64>,
+    /// Per class: fixed yet, and its per-flow rate, Gbps.
     fixed: Vec<bool>,
+    class_rate: Vec<f64>,
+    /// Per input pair of the last [`max_min_rates`] call.
     rates: Vec<f64>,
 }
 
@@ -377,6 +489,114 @@ impl WaterfillScratch {
     pub fn rates(&self) -> &[f64] {
         &self.rates
     }
+
+    /// Empty the population and size every buffer for `topo`.
+    fn reset(&mut self, topo: &SimTopology) {
+        let (classes, links) = (topo.routes.len(), topo.links.len());
+        let occ = &mut self.occ;
+        for c in occ.classes.drain(..) {
+            occ.count[c] = 0;
+        }
+        occ.count.resize(classes, 0);
+        occ.link_count.clear();
+        occ.link_count.resize(links, 0);
+        occ.link_classes.resize_with(links, Vec::new);
+        occ.live.clear();
+        occ.live.resize(links.div_ceil(64), 0);
+        // Room for every class up front, so that no list grows (and
+        // allocates) inside the event loop.
+        occ.classes.reserve(classes);
+        for &l in topo.routes.iter().flatten() {
+            occ.link_count[l] += 1;
+        }
+        for (on_link, n) in occ.link_classes.iter_mut().zip(&mut occ.link_count) {
+            on_link.clear();
+            on_link.reserve(*n as usize);
+            *n = 0;
+        }
+        self.residual.resize(links, 0.0);
+        self.unfixed.resize(links, 0);
+        self.fair_share.resize(links, 0.0);
+        self.open.resize(links.div_ceil(64), 0);
+        self.fixed.resize(classes, false);
+        self.class_rate.resize(classes, 0.0);
+    }
+
+    /// Link capacities for the next water-fills, scaled by `link_scale`.
+    fn set_capacity(&mut self, topo: &SimTopology, link_scale: &[f64]) {
+        self.capacity.clear();
+        let scaled = topo.links.iter().zip(link_scale);
+        self.capacity
+            .extend(scaled.map(|(l, &s)| l.capacity_gbps * s));
+    }
+
+    /// Progressive water-filling of the population over its live links:
+    /// each round fixes every class crossing the bottleneck link at its
+    /// fair share. Class rates land in `class_rate` (0 for a class with
+    /// no route). Returns the number of rounds.
+    fn waterfill(&mut self, topo: &SimTopology) -> usize {
+        let Self {
+            occ,
+            capacity,
+            residual,
+            unfixed,
+            fair_share,
+            open,
+            fixed,
+            class_rate,
+            ..
+        } = self;
+        for &c in &occ.classes {
+            fixed[c] = false;
+            class_rate[c] = 0.0;
+        }
+        open.copy_from_slice(&occ.live);
+        for l in ones(&occ.live) {
+            residual[l] = capacity[l];
+            unfixed[l] = occ.link_count[l];
+            fair_share[l] = residual[l].max(0.0) / f64::from(unfixed[l]);
+        }
+        let mut rounds = 0usize;
+        loop {
+            // Bottleneck link: the first smallest fair share among links
+            // with unfixed flows.
+            let mut best: Option<(usize, f64)> = None;
+            for l in ones(open) {
+                if best.is_none_or(|(_, s)| fair_share[l] < s) {
+                    best = Some((l, fair_share[l]));
+                }
+            }
+            let Some((bottleneck, share)) = best else {
+                break;
+            };
+            rounds += 1;
+            // Fix every unfixed class crossing the bottleneck at `share`.
+            // Each of a class's n flows takes it from every link on the
+            // route once: n subtractions, as flow by flow. Only links a
+            // round touches change their fair share.
+            for &c in &occ.link_classes[bottleneck] {
+                if fixed[c] {
+                    continue;
+                }
+                fixed[c] = true;
+                class_rate[c] = share;
+                let n = occ.count[c];
+                for &l in &topo.routes[c] {
+                    for _ in 0..n {
+                        residual[l] -= share;
+                    }
+                    unfixed[l] -= n;
+                    if unfixed[l] == 0 {
+                        open[l / 64] &= !(1 << (l % 64));
+                    } else {
+                        fair_share[l] = residual[l].max(0.0) / f64::from(unfixed[l]);
+                    }
+                }
+            }
+            debug_assert_eq!(unfixed[bottleneck], 0);
+        }
+        rounds
+    }
 }
 
 /// Progressive water-filling: every entry of `pairs` is one active flow
@@ -385,78 +605,27 @@ impl WaterfillScratch {
 /// flows with no route get rate 0. Returns the number of water-filling
 /// rounds (bottleneck links fixed).
 ///
-/// Complexity: `O(L^2 + F * pathlen)` — each round saturates one link
-/// and only touches that link's flow list, so the allocator stays fast
-/// even when queues build up at the paper's high-utilization extremes.
+/// The flows are counted into DC-pair classes and water-filled as the
+/// event loop does, so the cost is `O(F)` to count and to read back
+/// rates plus, per round, the links with unfixed flows and the routes
+/// of the classes it fixes.
 pub fn max_min_rates(
     topo: &SimTopology,
     link_scale: &[f64],
     pairs: &[(usize, usize)],
     scratch: &mut WaterfillScratch,
 ) -> usize {
-    let l_count = topo.links.len();
-    scratch.residual.clear();
-    scratch.residual.extend(
-        topo.links
-            .iter()
-            .zip(link_scale)
-            .map(|(l, &s)| l.capacity_gbps * s),
-    );
-    if scratch.link_flows.len() < l_count {
-        scratch.link_flows.resize_with(l_count, Vec::new);
+    let class = |&(a, b): &(usize, usize)| pair_index(topo.n_dcs, a.min(b), a.max(b));
+    scratch.reset(topo);
+    for pair in pairs {
+        scratch.occ.add(topo, class(pair));
     }
-    for v in &mut scratch.link_flows[..l_count] {
-        v.clear();
-    }
-    scratch.active_on_link.clear();
-    scratch.active_on_link.resize(l_count, 0);
-    scratch.fixed.clear();
-    scratch.fixed.resize(pairs.len(), false);
+    scratch.set_capacity(topo, link_scale);
+    let rounds = scratch.waterfill(topo);
     scratch.rates.clear();
-    scratch.rates.resize(pairs.len(), 0.0);
-    for (fi, &(a, b)) in pairs.iter().enumerate() {
-        let route = topo.route(a, b);
-        if route.is_empty() {
-            scratch.fixed[fi] = true;
-        }
-        for &l in route {
-            scratch.link_flows[l].push(fi as u32);
-            scratch.active_on_link[l] += 1;
-        }
-    }
-    let mut rounds = 0usize;
-    loop {
-        // Bottleneck link: smallest fair share among links with flows.
-        let mut best: Option<(usize, f64)> = None;
-        for l in 0..l_count {
-            if scratch.active_on_link[l] == 0 {
-                continue;
-            }
-            let share = scratch.residual[l].max(0.0) / scratch.active_on_link[l] as f64;
-            if best.is_none_or(|(_, s)| share < s) {
-                best = Some((l, share));
-            }
-        }
-        let Some((bottleneck, share)) = best else {
-            break;
-        };
-        rounds += 1;
-        // Fix every unfixed flow crossing the bottleneck at `share`.
-        for m in 0..scratch.link_flows[bottleneck].len() {
-            let fi = scratch.link_flows[bottleneck][m] as usize;
-            if scratch.fixed[fi] {
-                continue;
-            }
-            scratch.fixed[fi] = true;
-            scratch.rates[fi] = share;
-            let (a, b) = pairs[fi];
-            for &l in topo.route(a, b) {
-                scratch.residual[l] -= share;
-                scratch.active_on_link[l] -= 1;
-            }
-        }
-        debug_assert_eq!(scratch.active_on_link[bottleneck], 0);
-    }
+    scratch
+        .rates
+        .extend(pairs.iter().map(|pair| scratch.class_rate[class(pair)]));
     rounds
 }
 
@@ -545,6 +714,148 @@ mod tests {
             let rounds_fresh = max_min_rates(&topo, &scale, population, &mut fresh);
             assert_eq!(rounds_reused, rounds_fresh);
             assert_eq!(reused.rates(), fresh.rates());
+        }
+    }
+
+    /// The per-flow progressive water-fill the class water-fill
+    /// replaced, kept as its oracle: every flow is its own entry on its
+    /// route's link lists. Returns the rates and the round count.
+    fn per_flow_max_min_rates(
+        topo: &SimTopology,
+        link_scale: &[f64],
+        pairs: &[(usize, usize)],
+    ) -> (Vec<f64>, usize) {
+        let l_count = topo.links.len();
+        let mut residual: Vec<f64> = topo
+            .links
+            .iter()
+            .zip(link_scale)
+            .map(|(l, &s)| l.capacity_gbps * s)
+            .collect();
+        let mut link_flows = vec![Vec::new(); l_count];
+        let mut active_on_link = vec![0usize; l_count];
+        let mut fixed = vec![false; pairs.len()];
+        let mut rates = vec![0.0; pairs.len()];
+        for (fi, &(a, b)) in pairs.iter().enumerate() {
+            let route = topo.route(a, b);
+            fixed[fi] = route.is_empty();
+            for &l in route {
+                link_flows[l].push(fi);
+                active_on_link[l] += 1;
+            }
+        }
+        let mut rounds = 0;
+        loop {
+            let mut best: Option<(usize, f64)> = None;
+            for l in 0..l_count {
+                if active_on_link[l] == 0 {
+                    continue;
+                }
+                let share = residual[l].max(0.0) / active_on_link[l] as f64;
+                if best.is_none_or(|(_, s)| share < s) {
+                    best = Some((l, share));
+                }
+            }
+            let Some((bottleneck, share)) = best else {
+                break;
+            };
+            rounds += 1;
+            for &fi in &link_flows[bottleneck] {
+                if fixed[fi] {
+                    continue;
+                }
+                fixed[fi] = true;
+                rates[fi] = share;
+                let (a, b) = pairs[fi];
+                for &l in topo.route(a, b) {
+                    residual[l] -= share;
+                    active_on_link[l] -= 1;
+                }
+            }
+        }
+        (rates, rounds)
+    }
+
+    /// Two hub-and-spoke regions (2-link routes) and two planned ones
+    /// (routes of up to four and six links), built once.
+    fn oracle_topologies() -> &'static [SimTopology] {
+        use iris_fibermap::{synth, MetroParams, PlacementParams};
+        use iris_planner::{provision, DesignGoals};
+        static TOPOLOGIES: std::sync::OnceLock<Vec<SimTopology>> = std::sync::OnceLock::new();
+        TOPOLOGIES.get_or_init(|| {
+            let planned = |n_dcs: usize| {
+                let region = synth::place_dcs(
+                    synth::generate_metro(&MetroParams::default()),
+                    &PlacementParams {
+                        n_dcs,
+                        ..PlacementParams::default()
+                    },
+                );
+                let goals = DesignGoals::with_cuts(0);
+                let prov = provision(&region, &goals);
+                let scale = SimTopology::scale_for_largest_link(&region, &prov, 2.0);
+                SimTopology::from_provisioning(&region, &goals, &prov, scale)
+            };
+            vec![
+                SimTopology::hub_and_spoke(5, 1.0),
+                SimTopology::hub_and_spoke(3, 2.5),
+                planned(6),
+                planned(8),
+            ]
+        })
+    }
+
+    proptest::proptest! {
+        /// The class water-fill returns the per-flow oracle's rate bits
+        /// and round count: random populations with repeated pairs and
+        /// pairs given as `(b, a)`, link scales that include 0, both
+        /// kinds of topology, and one scratch reused across the calls.
+        #[test]
+        fn class_waterfill_matches_the_per_flow_oracle(
+            calls in proptest::collection::vec(
+                (0usize..4, proptest::prelude::any::<u64>(), 0usize..160),
+                1..6,
+            ),
+        ) {
+            use rand::rngs::StdRng;
+            use rand::{Rng, SeedableRng};
+            let mut scratch = WaterfillScratch::new();
+            for (topo_idx, seed, flows) in calls {
+                let topo = &oracle_topologies()[topo_idx];
+                let mut rng = StdRng::seed_from_u64(seed);
+                let n = topo.n_dcs;
+                // A few hot pairs make repeats common.
+                let hot: Vec<(usize, usize)> = (0..3)
+                    .map(|_| {
+                        let a = rng.random_range(0..n);
+                        (a, (a + rng.random_range(1..n)) % n)
+                    })
+                    .collect();
+                let pairs: Vec<(usize, usize)> = (0..flows)
+                    .map(|_| {
+                        let (a, b) = if rng.random_bool(0.5) {
+                            hot[rng.random_range(0..hot.len())]
+                        } else {
+                            let a = rng.random_range(0..n);
+                            (a, (a + rng.random_range(1..n)) % n)
+                        };
+                        if rng.random_bool(0.5) { (b, a) } else { (a, b) }
+                    })
+                    .collect();
+                let link_scale: Vec<f64> = (0..topo.links.len())
+                    .map(|_| match rng.random_range(0..4) {
+                        0 => 0.0,
+                        1 => 1.0,
+                        2 => 0.5,
+                        _ => rng.random_range(0.0..1.0),
+                    })
+                    .collect();
+                let rounds = max_min_rates(topo, &link_scale, &pairs, &mut scratch);
+                let (want, want_rounds) = per_flow_max_min_rates(topo, &link_scale, &pairs);
+                let bits = |r: &[f64]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                proptest::prop_assert_eq!(rounds, want_rounds);
+                proptest::prop_assert_eq!(bits(scratch.rates()), bits(&want));
+            }
         }
     }
 
