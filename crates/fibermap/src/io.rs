@@ -109,6 +109,28 @@ mod tests {
     }
 
     #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let err = region_from_json(&"[".repeat(200_000)).unwrap_err();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+    }
+
+    #[test]
+    fn site_names_round_trip_byte_for_byte() {
+        let r = region();
+        let json = region_to_json(&r).unwrap();
+        // Multibyte UTF-8, every escape, and runs mixing both.
+        let name = "Zürich € 𝄞 \"q\" \\ / \u{8}\u{c}\n\r\t \u{1f} end";
+        let renamed = json.replacen("\"HUT0\"", &serde_json::to_string(name).unwrap(), 1);
+        assert_ne!(renamed, json, "the region has a HUT0");
+        let back = region_from_json(&renamed).unwrap();
+        let site = (0..back.map.site_count())
+            .find(|&i| back.map.site(i).name != r.map.site(i).name)
+            .expect("one site renamed");
+        assert_eq!(back.map.site(site).name, name);
+        assert_eq!(region_to_json(&back).unwrap(), renamed);
+    }
+
+    #[test]
     fn invalid_region_is_rejected() {
         let r = region();
         let mut json: serde_json::Value =

@@ -21,6 +21,7 @@ use iris_control::messages::Command;
 use iris_errors::IrisResult;
 use iris_service::Response;
 use iris_wire::bin::{Reader, Wire};
+use iris_wire::Codec;
 use std::fmt::Debug;
 
 #[global_allocator]
@@ -159,4 +160,97 @@ fn every_controller_command_survives_hostile_bytes() {
     ] {
         fuzz(&command);
     }
+}
+
+/// Decode a hostile JSON payload as a `T`: it must fail with a typed
+/// decode error naming `expect`, and allocate in proportion to the
+/// payload.
+fn json_rejects<T: Wire + serde::Deserialize + Debug>(payload: &str, expect: &str) {
+    counting::reset_largest();
+    let err = Codec::Json
+        .decode::<T>(payload.as_bytes(), "fuzzed")
+        .expect_err(payload);
+    assert_eq!(err.code(), "decode", "{err}");
+    assert!(err.to_string().contains(expect), "{payload:?}: {err}");
+    let largest = counting::largest();
+    assert!(
+        largest <= 16 * payload.len() + 1024,
+        "a {}-byte JSON payload drove a {largest}-byte allocation",
+        payload.len()
+    );
+}
+
+#[test]
+fn json_nesting_is_bounded() {
+    // Each level is one recursion of the parser: 200 k of them would
+    // overflow any thread's stack, so the parser stops at 128.
+    json_rejects::<Vec<u32>>(&"[".repeat(200_000), "nesting deeper than 128");
+    json_rejects::<Vec<u32>>(&"{\"a\":".repeat(200_000), "nesting deeper than 128");
+    let within = format!("{}{}", "[".repeat(128), "]".repeat(128));
+    assert!(serde_json::from_str::<serde_json::Value>(&within).is_ok());
+    let beyond = format!("{}{}", "[".repeat(129), "]".repeat(129));
+    assert!(serde_json::from_str::<serde_json::Value>(&beyond).is_err());
+}
+
+#[test]
+fn json_escapes_that_cannot_decode_are_typed_errors() {
+    for (payload, expect) in [
+        // A high surrogate must be followed by a low one.
+        (r#""\uD800\u0041""#, "invalid \\u escape"),
+        (r#""\uD800\uD800""#, "invalid \\u escape"),
+        (r#""\uD800""#, "expected '\\'"),
+        (r#""\uD800A""#, "expected '\\'"),
+        // A low surrogate cannot stand alone.
+        (r#""\uDC00""#, "invalid \\u escape"),
+        // Truncated escapes.
+        (r#""\u12"#, "truncated \\u escape"),
+        (r#""\uD800\u12"#, "truncated \\u escape"),
+        (r#""\"#, "bad escape"),
+        (r#""\q""#, "unknown escape"),
+        (r#""abc"#, "unterminated string"),
+    ] {
+        json_rejects::<String>(payload, expect);
+    }
+}
+
+#[test]
+fn json_strings_decode_byte_for_byte() {
+    for (payload, expect) in [
+        (r#""""#, ""),
+        (
+            r#""\" \\ \/ \b \f \n \r \t""#,
+            "\" \\ / \u{8} \u{c} \n \r \t",
+        ),
+        (r#""é€𝄞\u0000""#, "é€𝄞\u{0}"),
+        (r#""a\"b€\\𝄞éc\n""#, "a\"b€\\𝄞éc\n"),
+    ] {
+        let back: String = Codec::Json.decode(payload.as_bytes(), "string").unwrap();
+        assert_eq!(back, expect, "{payload}");
+    }
+    for s in [
+        "2-byte: héllo ñ",
+        "3-byte: € ✓ 日本語",
+        "4-byte: 𝄞 🦀",
+        "every escape: \" \\ / \u{8} \u{c} \n \r \t \u{1f}",
+        "runs: é\"€\\𝄞\n🦀\tend",
+    ] {
+        let mut buf = Vec::new();
+        Codec::Json.encode_into(&s.to_owned(), &mut buf).unwrap();
+        let back: String = Codec::Json.decode(&buf, "string").unwrap();
+        assert_eq!(back.as_bytes(), s.as_bytes());
+    }
+}
+
+#[test]
+fn a_frame_sized_json_string_decodes_in_linear_time() {
+    // 1 MiB of mixed one- to four-byte characters, plus escapes, in one
+    // string: quadratic decoding took tens of seconds at this size.
+    let body: String = "a€é𝄞\\n".chars().cycle().take(524_288).collect();
+    let payload = format!("\"{body}\"");
+    assert!(payload.len() >= 1 << 20, "{} bytes", payload.len());
+    let start = std::time::Instant::now();
+    let back: String = Codec::Json.decode(payload.as_bytes(), "string").unwrap();
+    let took = start.elapsed();
+    assert_eq!(back, body.replace("\\n", "\n"));
+    assert!(took.as_secs_f64() < 1.0, "{took:?}");
 }
