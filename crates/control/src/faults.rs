@@ -11,6 +11,8 @@
 //! subcommand).
 
 use iris_netgraph::EdgeId;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use crate::devices::SpaceSwitch;
@@ -115,30 +117,9 @@ pub struct FaultSchedule {
     pub events: Vec<FaultEvent>,
 }
 
-/// SplitMix64 — the workspace's standard deterministic generator. Kept
-/// private so schedule generation cannot accidentally consume entropy
-/// from anywhere else.
-struct SplitMix64 {
-    state: u64,
-}
-
-impl SplitMix64 {
-    fn new(seed: u64) -> Self {
-        Self { state: seed }
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform draw in `0..n` (n > 0).
-    fn below(&mut self, n: usize) -> usize {
-        (self.next_u64() % n.max(1) as u64) as usize
-    }
+/// Uniform draw in `0..n` (n > 0) from the schedule's own generator.
+fn below(rng: &mut StdRng, n: usize) -> usize {
+    (rng.next_u64() % n.max(1) as u64) as usize
 }
 
 impl FaultSchedule {
@@ -150,16 +131,16 @@ impl FaultSchedule {
     /// quarantine + rollback path.
     #[must_use]
     pub fn generate(seed: u64, domain: &FaultDomain) -> Self {
-        let mut rng = SplitMix64::new(seed ^ 0x1915_C0DE);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x1915_C0DE);
         let mut events = Vec::with_capacity(domain.events);
         for step in 0..domain.events {
-            let kind = match rng.below(8) {
+            let kind = match below(&mut rng, 8) {
                 // 3/8 fiber cuts.
                 0..=2 if domain.ducts > 0 => {
-                    let size = 1 + rng.below(domain.max_cut_size.max(1));
+                    let size = 1 + below(&mut rng, domain.max_cut_size.max(1));
                     let mut ducts: Vec<EdgeId> = Vec::new();
                     for _ in 0..size {
-                        let d = rng.below(domain.ducts);
+                        let d = below(&mut rng, domain.ducts);
                         if !ducts.contains(&d) {
                             ducts.push(d);
                         }
@@ -168,24 +149,24 @@ impl FaultSchedule {
                     FaultKind::FiberCut { ducts }
                 }
                 3 => FaultKind::OssPortStuck {
-                    site: rng.below(domain.sites),
+                    site: below(&mut rng, domain.sites),
                     failures: transient_or_permanent(&mut rng),
                 },
                 4 => FaultKind::OssMisroute {
-                    site: rng.below(domain.sites),
+                    site: below(&mut rng, domain.sites),
                     failures: transient_or_permanent(&mut rng),
                 },
                 5 => FaultKind::TransceiverNoRelock {
-                    site: rng.below(domain.sites),
-                    extra_attempts: 1 + rng.below(3) as u32,
+                    site: below(&mut rng, domain.sites),
+                    extra_attempts: 1 + below(&mut rng, 3) as u32,
                 },
                 6 => FaultKind::EdfaExcursion {
-                    site: rng.below(domain.sites),
-                    delta_db: 1.0 + rng.below(5) as f64,
-                    failures: 1 + rng.below(2) as u32,
+                    site: below(&mut rng, domain.sites),
+                    delta_db: 1.0 + below(&mut rng, 5) as f64,
+                    failures: 1 + below(&mut rng, 2) as u32,
                 },
                 _ => FaultKind::ControlMessageLoss {
-                    messages: 1 + rng.below(3) as u32,
+                    messages: 1 + below(&mut rng, 3) as u32,
                 },
             };
             events.push(FaultEvent {
@@ -216,11 +197,11 @@ enum Armed {
     MsgLoss { remaining: u32 },
 }
 
-fn transient_or_permanent(rng: &mut SplitMix64) -> u32 {
-    if rng.below(4) == 0 {
+fn transient_or_permanent(rng: &mut StdRng) -> u32 {
+    if below(rng, 4) == 0 {
         u32::MAX // permanent: survives every retry, forces quarantine
     } else {
-        1 + rng.below(2) as u32 // cleared by the first or second retry
+        1 + below(rng, 2) as u32 // cleared by the first or second retry
     }
 }
 
