@@ -208,8 +208,52 @@ fn json_escapes_that_cannot_decode_are_typed_errors() {
         (r#""\"#, "bad escape"),
         (r#""\q""#, "unknown escape"),
         (r#""abc"#, "unterminated string"),
+        // Exactly four hex digits: no sign, no space, no other byte.
+        (r#""\u+041""#, "bad \\u escape"),
+        (r#""\u-041""#, "bad \\u escape"),
+        (r#""\u 041""#, "bad \\u escape"),
+        (r#""\u00g1""#, "bad \\u escape"),
+        (r#""\uD800\u+C00""#, "bad \\u escape"),
+        (r#""\u€""#, "bad \\u escape"),
+        // U+0000..U+001F travel only as escapes.
+        ("\"a\u{0}b\"", "control character in string"),
+        ("\"tab\there\"", "control character in string"),
+        ("\"line\nbreak\"", "control character in string"),
+        ("\"\u{1f}\"", "control character in string"),
     ] {
         json_rejects::<String>(payload, expect);
+    }
+}
+
+#[test]
+fn json_numbers_follow_the_json_grammar() {
+    for (payload, expect) in [
+        ("007", "leading zero in number"),
+        ("-00", "leading zero in number"),
+        ("01.5", "leading zero in number"),
+        ("-01", "leading zero in number"),
+        ("00e1", "leading zero in number"),
+        ("-", "bad number"),
+        ("-.5", "bad number"),
+        ("1.", "bad number"),
+        ("1.e5", "bad number"),
+        ("1e", "bad number"),
+        ("1e+", "bad number"),
+    ] {
+        json_rejects::<f64>(payload, expect);
+    }
+    for (payload, expect) in [
+        ("0", 0.0f64),
+        ("-0", -0.0),
+        ("0.5", 0.5),
+        ("-0.0", -0.0),
+        ("0e1", 0.0),
+        ("10", 10.0),
+        ("-1.25E-2", -0.0125),
+        ("1e+2", 100.0),
+    ] {
+        let back: f64 = Codec::Json.decode(payload.as_bytes(), "number").unwrap();
+        assert_eq!(back.to_bits(), expect.to_bits(), "{payload}");
     }
 }
 
