@@ -13,8 +13,9 @@
 //! failure scenario is covered, accumulating placements across scenarios
 //! (amplifiers installed for one scenario are reused by others).
 
-use crate::engine::{thread_count, FailureSweep, PathMemo, SliceMemo};
+use crate::engine::{thread_count, FailureSweep};
 use crate::goals::DesignGoals;
+use crate::memo::{PathMemo, SliceMemo};
 use crate::paths::DcPath;
 use crate::topology::hose_load;
 use iris_fibermap::Region;

@@ -13,8 +13,9 @@
 //! resolved per fiber leased and accumulates across failure scenarios.
 
 use crate::amplifiers::AmpPlacement;
-use crate::engine::{thread_count, FailureSweep, PathMemo};
+use crate::engine::{thread_count, FailureSweep};
 use crate::goals::DesignGoals;
+use crate::memo::PathMemo;
 use crate::paths::DcPath;
 use crate::topology::hose_load;
 use iris_fibermap::Region;
