@@ -1,10 +1,10 @@
-//! Brute-force oracle for Appendix A's two placement heuristics and the
-//! residual-fiber count.
+//! Brute-force oracles for Algorithm 1, Appendix A's two placement
+//! heuristics and the residual-fiber count.
 //!
-//! `place_amplifiers`, `place_cutthroughs` and `residual_pairs_per_edge`
-//! are delta-driven: they keep what they worked out for the baseline
-//! paths and, per failure scenario, look only at the re-routed ones. The
-//! oracles below are the loops as the appendix states them — every
+//! `provision*`, `place_amplifiers`, `place_cutthroughs` and
+//! `residual_pairs_per_edge` are delta-driven: they keep what they worked
+//! out for the baseline paths and, per failure scenario, look only at the
+//! re-routed ones. The oracles below are the loops as written — every
 //! scenario recomputes every DC-pair path from scratch
 //! ([`scenario_paths`], no engine) and re-evaluates every path (no memo,
 //! no skip) — and the planner's output must equal theirs field for field,
@@ -20,6 +20,9 @@ use iris_planner::cutthrough::{
 };
 use iris_planner::paths::{scenario_paths, DcPath};
 use iris_planner::residual::residual_pairs_per_edge;
+use iris_planner::topology::{provision_naive, InfeasiblePair, Provisioning};
+use iris_planner::workload::{FamilyKind, FamilySpec, MatrixFamily};
+use iris_planner::{provision_robust_with_threads, provision_with_threads};
 use iris_planner::{DesignGoals, ScenarioEngine};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -198,10 +201,65 @@ fn oracle_residual(region: &Region, goals: &DesignGoals) -> Vec<u32> {
     worst
 }
 
-/// All three passes against their oracles; returns what was placed so a
+/// Algorithm 1 as written: every scenario's paths from scratch, every
+/// duct loaded with the pairs crossing it (ascending) by `load`, the
+/// worst load kept; the pairs without a path reported per scenario.
+fn oracle_sweep(
+    region: &Region,
+    goals: &DesignGoals,
+    load: impl Fn(&[(usize, usize)]) -> f64,
+) -> Provisioning {
+    let m = region.map.graph().edge_count();
+    let mut prov = Provisioning {
+        edge_capacity_wl: vec![0.0; m],
+        infeasible: Vec::new(),
+        scenarios_examined: 0,
+    };
+    for scenario in scenarios(region, goals) {
+        let (paths, unreachable) = scenario_paths(region, goals, &scenario);
+        let mut crossing = vec![Vec::new(); m];
+        for p in &paths {
+            p.edges.iter().for_each(|&e| crossing[e].push((p.a, p.b)));
+        }
+        for (cap, pairs) in prov.edge_capacity_wl.iter_mut().zip(&crossing) {
+            if !pairs.is_empty() {
+                *cap = cap.max(load(pairs));
+            }
+        }
+        prov.infeasible
+            .extend(unreachable.into_iter().map(|pair| InfeasiblePair {
+                pair,
+                scenario: scenario.clone(),
+            }));
+        prov.scenarios_examined += 1;
+    }
+    prov
+}
+
+/// The hose model: a fresh max-flow per duct and scenario.
+fn oracle_provision(region: &Region, goals: &DesignGoals) -> Provisioning {
+    let cap = |dc| region.capacity_wavelengths(dc);
+    oracle_sweep(region, goals, |pairs| hose::max_edge_load(&cap, pairs))
+}
+
+fn assert_same(got: &Provisioning, want: &Provisioning, what: &str) {
+    let bits =
+        |p: &Provisioning| -> Vec<u64> { p.edge_capacity_wl.iter().map(|c| c.to_bits()).collect() };
+    assert_eq!(bits(got), bits(want), "{what}");
+    assert_eq!(got.infeasible, want.infeasible, "{what}");
+    assert_eq!(got.scenarios_examined, want.scenarios_examined, "{what}");
+}
+
+/// Algorithm 1 and all three passes against their oracles; returns what
+/// was placed so a
 /// caller can check the region exercised what it was built to exercise.
 fn check(region: &Region, k: usize, what: &str) -> (AmpPlacement, CutThroughPlan) {
     let goals = DesignGoals::with_cuts(k);
+    let want = oracle_provision(region, &goals);
+    for threads in [1, 3] {
+        let got = provision_with_threads(region, &goals, threads);
+        assert_same(&got, &want, &format!("{what} k={k}, {threads} threads"));
+    }
     let amps = place_amplifiers(region, &goals);
     let want = oracle_amplifiers(region, &goals);
     assert_eq!(amps.amps_per_node, want.amps_per_node, "{what} k={k}");
@@ -268,6 +326,37 @@ fn synthetic_regions_large_grid() {
     for k in 0..=2 {
         check_grid(1..25, &[4, 6, 8, 12], 16, k);
         check_grid(100..104, &[12, 16], 24, k);
+    }
+}
+
+/// The naive ablation and the robust plan are the same sweep under other
+/// load models: each against the oracle loop under its own.
+#[test]
+fn naive_and_robust_provisioning_match_the_oracle_sweep() {
+    for seed in 1..5 {
+        for (n_dcs, k) in [(5, 2), (8, 1)] {
+            let (region, goals) = (synthetic(seed, n_dcs, 16), DesignGoals::with_cuts(k));
+            let what = format!("seed {seed}, {n_dcs} DCs, k={k}");
+            let cap = |dc| region.capacity_wavelengths(dc) as f64;
+            let naive = |pairs: &[(usize, usize)]| -> f64 {
+                pairs.iter().map(|&(a, b)| cap(a).min(cap(b))).sum()
+            };
+            let want = oracle_sweep(&region, &goals, naive);
+            assert_same(&provision_naive(&region, &goals), &want, &what);
+
+            let spec = FamilySpec::new(FamilyKind::Burst, 4, seed);
+            let family = MatrixFamily::build(&region, &goals, &spec);
+            let robust = |pairs: &[(usize, usize)]| {
+                (family.matrices().iter())
+                    .map(|d| pairs.iter().map(|&(a, b)| d[a][b]).sum::<f64>())
+                    .fold(0.0f64, f64::max)
+            };
+            let want = oracle_sweep(&region, &goals, robust);
+            for threads in [1, 3] {
+                let got = provision_robust_with_threads(&region, &goals, &family, threads);
+                assert_same(&got, &want, &format!("{what}, {threads} threads"));
+            }
+        }
     }
 }
 
