@@ -145,12 +145,7 @@ fn realized_losses(
 /// Pick the amplifier split for a path, preferring nodes that already
 /// hold amplifiers: the best feasible split by balance.
 #[must_use]
-pub fn choose_amp_split(
-    region: &Region,
-    goals: &DesignGoals,
-    path: &DcPath,
-    amps: &AmpPlacement,
-) -> Option<usize> {
+pub fn choose_amp_split(region: &Region, path: &DcPath, amps: &AmpPlacement) -> Option<usize> {
     if !path.needs_amplification() {
         return None;
     }
@@ -159,7 +154,7 @@ pub fn choose_amp_split(
         let (pre, post) = path.split_losses_with(&prefix, at);
         pre.max(post)
     };
-    AmpPlacement::feasible_splits(region, goals, path)
+    AmpPlacement::feasible_splits(region, path)
         .into_iter()
         .filter(|&at| amps.amps_per_node.contains_key(&path.nodes[at]))
         .min_by(|&x, &y| balance(x).partial_cmp(&balance(y)).expect("finite"))
@@ -228,7 +223,7 @@ pub(crate) fn place_cutthroughs_recorded(
         let mut judge = |id: u32| {
             verdicts.get(id, || {
                 let p = view.by_id(id);
-                let amp_at = choose_amp_split(region, goals, p, amps);
+                let amp_at = choose_amp_split(region, p, amps);
                 (amp_at, path_ok(region, goals, p, amp_at, &plan.cuts))
             })
         };
@@ -359,7 +354,7 @@ mod tests {
         assert!(!plan.cuts.is_empty(), "TC4 violation needs a cut-through");
         // Verify the realized path now meets both budgets.
         let (paths, _) = scenario_paths(&r, &goals, &[]);
-        let amp_at = choose_amp_split(&r, &goals, &paths[0], &amps);
+        let amp_at = choose_amp_split(&r, &paths[0], &amps);
         assert!(path_ok(&r, &goals, &paths[0], amp_at, &plan.cuts));
     }
 

@@ -178,7 +178,7 @@ pub fn plan_iris(region: &Region, goals: &DesignGoals) -> IrisPlan {
     // so it must run after the amplifier pass has seen every scenario.
     let sweep = FailureSweep::record(region, goals, thread_count());
     let provisioning = provision_recorded(region, &sweep);
-    let amps = place_amplifiers_recorded(region, goals, &sweep);
+    let amps = place_amplifiers_recorded(region, &sweep);
     let cuts = place_cutthroughs_recorded(region, goals, &amps, &sweep);
     let residual_fiber_pairs = residual_pairs_recorded(region, &sweep);
     drop(sweep);
@@ -247,15 +247,17 @@ impl EpsPlan {
 }
 
 /// Build the physical-layer element sequence of one realized light path.
+/// It depends on the plan's amplifiers and cut-throughs alone; `_goals`
+/// is not read and stays for the public signature.
 #[must_use]
 pub fn realize_path(
     region: &Region,
-    goals: &DesignGoals,
+    _goals: &DesignGoals,
     path: &DcPath,
     amps: &AmpPlacement,
     cuts: &CutThroughPlan,
 ) -> Vec<PathElement> {
-    let amp_at = choose_amp_split(region, goals, path, amps);
+    let amp_at = choose_amp_split(region, path, amps);
     let active: std::collections::HashSet<usize> = active_switch_points(path, amp_at, &cuts.cuts)
         .into_iter()
         .collect();

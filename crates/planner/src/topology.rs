@@ -17,7 +17,7 @@
 
 use crate::engine::{self, FailureSweep, ScenarioView};
 use crate::goals::DesignGoals;
-use crate::memo::SliceMemo;
+use crate::memo::{PairBits, SliceMemo};
 use crate::paths::{scenario_paths, DcPath};
 use iris_fibermap::{Region, SiteId, SiteKind};
 use iris_netgraph::{EdgeId, HoseScratch};
@@ -119,18 +119,20 @@ where
 }
 
 /// [`sweep`] over a recording: its chunks are replayed in parallel
-/// ([`FailureSweep::par_chunks`]). All sweep state is chunk-local: the
-/// overlay, the memo, the load model and the per-duct pair buffers. Duct
-/// capacities merge by elementwise max (a commutative, associative
-/// reduction over finite values) and infeasible pairs concatenate in
-/// chunk order (= global scenario order), so the output is
+/// ([`FailureSweep::par_chunks`]). The baseline's per-duct pair bitsets
+/// are built once and only read; the rest of the sweep's state is
+/// chunk-local: the overlay, the memo, the load model and the per-duct
+/// pair buffers. Duct capacities merge by elementwise max (a commutative,
+/// associative reduction over finite values) and infeasible pairs
+/// concatenate in chunk order (= global scenario order), so the output is
 /// **bit-identical for every thread count**.
 ///
 /// The sweep is delta-driven. The no-failure scenario loads every duct
 /// with its baseline pair set. A failure scenario loads only the ducts
 /// its detours cross: each one's set is its baseline set less the
 /// re-routed pairs, plus the re-routed pairs whose detour crosses it,
-/// ascending (the memo key a full rebuild would give). Every other duct
+/// ascending (the memo key a full rebuild would give), worked out on
+/// pair bitsets and read out in order, never sorted. Every other duct
 /// keeps its baseline set or a subset of it, and a load model is
 /// monotone in the pair set, exactly in f64 (hose loads are
 /// half-integers; a sum of non-negative terms in a fixed order can only
@@ -146,7 +148,11 @@ pub(crate) fn sweep_recorded<L>(
 where
     L: FnMut(ScenarioView<'_>, &[u32]) -> f64,
 {
-    let m = region.map.graph().edge_count();
+    let (m, pair_count) = (region.map.graph().edge_count(), recording.pair_count());
+    // Per duct, the pairs whose baseline path crosses it.
+    let base_bits: Vec<PairBits> = (0..m)
+        .map(|e| PairBits::of(pair_count, recording.pairs_crossing(e)))
+        .collect();
     let results = recording.par_chunks(|chunk| {
         let mut load_of = new_load();
         // This chunk's own worst-case capacities and reports.
@@ -162,7 +168,7 @@ where
         // clearing is O(touched), not O(m).
         let mut gained: Vec<Vec<u32>> = vec![Vec::new(); m];
         let mut touched: Vec<EdgeId> = Vec::new();
-        let mut moved = vec![false; recording.pair_count()];
+        let (mut moved, mut crossing) = (PairBits::new(pair_count), PairBits::new(pair_count));
         let mut pairs = Vec::new();
 
         chunk.visit(|scenario, view| {
@@ -182,7 +188,7 @@ where
                 return;
             }
             for &idx in view.rerouted() {
-                moved[idx as usize] = true;
+                moved.set(idx);
                 for &e in view.path(idx).map_or(&[][..], |p| &p.edges) {
                     if gained[e].is_empty() {
                         touched.push(e);
@@ -191,17 +197,15 @@ where
                 }
             }
             for e in touched.drain(..) {
+                crossing.copy_from(&base_bits[e]);
+                crossing.and_not(&moved);
+                gained[e].drain(..).for_each(|idx| crossing.set(idx));
                 pairs.clear();
-                let base = recording.pairs_crossing(e);
-                pairs.extend(base.iter().filter(|&&idx| !moved[idx as usize]));
-                pairs.append(&mut gained[e]);
-                pairs.sort_unstable();
+                pairs.extend(crossing.iter());
                 let load = memo.get(&pairs, || load_of(view, &pairs));
                 out.edge_capacity_wl[e] = out.edge_capacity_wl[e].max(load);
             }
-            for &idx in view.rerouted() {
-                moved[idx as usize] = false;
-            }
+            view.rerouted().iter().for_each(|&idx| moved.clear(idx));
         });
         if let Some([evals, hits]) = memo_counters {
             memo.flush(evals, hits);
