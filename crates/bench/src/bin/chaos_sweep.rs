@@ -10,10 +10,9 @@
 use iris_bench::chaos::{run_chaos, ChaosConfig};
 
 fn main() {
-    let quick = iris_bench::quick_mode();
     let cfg = ChaosConfig {
         seed: 7,
-        scenarios: if quick { 4 } else { 25 },
+        scenarios: 25,
         n_dcs: 6,
         cuts: 1,
     };

@@ -9,7 +9,7 @@ use iris_fibermap::siting::{fraction_at_least, latency_inflation};
 use iris_fibermap::synth::pick_hub_pair;
 
 fn main() {
-    let n_regions = if iris_bench::quick_mode() { 4 } else { 22 };
+    let n_regions = 22;
     let mut inflations = Vec::new();
     for seed in 0..n_regions {
         let region = iris_bench::simple_region(seed + 1, 6 + (seed as usize % 6));

@@ -8,8 +8,8 @@ use iris_fibermap::siting::{centralized_service_area, distributed_service_area, 
 use iris_fibermap::synth::pick_hub_pair;
 
 fn main() {
-    let n_regions: u64 = if iris_bench::quick_mode() { 4 } else { 33 };
-    let step = if iris_bench::quick_mode() { 3.0 } else { 1.5 };
+    let n_regions: u64 = 33;
+    let step = 1.5;
     println!("# region  n_dcs  central_km2  distrib_km2  ratio");
     let mut ratios = Vec::new();
     let mut rows = Vec::new();

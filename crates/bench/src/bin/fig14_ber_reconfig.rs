@@ -8,11 +8,7 @@ use iris_control::testbed::{run_testbed, summarize, TestbedConfig};
 
 fn main() {
     let config = TestbedConfig {
-        duration_s: if iris_bench::quick_mode() {
-            120.0
-        } else {
-            600.0
-        },
+        duration_s: 600.0,
         ..TestbedConfig::default()
     };
     let samples = run_testbed(&config);

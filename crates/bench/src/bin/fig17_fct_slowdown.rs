@@ -12,7 +12,6 @@ use iris_simnet::workloads::FlowSizeDist;
 use iris_simnet::{run_comparison, ExperimentConfig, SimTopology};
 
 fn main() {
-    let quick = iris_bench::quick_mode();
     // Topology: a planned 8-DC region, capacities scaled so the largest
     // link is ~2 Gbps (FCT ratios are scale-invariant; see DESIGN.md).
     let region = iris_bench::simple_region(3, 8);
@@ -21,12 +20,8 @@ fn main() {
     let scale = SimTopology::scale_for_largest_link(&region, &prov, 2.0);
     let topo = SimTopology::from_provisioning(&region, &goals, &prov, scale);
 
-    let utils: &[f64] = if quick { &[0.4] } else { &[0.1, 0.4, 0.7] };
-    let intervals: &[f64] = if quick {
-        &[1.0, 10.0]
-    } else {
-        &[1.0, 2.0, 5.0, 10.0, 20.0, 30.0]
-    };
+    let utils = [0.1, 0.4, 0.7];
+    let intervals = [1.0f64, 2.0, 5.0, 10.0, 20.0, 30.0];
     let changes = [
         ("50% bounded", ChangeModel::Bounded(0.5)),
         ("unbounded", ChangeModel::Unbounded),
@@ -34,9 +29,9 @@ fn main() {
 
     println!("# util  change      interval_s  p99_all  p99_short  mean_all");
     let mut rows = Vec::new();
-    for &util in utils {
+    for util in utils {
         for (change_name, change) in changes {
-            for &interval in intervals {
+            for interval in intervals {
                 let duration = (6.0 * interval).clamp(20.0, 60.0);
                 let (r, _) = run_comparison(
                     &topo,

@@ -18,7 +18,7 @@ fn main() {
     let scale = SimTopology::scale_for_largest_link(&region, &prov, 2.0);
     let topo = SimTopology::from_provisioning(&region, &goals, &prov, scale);
 
-    let duration = if iris_bench::quick_mode() { 15.0 } else { 40.0 };
+    let duration = 40.0;
     println!("# workload  p99_all  p99_short  flows");
     let mut rows = Vec::new();
     for workload in FlowSizeDist::all_paper_workloads() {

@@ -16,7 +16,7 @@ use iris_planner::centralized::{plan_centralized, HubHoming};
 use iris_planner::{par_map, thread_count, topology::nominal_paths, DesignGoals};
 
 fn main() {
-    let n_regions = if iris_bench::quick_mode() { 2 } else { 6 };
+    let n_regions = 6;
     let book = PriceBook::paper_2020();
 
     println!(

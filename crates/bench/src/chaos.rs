@@ -11,7 +11,7 @@
 //! scenario as a [`CapacityEvent`] in a paired flow-level simulation.
 //!
 //! Everything is a pure function of the seed: same seed, byte-identical
-//! [`ChaosReport`] — the `chaos` CI job diffs two runs to prove it.
+//! [`ChaosReport`] — the `artifacts` CI job diffs two runs to prove it.
 
 use iris_control::controller::Allocation;
 use iris_control::{Controller, FaultDomain, FaultInjector, FaultKind, FaultSchedule};

@@ -63,22 +63,12 @@ pub struct FederationConfig {
 
 impl Default for FederationConfig {
     fn default() -> Self {
-        if crate::quick_mode() {
-            Self {
-                seed: 7,
-                n_dcs: 4,
-                cuts: 1,
-                users: 6,
-                writes_per_phase: 3,
-            }
-        } else {
-            Self {
-                seed: 7,
-                n_dcs: 5,
-                cuts: 1,
-                users: 12,
-                writes_per_phase: 6,
-            }
+        Self {
+            seed: 7,
+            n_dcs: 5,
+            cuts: 1,
+            users: 12,
+            writes_per_phase: 6,
         }
     }
 }

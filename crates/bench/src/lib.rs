@@ -3,9 +3,9 @@
 //!
 //! Every binary in `src/bin/` regenerates one table or figure of the
 //! paper: it prints the same rows/series the paper reports and writes a
-//! JSON record under `results/` for EXPERIMENTS.md. Binaries honour the
-//! `IRIS_QUICK=1` environment variable, which shrinks sweeps for smoke
-//! testing.
+//! JSON record under `results/` for EXPERIMENTS.md. Each binary has one
+//! configuration, so a run rewrites its committed artifact byte for byte
+//! at any `IRIS_THREADS`; a diff under `results/` is a finding.
 
 pub mod chaos;
 pub mod crash;
@@ -15,14 +15,6 @@ use iris_errors::{IrisError, IrisResult};
 use iris_fibermap::synth::{generate_metro, place_dcs};
 use iris_fibermap::{MetroParams, PlacementParams, Region};
 use std::path::{Path, PathBuf};
-
-/// Whether the binaries should run reduced sweeps.
-#[must_use]
-pub fn quick_mode() -> bool {
-    std::env::var("IRIS_QUICK")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-}
 
 /// The evaluation's region-scale knobs (§6.1): 10 fiber maps, DC counts,
 /// DC capacities in fibers, wavelengths per fiber.
@@ -38,25 +30,14 @@ pub struct SweepPoint {
     pub lambda: u32,
 }
 
-/// All 240 evaluation combinations of §6.1 (or a reduced set in quick
-/// mode).
+/// All 240 evaluation combinations of §6.1.
 #[must_use]
 pub fn sweep_points() -> Vec<SweepPoint> {
-    let (maps, dcs, fs, lambdas): (Vec<u64>, Vec<usize>, Vec<u32>, Vec<u32>) = if quick_mode() {
-        (vec![1, 2], vec![5, 10], vec![16], vec![40])
-    } else {
-        (
-            (1..=10).collect(),
-            vec![5, 10, 15, 20],
-            vec![8, 16, 32],
-            vec![40, 64],
-        )
-    };
     let mut points = Vec::new();
-    for &map_seed in &maps {
-        for &n_dcs in &dcs {
-            for &f in &fs {
-                for &lambda in &lambdas {
+    for map_seed in 1..=10 {
+        for n_dcs in [5, 10, 15, 20] {
+            for f in [8, 16, 32] {
+                for lambda in [40, 64] {
                     points.push(SweepPoint {
                         map_seed,
                         n_dcs,
@@ -204,10 +185,7 @@ mod tests {
 
     #[test]
     fn full_sweep_has_240_points() {
-        // Guard against IRIS_QUICK leaking into the test environment.
-        if !quick_mode() {
-            assert_eq!(sweep_points().len(), 240);
-        }
+        assert_eq!(sweep_points().len(), 240);
     }
 
     #[test]

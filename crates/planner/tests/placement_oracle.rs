@@ -318,7 +318,7 @@ fn synthetic_regions_two_cuts() {
     check_grid(1..17, &[4, 5, 6, 8], 16, 2);
 }
 
-/// The release-mode grid of the CI `determinism` job: more seeds, larger
+/// The release-mode grid of the CI `artifacts` job: more seeds, larger
 /// regions on a denser map.
 #[test]
 #[ignore = "minutes in a debug build; CI runs it in release"]
