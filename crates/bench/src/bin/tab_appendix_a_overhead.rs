@@ -5,7 +5,7 @@
 //! scenarios.
 
 use iris_cost::{iris_cost, PriceBook};
-use iris_planner::{plan_iris, DesignGoals};
+use iris_planner::{par_map, plan_iris, thread_count, DesignGoals};
 
 fn main() {
     let points = iris_bench::sweep_points();
@@ -14,16 +14,12 @@ fn main() {
     let goals = DesignGoals::with_cuts(1);
     let book = PriceBook::paper_2020();
 
-    let mut overheads = Vec::new();
-    for p in &points {
-        let region = iris_bench::build_region(p);
-        let plan = plan_iris(&region, &goals);
+    let overheads = par_map(thread_count(), &points, |_, p| {
+        let plan = plan_iris(&iris_bench::build_region(p), &goals);
         let cost = iris_cost(&plan, &book);
-        let amp_cost = cost.amplifiers;
         let cut_fiber_cost = plan.cuts.total_fiber_pair_spans() as f64 * book.fiber_pair_span;
-        let overhead = (amp_cost + cut_fiber_cost) / cost.total();
-        overheads.push(overhead);
-    }
+        (cost.amplifiers + cut_fiber_cost) / cost.total()
+    });
 
     iris_bench::print_cdf("amplifier + cut-through cost share", &overheads, 20);
     let mean = overheads.iter().sum::<f64>() / overheads.len() as f64;

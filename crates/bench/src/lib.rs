@@ -188,6 +188,31 @@ mod tests {
         assert_eq!(sweep_points().len(), 240);
     }
 
+    /// A sweep point whose k = 1 plan breaks TC1: the path of DC pair
+    /// (2, 4) has a segment that loses more than one amplifier restores.
+    #[test]
+    fn a_sweep_point_plans_infeasible_at_one_cut() {
+        let point = SweepPoint {
+            map_seed: 3,
+            n_dcs: 5,
+            f: 8,
+            lambda: 40,
+        };
+        assert!(sweep_points().contains(&point));
+        let plan = iris_planner::plan_iris(
+            &build_region(&point),
+            &iris_planner::DesignGoals::with_cuts(1),
+        );
+        assert!(!plan.is_feasible());
+        let lossy = plan.violations.iter().any(|(pair, v)| {
+            *pair == (2, 4)
+                && matches!(v, iris_optics::BudgetViolation::SegmentLossExceeded {
+                    loss_db, limit_db, ..
+                } if loss_db > limit_db)
+        });
+        assert!(lossy, "{:?}", plan.violations);
+    }
+
     #[test]
     fn percentile_basics() {
         let v = [4.0, 1.0, 3.0, 2.0];

@@ -1,6 +1,6 @@
 //! Plan → flows: `simulate`, `simd`, `testbed`.
 
-use super::{comma_list, family_spec, load, write_report};
+use super::{family_spec, load, write_report};
 use crate::args::Options;
 use iris_core::prelude::*;
 use iris_errors::IrisResult;
@@ -76,10 +76,10 @@ pub fn simulate(opts: &Options) -> IrisResult<()> {
 
 /// `iris simd` — the `simulate` experiment at 10⁶+ flows, via per-link
 /// decomposition ([`iris_flowsim`]) instead of the exact global-waterfill
-/// engine. The `--out` artifact holds no wall-clock or backend detail:
-/// CI diffs it across worker fleets, worker counts and `IRIS_THREADS`.
+/// engine. The `--out` artifact holds no wall-clock detail: CI diffs it
+/// across `IRIS_THREADS`.
 pub fn simd(opts: &Options) -> IrisResult<()> {
-    use iris_flowsim::coord::{estimate_with_trace, Backend, EstimateConfig, FleetConfig};
+    use iris_flowsim::coord::{estimate_with_trace, EstimateConfig};
     use iris_simnet::engine::{FabricModel, FlowRecord, SimConfig};
     use iris_simnet::experiment::fct_quantile;
     use iris_simnet::TrafficMatrix;
@@ -92,20 +92,9 @@ pub fn simd(opts: &Options) -> IrisResult<()> {
     let epsilon: f64 = opts.num("epsilon")?;
     let workload = workload(opts)?;
     let matrices = family_spec(opts)?;
-    let backend = match opts.get("workers") {
-        None => Backend::InProcess,
-        Some(list) => {
-            let endpoints: Vec<String> = comma_list(list).map(str::to_owned).collect();
-            if endpoints.is_empty() {
-                return Err("--workers: expected HOST:PORT[,HOST:PORT...]".into());
-            }
-            Backend::Fleet(FleetConfig::new(endpoints))
-        }
-    };
     let cfg = EstimateConfig {
         cluster: !opts.flag("no-cluster"),
         epsilon,
-        backend,
     };
     let intervals = opts
         .num_opt("interval")?
@@ -161,7 +150,7 @@ pub fn simd(opts: &Options) -> IrisResult<()> {
     let vspec = spec_for(&base, iris, 1.0);
     let vtrace = vspec.trace();
     let exact = vtrace.replay(&vspec.topo);
-    let vest = estimate_with_trace(&vspec, &vtrace, &cfg)?;
+    let vest = estimate_with_trace(&vspec, &vtrace, &cfg);
     let vq = |records: &[FlowRecord], q: f64| fct_quantile(records, q, false);
     let (val_p50, val_p99) = match (
         vq(&exact, 0.5).zip(vq(&vest.records, 0.5)),
@@ -235,7 +224,7 @@ pub fn simd(opts: &Options) -> IrisResult<()> {
     );
 
     if let Some(out) = opts.get("out") {
-        // Deterministic artifact: no wall-clock, no backend identity.
+        // Deterministic artifact: no wall-clock, no thread count.
         let mut payload = serde_json::json!({
             "config": {
                 "dcs": dcs,

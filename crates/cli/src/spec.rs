@@ -306,7 +306,6 @@ pub static TABLE: &[Command] = &[
             opt("interval", "S", Optional),
             opt("epsilon", "E", Literal("0.02")),
             switch("no-cluster"),
-            opt("workers", "HOST:PORT,..", Optional),
             THREADS,
             OUT,
         ],
@@ -315,17 +314,15 @@ pub static TABLE: &[Command] = &[
                 single-link simulation, similar ducts are clustered so\n\
                 only one representative per cluster is simulated\n\
                 (--no-cluster simulates every duct; --epsilon tunes the\n\
-                cluster tolerance), and link jobs run on an in-process\n\
-                pool or, with --workers, a fleet of iris-flowsim-worker\n\
-                processes (jobs are retried on worker death). Capacities\n\
-                are scaled so the run offers --flows flows; a small cell\n\
-                is cross-checked against the exact engine and the p50/p99\n\
-                agreement printed. --matrices KIND[:COUNT][@SEED] replaces\n\
-                the default heavy-tailed traffic matrix with a planner\n\
-                workload family's mean rates, so the simulated traffic\n\
-                matches what `iris plan --robust` provisioned for. --out\n\
-                writes a deterministic artifact that is byte-identical\n\
-                across backends, worker counts and IRIS_THREADS",
+                cluster tolerance), and link jobs run on the in-process\n\
+                thread pool. Capacities are scaled so the run offers\n\
+                --flows flows; a small cell is cross-checked against the\n\
+                exact engine and the p50/p99 agreement printed. --matrices\n\
+                KIND[:COUNT][@SEED] replaces the default heavy-tailed\n\
+                traffic matrix with a planner workload family's mean\n\
+                rates, so the simulated traffic matches what `iris plan\n\
+                --robust` provisioned for. --out writes a deterministic\n\
+                artifact that is byte-identical across IRIS_THREADS",
         run: sim::simd,
         ..ROW
     },

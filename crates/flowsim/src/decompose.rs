@@ -34,9 +34,8 @@ pub struct DecFlow {
 }
 
 /// A trace decomposed into independent per-link workloads. Built
-/// deterministically from `(topo, trace)` — the coordinator and every
-/// worker derive the *same* decomposition from the same spec, so a job
-/// can name a link by id alone and results align by construction.
+/// deterministically from `(topo, trace)`, so a job names a link by id
+/// alone and results align by construction.
 #[derive(Debug)]
 pub struct Decomposition {
     /// Admitted flows, trace order (flow id = index).
@@ -96,7 +95,7 @@ impl Decomposition {
     /// position: the one size order that link features, slowdown
     /// tables and member estimates all read. The first call sorts
     /// every link's flows, links in parallel, so a run that never asks
-    /// (a fleet worker, an unclustered estimate) never pays for it.
+    /// (an unclustered estimate) never pays for it.
     #[must_use]
     pub fn size_order(&self, link: usize) -> &[u32] {
         let orders = self.size_order.get_or_init(|| {
@@ -205,10 +204,10 @@ fn link_segments(trace: &FlowTrace, link: usize) -> Vec<ScaleSegment> {
 /// `results` yields `(link, finishes)` pairs where `finishes` aligns
 /// with `dec.link_flows[link]`; order is irrelevant — the per-flow
 /// transfer estimate is a commutative `f64::max` across links, which is
-/// what makes the distributed artifact byte-identical regardless of
-/// worker count or completion order. A flow completes iff *every* link
-/// on its route finished it within the duration; its FCT is the worst
-/// link's transfer time plus the route's propagation RTT (charged
+/// what makes the artifact byte-identical regardless of thread count
+/// or completion order. A flow completes iff *every* link on its route
+/// finished it within the duration; its FCT is the worst link's
+/// transfer time plus the route's propagation RTT (charged
 /// analytically, as the exact engine does). Records come back in flow
 /// arrival order.
 #[must_use]

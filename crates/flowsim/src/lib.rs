@@ -1,6 +1,6 @@
-//! Distributed flow simulation: per-link decomposition, link
-//! clustering, and a coordinator/worker fleet for 10⁶–10⁷-flow FCT
-//! evaluation.
+//! Decomposed flow simulation: per-link decomposition, link
+//! clustering, and an in-process fan-out of link jobs for
+//! 10⁶–10⁷-flow FCT evaluation.
 //!
 //! The exact engine in `iris-simnet` recomputes global max-min rates on
 //! every flow event. On the benchmark's 12-DC recipe at 3×10⁶ flows, on
@@ -12,8 +12,8 @@
 //! processor-sharing simulation** ([`decompose`], [`link`]),
 //! similar links are **clustered** so only one representative per
 //! cluster is simulated ([`cluster`]), and the per-link jobs — now
-//! embarrassingly parallel — are **sharded across a worker fleet** over
-//! the workspace's frame codec ([`proto`], [`worker`], [`coord`]).
+//! embarrassingly parallel — are **mapped through the workspace's
+//! thread pool** ([`coord`]).
 //!
 //! The input is the exact engine's: a [`WorkSpec`] recipe
 //! (`iris_simnet`'s one run recipe, re-exported here) and the
@@ -21,10 +21,10 @@
 //! trace; this crate decomposes it.
 //!
 //! Determinism contract: every artifact is byte-identical regardless of
-//! backend, worker count, or `IRIS_THREADS`. This falls out of the
-//! architecture rather than discipline — jobs are pure functions of the
-//! [`WorkSpec`], results are keyed by link id, and the cross-link
-//! combination ([`decompose::combine`]) is a commutative `max`.
+//! `IRIS_THREADS`. This falls out of the architecture rather than
+//! discipline — jobs are pure functions of the [`WorkSpec`], results
+//! are keyed by link id, and the cross-link combination
+//! ([`decompose::combine`]) is a commutative `max`.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -34,13 +34,9 @@ pub mod coord;
 pub mod decompose;
 pub mod link;
 pub mod proto;
-pub mod worker;
 
 pub use cluster::{cluster_links, Cluster, LinkFeatures, SlowdownTable};
-pub use coord::{
-    estimate, estimate_with_trace, Backend, EstimateConfig, EstimateReport, FleetConfig,
-};
+pub use coord::{estimate, estimate_with_trace, EstimateConfig, EstimateReport};
 pub use decompose::{combine, Decomposition};
 pub use link::{simulate_link, LinkFlow, ScaleSegment, INCOMPLETE};
 pub use proto::WorkSpec;
-pub use worker::{serve, spawn_ephemeral, WorkerConfig};

@@ -1,21 +1,14 @@
 //! End-to-end validation of the flowsim estimator against the exact
-//! engine, and of the distributed backend against the in-process one.
+//! engine.
 
-use iris_flowsim::coord::{estimate_with_trace, Backend, EstimateConfig, FleetConfig};
-use iris_flowsim::proto::{
-    decode_request, encode_response, WorkSpec, WorkerRequest, WorkerResponse,
-};
-use iris_flowsim::worker::{serve, spawn_ephemeral, WorkerConfig};
+use iris_flowsim::coord::{estimate_with_trace, EstimateConfig};
+use iris_flowsim::proto::WorkSpec;
 use iris_simnet::engine::{CapacityEvent, FabricModel, FlowRecord, SimConfig};
 use iris_simnet::experiment::fct_quantile;
 use iris_simnet::traffic::ChangeModel;
 use iris_simnet::workloads::FlowSizeDist;
 use iris_simnet::{SimTopology, TrafficMatrix};
-use iris_wire::frame::append_frame;
-use iris_wire::{recv_frame, Codec};
 use proptest::prelude::*;
-use std::io::Write as _;
-use std::net::TcpListener;
 
 fn spec(n_dcs: usize, seed: u64, utilization: f64, duration_s: f64) -> WorkSpec {
     WorkSpec {
@@ -62,9 +55,7 @@ fn single_pair_decomposition_matches_exact_per_flow() {
     let spec = spec(2, 11, 0.6, 4.0);
     let trace = spec.trace();
     let exact = trace.replay(&spec.topo);
-    let est = estimate_with_trace(&spec, &trace, &exact_cfg())
-        .expect("in-process estimate")
-        .records;
+    let est = estimate_with_trace(&spec, &trace, &exact_cfg()).records;
     assert!(!exact.is_empty(), "exact run completed no flows");
     assert_eq!(exact.len(), est.len(), "completed-flow sets differ");
     let exact_keyed = by_arrival(&exact);
@@ -93,9 +84,7 @@ proptest! {
         let trace = spec.trace();
         let exact = trace.replay(&spec.topo);
         prop_assume!(exact.len() >= 20);
-        let est = estimate_with_trace(&spec, &trace, &exact_cfg())
-            .expect("in-process estimate")
-            .records;
+        let est = estimate_with_trace(&spec, &trace, &exact_cfg()).records;
         let count_ratio = est.len() as f64 / exact.len() as f64;
         prop_assert!(
             (0.8..=1.25).contains(&count_ratio),
@@ -120,9 +109,8 @@ proptest! {
 fn clustered_estimate_stays_close_to_exact_mode() {
     let spec = spec(12, 3, 0.5, 4.0);
     let trace = spec.trace();
-    let exact_mode = estimate_with_trace(&spec, &trace, &exact_cfg()).expect("no-cluster estimate");
-    let clustered =
-        estimate_with_trace(&spec, &trace, &EstimateConfig::default()).expect("clustered estimate");
+    let exact_mode = estimate_with_trace(&spec, &trace, &exact_cfg());
+    let clustered = estimate_with_trace(&spec, &trace, &EstimateConfig::default());
     assert!(
         clustered.links_simulated < exact_mode.links_simulated,
         "clustering simulated every link ({} of {})",
@@ -153,145 +141,15 @@ fn assert_bit_identical(a: &[FlowRecord], b: &[FlowRecord]) {
 }
 
 #[test]
-fn fleet_backend_is_byte_identical_to_in_process() {
-    let spec = spec(6, 21, 0.5, 3.0);
-    let trace = spec.trace();
-    let local = estimate_with_trace(&spec, &trace, &EstimateConfig::default())
-        .expect("in-process estimate");
-    for n_workers in [1usize, 3] {
-        let endpoints: Vec<String> = (0..n_workers)
-            .map(|_| {
-                spawn_ephemeral(WorkerConfig::default())
-                    .expect("spawn worker")
-                    .to_string()
-            })
-            .collect();
-        let cfg = EstimateConfig {
-            backend: Backend::Fleet(FleetConfig::new(endpoints)),
-            ..EstimateConfig::default()
-        };
-        let fleet = estimate_with_trace(&spec, &trace, &cfg).expect("fleet estimate");
-        assert_bit_identical(&local.records, &fleet.records);
-        assert_eq!(local.links_simulated, fleet.links_simulated);
-    }
-}
-
-#[test]
-fn fleet_survives_a_dead_endpoint() {
-    let spec = spec(5, 8, 0.5, 2.0);
-    let trace = spec.trace();
-    let local = estimate_with_trace(&spec, &trace, &EstimateConfig::default())
-        .expect("in-process estimate");
-    // Port 1 is never listening; that dispatcher retires after its
-    // connect attempts and the live worker absorbs the requeued jobs.
-    let live = spawn_ephemeral(WorkerConfig::default()).expect("spawn worker");
-    let mut fleet = FleetConfig::new(vec!["127.0.0.1:1".to_owned(), live.to_string()]);
-    fleet.connect_attempts = 1;
-    fleet.backoff_base_ms = 1;
-    fleet.backoff_cap_ms = 2;
-    let cfg = EstimateConfig {
-        backend: Backend::Fleet(fleet),
-        ..EstimateConfig::default()
-    };
-    let out = estimate_with_trace(&spec, &trace, &cfg).expect("fleet estimate with dead peer");
-    assert_bit_identical(&local.records, &out.records);
-}
-
-#[test]
-fn a_lone_endpoint_that_drops_its_connection_is_redialled_and_reloaded() {
-    let spec = spec(5, 8, 0.5, 2.0);
-    let trace = spec.trace();
-    let local = estimate_with_trace(&spec, &trace, &EstimateConfig::default())
-        .expect("in-process estimate");
-
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("local addr").to_string();
-    let (hung_up, first_connection) = std::sync::mpsc::channel();
-    std::thread::spawn(move || {
-        // The first connection gets through the handshake and the spec,
-        // then dies under its first job.
-        let (mut sock, _) = listener.accept().expect("accept");
-        let mut unread = Vec::new();
-        let mut exchange = |codec: Codec, reply: Option<WorkerResponse>| {
-            let Some(frame) = recv_frame(&mut sock, &mut unread).expect("a request") else {
-                panic!("the coordinator hung up first");
-            };
-            if let Some(reply) = reply {
-                let mut framed = Vec::new();
-                append_frame(&mut framed, &encode_response(codec, &reply).unwrap()).unwrap();
-                sock.write_all(&framed).unwrap();
-            }
-            decode_request(codec, &frame.payload).expect("a well-formed request")
-        };
-        let ack = WorkerResponse::HelloOk {
-            codec: "binary".to_owned(),
-        };
-        let loaded = WorkerResponse::SpecLoaded { flows: 0, links: 0 };
-        let asked = [
-            exchange(Codec::Json, Some(ack)),
-            exchange(Codec::Binary, Some(loaded)),
-            exchange(Codec::Binary, None),
-        ];
-        drop(sock);
-        hung_up.send(asked).expect("test alive");
-        // The same port comes back as a real worker.
-        let _ = serve(listener, WorkerConfig::default());
-    });
-
-    let mut fleet = FleetConfig::new(vec![addr]);
-    fleet.backoff_base_ms = 1;
-    fleet.backoff_cap_ms = 5;
-    let cfg = EstimateConfig {
-        backend: Backend::Fleet(fleet),
-        ..EstimateConfig::default()
-    };
-    let out = estimate_with_trace(&spec, &trace, &cfg).expect("the endpoint came back");
-    assert_bit_identical(&local.records, &out.records);
-    let asked = first_connection
-        .try_recv()
-        .expect("the first connection was used");
-    assert!(
-        matches!(
-            asked,
-            [
-                WorkerRequest::Hello { .. },
-                WorkerRequest::LoadSpec { .. },
-                WorkerRequest::RunLink { .. }
-            ]
-        ),
-        "{asked:?}"
-    );
-}
-
-#[test]
-fn fleet_with_no_reachable_endpoint_reports_typed_failure() {
-    let spec = spec(3, 2, 0.4, 1.0);
-    let trace = spec.trace();
-    let mut fleet = FleetConfig::new(vec!["127.0.0.1:1".to_owned()]);
-    fleet.connect_attempts = 1;
-    fleet.backoff_base_ms = 1;
-    fleet.backoff_cap_ms = 2;
-    let cfg = EstimateConfig {
-        backend: Backend::Fleet(fleet),
-        ..EstimateConfig::default()
-    };
-    let err = estimate_with_trace(&spec, &trace, &cfg).unwrap_err();
-    assert!(
-        matches!(err, iris_errors::IrisError::RetriesExhausted { .. }),
-        "unexpected error: {err:?}"
-    );
-}
-
-#[test]
 fn in_process_backend_ignores_thread_count() {
     // IRIS_THREADS governs pool width, never results. (Set/remove is
     // process-global but harmless: no other test depends on widths.)
     let spec = spec(6, 13, 0.5, 2.0);
     let trace = spec.trace();
     std::env::set_var("IRIS_THREADS", "1");
-    let one = estimate_with_trace(&spec, &trace, &EstimateConfig::default()).expect("1 thread");
+    let one = estimate_with_trace(&spec, &trace, &EstimateConfig::default());
     std::env::set_var("IRIS_THREADS", "4");
-    let four = estimate_with_trace(&spec, &trace, &EstimateConfig::default()).expect("4 threads");
+    let four = estimate_with_trace(&spec, &trace, &EstimateConfig::default());
     std::env::remove_var("IRIS_THREADS");
     assert_bit_identical(&one.records, &four.records);
 }
@@ -344,7 +202,7 @@ fn estimate_reproduces_the_pinned_digests() {
             cluster,
             ..EstimateConfig::default()
         };
-        let est = estimate_with_trace(&work, &trace, &cfg).expect("in-process estimate");
+        let est = estimate_with_trace(&work, &trace, &cfg);
         if cluster {
             assert!(
                 est.links_simulated < est.links_occupied,

@@ -1,8 +1,8 @@
 //! `iris-wire` — the protocol layer shared by every Iris TCP peer.
 //!
 //! The control-plane server ([`iris-service`]), its clients and load
-//! generator, and the flow-simulation worker fleet all speak the same
-//! wire discipline: length-prefixed frames ([`frame`]) whose payloads
+//! generator, and the federation's replicators all speak the same wire
+//! discipline: length-prefixed frames ([`frame`]) whose payloads
 //! are encoded in one of two negotiated codecs ([`Codec`]) — JSON for
 //! debuggability, or a compact tag-prefixed binary format whose value
 //! encodings, [`bin::Wire`] trait and layout-declaration macros live
@@ -14,11 +14,11 @@
 //! It is also the workspace's one transport. [`FramedConn`] is a
 //! non-blocking socket with its read and write buffers; [`server`] runs
 //! an acceptor and `N` shard event loops over such connections and
-//! hands every frame to a [`Handler`]. The control-plane server and the
-//! flowsim worker are two handlers on it. [`client`] is the other end:
-//! one blocking connection ([`Client`]) and one way to re-dial a peer
-//! ([`PeerLink`]), generic over a [`Protocol`]; the control-plane
-//! client, router and replicator and the flowsim coordinator sit on it.
+//! hands every frame to a [`Handler`]; the control-plane server is one.
+//! [`client`] is the other end: one blocking connection ([`Client`])
+//! and one way to re-dial a peer ([`PeerLink`]), generic over a
+//! [`Protocol`]; the control-plane client, router and replicator sit
+//! on it.
 //!
 //! # Writing a handler
 //!

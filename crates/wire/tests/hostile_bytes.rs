@@ -1,6 +1,6 @@
 //! One hostile-bytes property, run over every message type that
-//! declares a binary layout (service API, flowsim protocol, controller
-//! commands, `IrisError`) and over the primitive layouts themselves.
+//! declares a binary layout (service API, controller commands,
+//! `IrisError`) and over the primitive layouts themselves.
 //!
 //! For each sample value: the round trip is the identity; every
 //! truncation is a typed decode error naming the field it stopped at;
@@ -11,9 +11,7 @@
 
 #[path = "common/counting.rs"]
 mod counting;
-// The sample values are the golden-frame suites' own: one per variant.
-#[path = "../../flowsim/tests/golden/mod.rs"]
-mod flowsim_golden;
+// The sample values are the golden-frame suite's own: one per variant.
 #[path = "../../service/tests/golden/mod.rs"]
 mod service_golden;
 
@@ -124,16 +122,6 @@ fn every_service_message_survives_hostile_bytes() {
     for (error, _) in service_golden::golden_errors() {
         fuzz(&error);
         fuzz(&Response::Error(error));
-    }
-}
-
-#[test]
-fn every_flowsim_message_survives_hostile_bytes() {
-    for (request, _) in flowsim_golden::golden_requests() {
-        fuzz(&request);
-    }
-    for (response, _) in flowsim_golden::golden_responses() {
-        fuzz(&response);
     }
 }
 
